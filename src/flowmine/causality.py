@@ -12,7 +12,15 @@ tail instances left to right, each one grabs the nearest earlier
 unmatched head instance.  Instances inside one event are concurrent
 and never pair with each other.  An optional window length w keeps a
 pair only when the tail lies at most w + 1 positions after the head
-in the flattened trace.
+in the flattened trace.  The matching is one stack pass per edge,
+linear in the instances of its two messages, and its counts never
+decrease as w grows (see _greedy_matches), which is what lets the
+window search bisect instead of scanning every length.
+
+Instances are keyed by their attribute-free message.  Message
+equality ignores attributes, so an attributed instance looks its node
+up directly, and a message is stripped of its attributes once per
+trace, not once per instance.
 """
 
 from __future__ import annotations
@@ -47,9 +55,8 @@ def detect_initials(traces: Sequence[Trace]) -> set[Message]:
         per_trace: dict[Message, bool] = {}
         for event in trace.events:
             for m in event:
-                key = m.plain()
-                if key not in per_trace:
-                    per_trace[key] = key.src not in dests_seen
+                if m not in per_trace:
+                    per_trace[m.plain()] = m.src not in dests_seen
             for m in event:
                 dests_seen.add(m.dest)
         for key, ok in per_trace.items():
@@ -65,9 +72,8 @@ def detect_terminals(traces: Sequence[Trace]) -> set[Message]:
         per_trace: dict[Message, bool] = {}
         for event in reversed(trace.events):
             for m in event:
-                key = m.plain()
-                if key not in per_trace:
-                    per_trace[key] = key.dest not in srcs_seen
+                if m not in per_trace:
+                    per_trace[m.plain()] = m.dest not in srcs_seen
             for m in event:
                 srcs_seen.add(m.src)
         for key, ok in per_trace.items():
@@ -143,38 +149,62 @@ def _greedy_matches(
     heads/tails are (event index, flattened position) lists in trace
     order.  A pair needs the head in a strictly earlier event, and
     tail_pos <= head_pos + window + 1 when a window is set.
+
+    One stack pass, O(H + T): before each tail, every head from a
+    strictly earlier event is pushed, so the top of the stack is the
+    nearest unmatched candidate.  If the top lies outside the window,
+    every deeper head lies further back, and since later tails sit at
+    later positions they stay out of reach for good: the stack is
+    cleared.
+
+    The same argument makes the count monotone in the window.  Both
+    windows w < w' push the same heads, and by induction over the
+    tails the stack held for w is always a suffix of the stack held
+    for w': where w' clears, w clears too, and where w' pops, w pops
+    the same top or clears.  A tail matched under w therefore finds
+    the same top within reach under w', so edge supports never
+    decrease as w grows.
     """
-    taken = [False] * len(heads)
+    stack: list[int] = []
     count = 0
+    nxt = 0
     for t_event, t_pos in tails:
-        best = -1
-        for i, (h_event, h_pos) in enumerate(heads):
-            if h_event >= t_event:
-                break
-            if taken[i]:
-                continue
-            if window is not None and t_pos > h_pos + window + 1:
-                continue
-            best = i
-        if best >= 0:
-            taken[best] = True
+        while nxt < len(heads) and heads[nxt][0] < t_event:
+            stack.append(heads[nxt][1])
+            nxt += 1
+        if not stack:
+            continue
+        if window is not None and t_pos > stack[-1] + window + 1:
+            stack.clear()
+        else:
+            stack.pop()
             count += 1
     return count
+
+
+def _positions(graph: CausalityGraph, trace: Trace) -> dict[Message, list[tuple[int, int]]]:
+    """(event index, flattened position) of every instance, per node."""
+    nodes = {m: m for m in graph.nodes}
+    positions: dict[Message, list[tuple[int, int]]] = {}
+    for e_idx, pos, m in trace.flattened():
+        key = nodes.get(m)
+        if key is None:
+            raise ValueError("message %s is not a graph node" % m.label())
+        positions.setdefault(key, []).append((e_idx, pos))
+    return positions
+
+
+def node_deltas(graph: CausalityGraph, trace: Trace) -> Counter:
+    """Per-node support contributions of one trace (no matching)."""
+    return Counter({m: len(ps) for m, ps in _positions(graph, trace).items()})
 
 
 def support_deltas(
     graph: CausalityGraph, trace: Trace, window: int | None = None
 ) -> tuple[Counter, Counter]:
     """Per-node and per-edge support contributions of one trace."""
-    positions: dict[Message, list[tuple[int, int]]] = {}
-    node_delta: Counter = Counter()
-    for e_idx, pos, m in trace.flattened():
-        key = m.plain()
-        if key not in graph.nodes:
-            raise ValueError("message %s is not a graph node" % key.label())
-        node_delta[key] += 1
-        positions.setdefault(key, []).append((e_idx, pos))
-
+    positions = _positions(graph, trace)
+    node_delta = Counter({m: len(ps) for m, ps in positions.items()})
     edge_delta: Counter = Counter()
     for head, tail in graph.edges:
         heads = positions.get(head)

@@ -205,6 +205,7 @@ def cmd_mine(args) -> int:
         "traces": args.trace,
         "messages": sum(t.msg_count for t in traces),
         "window": window_desc,
+        "windows_tried": result.windows_tried,
         "slice": args.slice,
         "candidates": len(result.pool),
         "best_size": result.best.size,

@@ -14,15 +14,17 @@ model deterministic and independent of enumeration concurrency.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 from .causality import CausalityGraph, annotate, build_graph, detect_initials, detect_terminals
 from .slicing import SlicePolicy, annotate_sliced
 from .solver import ConstraintProblem, Solution, build_constraints, enumerate_solutions, pin_zero, solve
+from .solver import log as solver_log
 from .trace import MessageTable, Trace, unique_messages
 
 log = logging.getLogger(__name__)
@@ -54,6 +56,7 @@ class ExtractResult:
     best: Solution
     top: tuple[Solution, ...]
     pool: tuple[Solution, ...]  # all distinct reduced candidates, ranked
+    windows_tried: int = 1  # window lengths annotated and solved to reach this result
 
 
 def _pin_order(sol: Solution, order: str) -> list[int]:
@@ -140,6 +143,35 @@ def annotated_graph(
     return graph
 
 
+@contextlib.contextmanager
+def _once_per_run(logger: logging.Logger) -> Iterator[None]:
+    """Let each distinct record through the logger once while the block runs."""
+    seen: set[tuple[int, str]] = set()
+
+    def first_time(record: logging.LogRecord) -> bool:
+        key = (record.levelno, record.getMessage())
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
+    logger.addFilter(first_time)
+    try:
+        yield
+    finally:
+        logger.removeFilter(first_time)
+
+
+def _gallop(max_w: int) -> Iterator[int]:
+    """0, 1, 3, 7, ... below max_w, then max_w itself."""
+    w = 0
+    while w < max_w:
+        yield w
+        w = 2 * w + 1
+    if max_w >= 0:
+        yield max_w
+
+
 def auto_window(
     traces: Sequence[Trace],
     cfg: ExtractConfig = ExtractConfig(),
@@ -149,14 +181,44 @@ def auto_window(
 ) -> tuple[int, CausalityGraph, ExtractResult]:
     """Smallest window length that admits a model.
 
-    Tries w = 0, 1, 2, ... and returns (w, graph, extraction) at the
-    first feasible length.  Raises NoFeasibleWindowError when none up
-    to max_w works.
+    Edge supports never decrease as the window grows (see
+    causality._greedy_matches), while node supports and the graph
+    structure do not depend on it; since supports only bound the
+    constraints from above, feasibility is monotone in w.  So the
+    search gallops over w = 0, 1, 3, 7, ... (capped at max_w) until a
+    length is feasible, then bisects the last gap, testing each probe
+    with a single solve.  Models are extracted once, at the length
+    found, and (w, graph, extraction) is returned; the extraction's
+    windows_tried counts the probes.  Each construction warning is
+    logged once per search, not once per probe.  Raises
+    NoFeasibleWindowError when no length up to max_w works.
     """
-    for w in range(max_w + 1):
+    tried: list[int] = []
+
+    def probe(w: int) -> tuple[CausalityGraph, ConstraintProblem] | None:
+        tried.append(w)
         graph = annotated_graph(traces, window=w, slice_policy=slice_policy, table=table)
         problem = build_constraints(graph)
-        result = model_extract(problem, cfg)
-        if result is not None:
-            return w, graph, result
-    raise NoFeasibleWindowError("no window length up to %d admits a solution" % max_w)
+        return None if solve(problem) is None else (graph, problem)
+
+    with _once_per_run(solver_log):
+        low = -1  # largest length known infeasible
+        for high in _gallop(max_w):
+            hit = probe(high)
+            if hit is not None:
+                break
+            low = high
+        else:
+            raise NoFeasibleWindowError(
+                "no window length up to %d admits a solution (%d windows tried)" % (max_w, len(tried))
+            )
+        while high - low > 1:
+            mid = (low + high) // 2
+            nearer = probe(mid)
+            if nearer is None:
+                low = mid
+            else:
+                high, hit = mid, nearer
+    graph, problem = hit
+    result = model_extract(problem, cfg)
+    return high, graph, replace(result, windows_tried=len(tried))

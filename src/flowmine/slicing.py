@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .causality import CausalityGraph, apply_deltas, support_deltas
+from .causality import CausalityGraph, apply_deltas, node_deltas, support_deltas
 from .trace import Message, Trace, TraceEvent
 
 
@@ -133,7 +133,7 @@ def sliced_support_deltas(
     graph: CausalityGraph, trace: Trace, policy: SlicePolicy, window: int | None = None
 ) -> tuple[Counter, Counter]:
     """Node deltas from the unsliced trace, edge deltas summed over slices."""
-    node_delta, _ = support_deltas(graph, trace, window)
+    node_delta = node_deltas(graph, trace)
     edge_delta: Counter = Counter()
     for part in slice_trace(trace, policy):
         _, part_edges = support_deltas(graph, part, window)

@@ -270,9 +270,10 @@ def serialize_trace(trace: Trace, table: MessageTable | None = None) -> str:
 
 def unique_messages(traces: Iterable[Trace]) -> list[Message]:
     """Distinct triples across traces, in first-appearance order."""
-    seen: dict[tuple[str, str, str], Message] = {}
+    seen: dict[Message, Message] = {}
     for trace in traces:
         for event in trace.events:
             for m in event:
-                seen.setdefault(m.triple(), m.plain())
+                if m not in seen:
+                    seen[m] = m.plain()
     return list(seen.values())

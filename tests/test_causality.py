@@ -13,6 +13,7 @@ from flowmine import (
     trace_of,
     unique_messages,
 )
+from flowmine.causality import _greedy_matches
 from flowmine.extract import annotated_graph
 
 from helpers import naive_edge_support, naive_initials, naive_terminals
@@ -173,6 +174,29 @@ def test_matcher_agrees_with_quadratic_oracle(trace, window):
     graph = annotated_graph([trace], window=window)
     for (h, t), got in graph.edges.items():
         assert got == naive_edge_support(trace, h, t, window), (h, t, window)
+
+
+# Longer traces over fewer messages, so every message recurs many times,
+# and a and b components so that a:a:x and b:b:x give self-loop edges.
+LONG_MESSAGES = st.builds(Message, st.sampled_from(["a", "b"]), st.sampled_from(["a", "b"]), CMDS)
+LONG_TRACES = st.lists(
+    st.lists(LONG_MESSAGES, min_size=1, max_size=3), min_size=1, max_size=40
+).map(lambda evs: trace_of(*evs))
+
+
+@settings(deadline=None, max_examples=300)
+@given(LONG_TRACES, st.integers(0, 50) | st.none())
+def test_stack_matcher_agrees_with_quadratic_oracle_on_long_traces(trace, window):
+    # every ordered pair of messages, head == tail included, whether or
+    # not the pair survives as a graph edge
+    flat = list(trace.flattened())
+    msgs = unique_messages([trace])
+    for head in msgs:
+        heads = [(e, p) for e, p, m in flat if m == head]
+        for tail in msgs:
+            tails = [(e, p) for e, p, m in flat if m == tail]
+            got = _greedy_matches(heads, tails, window)
+            assert got == naive_edge_support(trace, head, tail, window), (head, tail, window)
 
 
 @settings(deadline=None)

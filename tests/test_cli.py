@@ -85,6 +85,7 @@ def test_mine_auto_window(paths, tmp_path, capsys):
     assert report[0]["rank"] == 1 and report[0]["size"] == 7
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "auto", "value": 2}
+    assert summary["windows_tried"] == 4  # w = 0, 1, 3, then 2
     assert summary["best_size"] == 7
     assert summary["states"] == 5
     assert summary["messages"] == 12
@@ -98,6 +99,7 @@ def test_mine_window_off(paths, tmp_path, capsys):
     assert "window off" in capsys.readouterr().out
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "off", "value": None}
+    assert summary["windows_tried"] == 1
     assert summary["best_size"] == 4
 
 
@@ -113,6 +115,24 @@ def test_mine_auto_bound_exhausted(paths, tmp_path, capsys):
             "--max-window", "1", "--out", str(tmp_path / "x")]
     assert main(argv) == EXIT_INFEASIBLE
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
+    # This 1,932-message trace is feasible only from w = 172 on: the
+    # auto search gives up at 128 after 9 probes (0, 1, 3, ..., 127,
+    # 128) and finds 172 when allowed to look further.
+    trace_file = tmp_path / "long.trace"
+    assert main(["gen", "--spec", paths["spec"], "--table", paths["table"], "--instances", "320",
+                 "--simul", "0.2", "--seed", "11006", "--out", str(trace_file)]) == EXIT_OK
+    base = ["mine", "--trace", str(trace_file), "--table", paths["table"]]
+    assert main(base + ["--max-window", "128", "--out", str(tmp_path / "x")]) == EXIT_INFEASIBLE
+    assert "(9 windows tried)" in capsys.readouterr().err
+    out_dir = tmp_path / "wide"
+    assert main(base + ["--max-window", "2000", "--out", str(out_dir)]) == EXIT_OK
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["window"] == {"mode": "auto", "value": 172}
+    assert summary["windows_tried"] == 16  # 8 gallops to 127, 255, then 7 bisections
+    assert summary["best_size"] == 7
 
 
 def test_mine_multiple_traces(paths, tmp_path):

@@ -1,18 +1,26 @@
+import logging
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flowmine import (
     ExtractConfig,
+    GenConfig,
+    Message,
     NoFeasibleWindowError,
+    SlicePolicy,
     auto_window,
     brute_force_solutions,
     build_constraints,
     check_solution,
+    dump_graph,
     enumerate_solutions,
+    generate,
     model_extract,
     pin_zero,
     reduce_model,
     solve,
+    trace_of,
 )
 from flowmine.extract import annotated_graph
 
@@ -110,6 +118,71 @@ def test_auto_window_errors_when_bound_too_small(mixed_trace, table):
         auto_window([mixed_trace], ExtractConfig(sz=10), max_w=1, table=table)
     with pytest.raises(NoFeasibleWindowError):
         auto_window([mixed_trace], ExtractConfig(sz=10), max_w=0, table=table)
+
+
+def test_auto_window_warns_once_per_run(mixed_trace, caplog):
+    # h reaches b before x leaves b, so x is not initial; h also comes
+    # after x's last instance, so h is terminal and x is left with no
+    # incoming edge.  mixed_trace makes the search probe four windows.
+    h, x = Message("a", "b", "go"), Message("b", "c", "out")
+    side = trace_of([h], [x], [h])
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="flowmine.solver"):
+            w, _, result = auto_window([mixed_trace, side], ExtractConfig(sz=10), max_w=10)
+        assert (w, result.windows_tried) == (2, 4)
+        assert [r.getMessage() for r in caplog.records] == [
+            "node b:c:out has no incoming edges; in-balance skipped"
+        ]
+
+
+def linear_window_scan(traces, cfg, max_w, slice_policy=None):
+    """Reference for auto_window: try every w from 0 up, in order."""
+    for w in range(max_w + 1):
+        graph = annotated_graph(traces, window=w, slice_policy=slice_policy)
+        problem = build_constraints(graph)
+        if solve(problem) is not None:
+            return w, graph, model_extract(problem, cfg)
+    return None
+
+
+SEARCH_CFG = ExtractConfig(sz=5, top=3)
+SMALL_MESSAGES = st.builds(
+    Message, st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "b", "c"]), st.sampled_from(["x", "y"])
+)
+SMALL_TRACES = st.lists(
+    st.lists(SMALL_MESSAGES, min_size=1, max_size=2), min_size=1, max_size=10
+).map(lambda evs: trace_of(*evs))
+
+
+def assert_search_matches_scan(traces, max_w, slice_policy=None):
+    expected = linear_window_scan(traces, SEARCH_CFG, max_w, slice_policy)
+    if expected is None:
+        with pytest.raises(NoFeasibleWindowError):
+            auto_window(traces, SEARCH_CFG, max_w=max_w, slice_policy=slice_policy)
+        return
+    w, graph, result = auto_window(traces, SEARCH_CFG, max_w=max_w, slice_policy=slice_policy)
+    want_w, want_graph, want_result = expected
+    assert w == want_w
+    assert dump_graph(graph) == dump_graph(want_graph)
+    assert result.best.values == want_result.best.values
+    assert [s.values for s in result.top] == [s.values for s in want_result.top]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(SMALL_TRACES, min_size=1, max_size=2), st.integers(0, 12))
+def test_auto_window_matches_linear_scan_on_random_traces(traces, max_w):
+    assert_search_matches_scan(traces, max_w)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 12), st.integers(0, 10**6), st.integers(0, 40), st.booleans())
+def test_auto_window_matches_linear_scan_on_generated_traces(flowspec, instances, seed, max_w, sliced):
+    # interleaved cache reads, where the smallest feasible window is
+    # often well above 0 and sometimes above max_w
+    cfg = GenConfig(instances=instances, seed=seed, simul_prob=0.2, tag="pid" if sliced else None)
+    policy = SlicePolicy("pid") if sliced else None
+    assert_search_matches_scan([generate(flowspec, cfg)], max_w, policy)
 
 
 def test_reduction_orders_are_all_valid(mixed_trace, table):
