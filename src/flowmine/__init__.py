@@ -14,6 +14,7 @@ from .causality import (
     annotate,
     build_graph,
     causal,
+    detect_entries_exits,
     detect_initials,
     detect_terminals,
     dump_graph,
@@ -23,9 +24,11 @@ from .extract import (
     ExtractConfig,
     ExtractResult,
     NoFeasibleWindowError,
+    PreparedAnnotation,
     annotated_graph,
     auto_window,
     model_extract,
+    prepare_annotation,
     reduce_model,
 )
 from .flows import (

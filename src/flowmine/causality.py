@@ -15,7 +15,10 @@ pair only when the tail lies at most w + 1 positions after the head
 in the flattened trace.  The matching is one stack pass per edge,
 linear in the instances of its two messages, and its counts never
 decrease as w grows (see _greedy_matches), which is what lets the
-window search bisect instead of scanning every length.
+window search bisect instead of scanning every length.  Its input,
+the instance positions that pair_instances collects per edge, does
+not depend on w, so edge_supports can rerun the matching at many
+lengths from one collection.
 
 Instances are keyed by their attribute-free message.  Message
 equality ignores attributes, so an attributed instance looks its node
@@ -27,8 +30,8 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Mapping, Sequence
 
 from .trace import Message, MessageTable, Trace
 
@@ -42,43 +45,46 @@ def causal(m1: Message, m2: Message) -> bool:
     return m1.dest == m2.src
 
 
-def detect_initials(traces: Sequence[Trace]) -> set[Message]:
-    """Messages whose first instance never has an earlier trigger.
+def detect_entries_exits(traces: Sequence[Trace]) -> tuple[set[Message], set[Message]]:
+    """Flow entry and exit points, (initials, terminals), in one scan.
 
-    A message qualifies only if the test holds in every trace that
-    contains it.  The scan runs forward; members of one event see
-    only strictly earlier events.
+    A message is initial when no strictly earlier event than its
+    first instance sends to its source, and terminal when no strictly
+    later event than its last instance sends from its destination.
+    Either test must hold in every trace that contains the message.
+    Per trace, one forward pass records each message's first and last
+    event, and each component's first event as a destination and last
+    event as a source; those decide both tests.
     """
-    verdict: dict[Message, bool] = {}
+    initial: dict[Message, bool] = {}
+    terminal: dict[Message, bool] = {}
     for trace in traces:
-        dests_seen: set[str] = set()
-        per_trace: dict[Message, bool] = {}
-        for event in trace.events:
+        spans: dict[Message, list[int]] = {}
+        first_dest: dict[str, int] = {}
+        last_src: dict[str, int] = {}
+        for e_idx, event in enumerate(trace.events):
             for m in event:
-                if m not in per_trace:
-                    per_trace[m.plain()] = m.src not in dests_seen
-            for m in event:
-                dests_seen.add(m.dest)
-        for key, ok in per_trace.items():
-            verdict[key] = verdict.get(key, True) and ok
-    return {m for m, ok in verdict.items() if ok}
+                span = spans.get(m)
+                if span is None:
+                    spans[m.plain()] = [e_idx, e_idx]
+                else:
+                    span[1] = e_idx
+                first_dest.setdefault(m.dest, e_idx)
+                last_src[m.src] = e_idx
+        for m, (first, last) in spans.items():
+            initial[m] = initial.get(m, True) and first_dest.get(m.src, first) >= first
+            terminal[m] = terminal.get(m, True) and last_src.get(m.dest, last) <= last
+    return {m for m, ok in initial.items() if ok}, {m for m, ok in terminal.items() if ok}
+
+
+def detect_initials(traces: Sequence[Trace]) -> set[Message]:
+    """Messages whose first instance never has an earlier trigger."""
+    return detect_entries_exits(traces)[0]
 
 
 def detect_terminals(traces: Sequence[Trace]) -> set[Message]:
-    """Mirror of detect_initials: last instance, backward scan."""
-    verdict: dict[Message, bool] = {}
-    for trace in traces:
-        srcs_seen: set[str] = set()
-        per_trace: dict[Message, bool] = {}
-        for event in reversed(trace.events):
-            for m in event:
-                if m not in per_trace:
-                    per_trace[m.plain()] = m.dest not in srcs_seen
-            for m in event:
-                srcs_seen.add(m.src)
-        for key, ok in per_trace.items():
-            verdict[key] = verdict.get(key, True) and ok
-    return {m for m, ok in verdict.items() if ok}
+    """Messages whose last instance never has a later successor."""
+    return detect_entries_exits(traces)[1]
 
 
 @dataclass
@@ -108,6 +114,13 @@ class CausalityGraph:
 
     def terminal_messages(self) -> set[Message]:
         return {m for m, st in self.nodes.items() if st.terminal}
+
+    def with_edge_supports(self, supports: Mapping[Edge, int]) -> "CausalityGraph":
+        """A copy with the same structure and node supports, and edge
+        supports read from supports (0 where it has no entry)."""
+        nodes = {m: replace(st) for m, st in self.nodes.items()}
+        edges = {e: supports.get(e, 0) for e in self.edges}
+        return CausalityGraph(nodes=nodes, edges=edges, table=self.table, _ordinals=self._ordinals)
 
 
 def build_graph(
@@ -182,10 +195,13 @@ def _greedy_matches(
     return count
 
 
-def _positions(graph: CausalityGraph, trace: Trace) -> dict[Message, list[tuple[int, int]]]:
+Positions = dict[Message, list[tuple[int, int]]]
+
+
+def instance_positions(graph: CausalityGraph, trace: Trace) -> Positions:
     """(event index, flattened position) of every instance, per node."""
     nodes = {m: m for m in graph.nodes}
-    positions: dict[Message, list[tuple[int, int]]] = {}
+    positions: Positions = {}
     for e_idx, pos, m in trace.flattened():
         key = nodes.get(m)
         if key is None:
@@ -196,24 +212,48 @@ def _positions(graph: CausalityGraph, trace: Trace) -> dict[Message, list[tuple[
 
 def node_deltas(graph: CausalityGraph, trace: Trace) -> Counter:
     """Per-node support contributions of one trace (no matching)."""
-    return Counter({m: len(ps) for m, ps in _positions(graph, trace).items()})
+    return Counter({m: len(ps) for m, ps in instance_positions(graph, trace).items()})
+
+
+EdgeInstances = dict[Edge, list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]]
+
+
+def pair_instances(graph: CausalityGraph, units: Iterable[Positions]) -> EdgeInstances:
+    """Per edge, the (heads, tails) position lists of every unit that
+    holds instances of both its messages.
+
+    A unit is the instance_positions of one trace, or of one slice of
+    a trace; matching never crosses units.  None of this depends on
+    the window, so it can be kept and matched at many lengths.
+    """
+    pairs: EdgeInstances = {e: [] for e in graph.edges}
+    for positions in units:
+        for (head, tail), found in pairs.items():
+            heads = positions.get(head)
+            if heads:
+                tails = positions.get(tail)
+                if tails:
+                    found.append((heads, tails))
+    return pairs
+
+
+def edge_supports(pairs: EdgeInstances, window: int | None) -> Counter:
+    """Matched pairs per edge, summed over units; zero counts omitted."""
+    supports: Counter = Counter()
+    for edge, found in pairs.items():
+        n = sum(_greedy_matches(heads, tails, window) for heads, tails in found)
+        if n:
+            supports[edge] = n
+    return supports
 
 
 def support_deltas(
     graph: CausalityGraph, trace: Trace, window: int | None = None
 ) -> tuple[Counter, Counter]:
     """Per-node and per-edge support contributions of one trace."""
-    positions = _positions(graph, trace)
+    positions = instance_positions(graph, trace)
     node_delta = Counter({m: len(ps) for m, ps in positions.items()})
-    edge_delta: Counter = Counter()
-    for head, tail in graph.edges:
-        heads = positions.get(head)
-        tails = positions.get(tail)
-        if heads and tails:
-            n = _greedy_matches(heads, tails, window)
-            if n:
-                edge_delta[(head, tail)] = n
-    return node_delta, edge_delta
+    return node_delta, edge_supports(pair_instances(graph, [positions]), window)
 
 
 def annotate(graph: CausalityGraph, trace: Trace, window: int | None = None) -> CausalityGraph:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -91,16 +90,6 @@ def _parse_instances(text: str) -> int | dict[str, int]:
     return counts
 
 
-def _workers() -> int:
-    raw = os.environ.get("FLOWMINE_THREADS")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError("FLOWMINE_THREADS must be an integer, got %r" % raw) from None
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -149,7 +138,6 @@ def _extract_cfg(args) -> ExtractConfig:
         top=args.top,
         reduction_order=args.order,
         seed=args.seed,
-        workers=_workers(),
     )
 
 
@@ -206,6 +194,7 @@ def cmd_mine(args) -> int:
         "messages": sum(t.msg_count for t in traces),
         "window": window_desc,
         "windows_tried": result.windows_tried,
+        "solves": result.solves,
         "slice": args.slice,
         "candidates": len(result.pool),
         "best_size": result.best.size,
@@ -233,6 +222,7 @@ def cmd_eval(args) -> int:
         "total": report.total,
         "ratio": report.ratio,
         "strategy": report.strategy,
+        "fallback": report.fallback,
         "rejected_positions": [
             {"event": e_idx, "msg": _msg_obj(m)} for e_idx, m in report.rejected
         ],

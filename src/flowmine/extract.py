@@ -7,9 +7,17 @@ downhill: repeatedly pin one of its non-zero edges to zero and
 re-solve, until no single pin keeps the problem feasible.  The walk
 follows one path (no backtracking over pin choices); if it strands
 on a larger solution than it started from, the starting solution is
-kept instead.  Candidates are ranked by size, then by their sorted
-non-zero edge list, then by values, which makes the choice of best
-model deterministic and independent of enumeration concurrency.
+kept instead.  Walks from different seeds soon pin the same edge
+sets, and a re-solve depends only on the set pinned, so the walks of
+one extraction share their solves.  Candidates are ranked by size,
+then by their sorted non-zero edge list, then by values, which makes
+the choice of best model deterministic and independent of the order
+in which seeds are walked.
+
+Annotation likewise avoids repeated work: everything about a trace
+set that does not depend on the window length (entry/exit detection,
+graph structure, node supports, instance positions) is prepared once,
+and only the pair matching is redone per window length.
 """
 
 from __future__ import annotations
@@ -17,12 +25,25 @@ from __future__ import annotations
 import contextlib
 import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .causality import CausalityGraph, annotate, build_graph, detect_initials, detect_terminals
-from .slicing import SlicePolicy, annotate_sliced
+# annotate, annotate_sliced, detect_initials and detect_terminals are
+# not called here; they stay importable from this module because
+# perfbench/tracing.py wraps them under these names.
+from .causality import (  # noqa: F401
+    CausalityGraph,
+    EdgeInstances,
+    annotate,
+    build_graph,
+    detect_entries_exits,
+    detect_initials,
+    detect_terminals,
+    edge_supports,
+    instance_positions,
+    pair_instances,
+)
+from .slicing import SlicePolicy, annotate_sliced, slice_positions  # noqa: F401
 from .solver import ConstraintProblem, Solution, build_constraints, enumerate_solutions, pin_zero, solve
 from .solver import log as solver_log
 from .trace import MessageTable, Trace, unique_messages
@@ -42,13 +63,12 @@ class ExtractConfig:
     top: int = 20  # models reported
     reduction_order: str = "ascending-support"
     seed: int | None = None  # optional shuffle of the candidate order
-    workers: int = 1
 
     def __post_init__(self):
         if self.reduction_order not in REDUCTION_ORDERS:
             raise ValueError("unknown reduction order %r" % (self.reduction_order,))
-        if self.sz < 1 or self.top < 1 or self.workers < 1:
-            raise ValueError("sz, top, and workers must be positive")
+        if self.sz < 1 or self.top < 1:
+            raise ValueError("sz and top must be positive")
 
 
 @dataclass(frozen=True)
@@ -57,6 +77,7 @@ class ExtractResult:
     top: tuple[Solution, ...]
     pool: tuple[Solution, ...]  # all distinct reduced candidates, ranked
     windows_tried: int = 1  # window lengths annotated and solved to reach this result
+    solves: int = 0  # solve calls run: one per window probe, one per distinct pinned edge set
 
 
 def _pin_order(sol: Solution, order: str) -> list[int]:
@@ -69,7 +90,10 @@ def _pin_order(sol: Solution, order: str) -> list[int]:
 
 
 def reduce_model(
-    problem: ConstraintProblem, sol: Solution, order: str = "ascending-support"
+    problem: ConstraintProblem,
+    sol: Solution,
+    order: str = "ascending-support",
+    solved: dict[frozenset[int], Solution | None] | None = None,
 ) -> Solution:
     """Walk one pin-to-zero path down from sol.
 
@@ -79,16 +103,24 @@ def reduce_model(
     pin is infeasible.  Solutions along the way may grow (pins can
     force flow onto more edges); the result is never larger than the
     input, falling back to the input when the walk strands high.
+
+    solved maps pinned edge sets of this problem to their solve
+    results.  solve is deterministic, so walks that pass the
+    same dict share their re-solves without changing their paths.
     """
     if order not in REDUCTION_ORDERS:
         raise ValueError("unknown reduction order %r" % (order,))
+    if solved is None:
+        solved = {}
     current_p, current_s = problem, sol
     while True:
         for i in _pin_order(current_s, order):
-            candidate_p = pin_zero(current_p, current_p.edges[i])
-            nxt = solve(candidate_p)
+            pins = current_p.pinned | {i}
+            if pins not in solved:
+                solved[pins] = solve(pin_zero(current_p, current_p.edges[i]))
+            nxt = solved[pins]
             if nxt is not None:
-                current_p, current_s = candidate_p, nxt
+                current_p, current_s = nxt.problem, nxt
                 break
         else:
             break
@@ -105,21 +137,54 @@ def model_extract(problem: ConstraintProblem, cfg: ExtractConfig = ExtractConfig
         return None
     if cfg.seed is not None:
         random.Random(cfg.seed).shuffle(seeds)
-
-    def reduce_one(s: Solution) -> Solution:
-        return reduce_model(problem, s, cfg.reduction_order)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            reduced = list(pool.map(reduce_one, seeds))
-    else:
-        reduced = [reduce_one(s) for s in seeds]
-
+    solved: dict[frozenset[int], Solution | None] = {}
     distinct: dict[tuple[int, ...], Solution] = {}
-    for s in reduced:
-        distinct.setdefault(s.values, s)
+    for s in seeds:
+        reduced = reduce_model(problem, s, cfg.reduction_order, solved)
+        distinct.setdefault(reduced.values, reduced)
     ranked = sorted(distinct.values(), key=Solution.rank_key)
-    return ExtractResult(best=ranked[0], top=tuple(ranked[: cfg.top]), pool=tuple(ranked))
+    return ExtractResult(best=ranked[0], top=tuple(ranked[: cfg.top]), pool=tuple(ranked), solves=len(solved))
+
+
+@dataclass(frozen=True)
+class PreparedAnnotation:
+    """The part of annotating a trace set that no window length changes.
+
+    graph has the final structure and node supports, and zero edge
+    supports; pairs holds, per edge, the instance positions that the
+    matching pairs up.  at(w) only runs the matching.
+    """
+
+    graph: CausalityGraph
+    pairs: EdgeInstances
+
+    def at(self, window: int | None) -> CausalityGraph:
+        """A fresh graph annotated at window length w (None: no window)."""
+        return self.graph.with_edge_supports(edge_supports(self.pairs, window))
+
+
+def prepare_annotation(
+    traces: Sequence[Trace],
+    slice_policy: SlicePolicy | None = None,
+    table: MessageTable | None = None,
+) -> PreparedAnnotation:
+    """Detection, structure, node supports and instance positions.
+
+    Entry/exit detection and node supports always come from the full,
+    unsliced traces; the slicing policy shapes only the pair matching.
+    """
+    initials, terminals = detect_entries_exits(traces)
+    graph = build_graph(unique_messages(traces), initials, terminals, table)
+    units = []
+    for t in traces:
+        positions = instance_positions(graph, t)
+        for m, ps in positions.items():
+            graph.nodes[m].support += len(ps)
+        if slice_policy is None:
+            units.append(positions)
+        else:
+            units.extend(slice_positions(graph, t, slice_policy))
+    return PreparedAnnotation(graph, pair_instances(graph, units))
 
 
 def annotated_graph(
@@ -127,20 +192,9 @@ def annotated_graph(
     window: int | None = None,
     slice_policy: SlicePolicy | None = None,
     table: MessageTable | None = None,
-):
-    """Build and annotate the graph for a trace set.
-
-    Entry/exit detection always runs on the full, unsliced traces;
-    the window and the slicing policy shape only the pair matching.
-    """
-    msgs = unique_messages(traces)
-    graph = build_graph(msgs, detect_initials(traces), detect_terminals(traces), table)
-    for t in traces:
-        if slice_policy is not None:
-            annotate_sliced(graph, t, slice_policy, window)
-        else:
-            annotate(graph, t, window)
-    return graph
+) -> CausalityGraph:
+    """Build and annotate the graph for a trace set at one window length."""
+    return prepare_annotation(traces, slice_policy, table).at(window)
 
 
 @contextlib.contextmanager
@@ -187,17 +241,20 @@ def auto_window(
     constraints from above, feasibility is monotone in w.  So the
     search gallops over w = 0, 1, 3, 7, ... (capped at max_w) until a
     length is feasible, then bisects the last gap, testing each probe
-    with a single solve.  Models are extracted once, at the length
+    with a single solve.  The trace set is prepared once, so a probe
+    only matches pairs.  Models are extracted once, at the length
     found, and (w, graph, extraction) is returned; the extraction's
-    windows_tried counts the probes.  Each construction warning is
-    logged once per search, not once per probe.  Raises
-    NoFeasibleWindowError when no length up to max_w works.
+    windows_tried counts the probes and its solves include them.
+    Each construction warning is logged once per search, not once per
+    probe.  Raises NoFeasibleWindowError when no length up to max_w
+    works.
     """
     tried: list[int] = []
+    prepared = prepare_annotation(traces, slice_policy, table)
 
     def probe(w: int) -> tuple[CausalityGraph, ConstraintProblem] | None:
         tried.append(w)
-        graph = annotated_graph(traces, window=w, slice_policy=slice_policy, table=table)
+        graph = prepared.at(w)
         problem = build_constraints(graph)
         return None if solve(problem) is None else (graph, problem)
 
@@ -221,4 +278,4 @@ def auto_window(
                 high, hit = mid, nearer
     graph, problem = hit
     result = model_extract(problem, cfg)
-    return high, graph, replace(result, windows_tried=len(tried))
+    return high, graph, replace(result, windows_tried=len(tried), solves=len(tried) + result.solves)

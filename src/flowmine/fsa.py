@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .causality import CausalityGraph
@@ -107,7 +107,8 @@ class AcceptanceReport:
     accepted: int
     total: int
     rejected: tuple[tuple[int, Message], ...]  # (event index, message)
-    strategy: str
+    strategy: str  # the strategy requested
+    fallback: str | None = None  # the strategy that produced the result, when not the requested one
 
     @property
     def ratio(self) -> float:
@@ -162,7 +163,8 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
     2, ...  Dead (position, remaining messages, active states) keys
     remember the largest reject allowance they failed under, which
     carries pruning across rounds.  The node budget spans all rounds;
-    beyond it the oldest-first result is returned.
+    beyond it the oldest-first result is returned, marked as a
+    fallback.
     """
     events = [tuple(_canonical(e, table)) for e in trace.events]
     delta = fsa.transitions
@@ -226,7 +228,7 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
     except _BudgetExceeded:
         log.warning("exhaustive evaluation hit the %d node budget; using oldest-first", budget)
     report = _greedy(fsa, trace, newest=False, table=table, name="exhaustive")
-    return report
+    return replace(report, fallback="oldest-first")
 
 
 def acceptance_ratio(

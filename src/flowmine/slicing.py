@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
-from .causality import CausalityGraph, apply_deltas, node_deltas, support_deltas
+from .causality import CausalityGraph, Positions, apply_deltas, instance_positions, node_deltas, support_deltas
 from .trace import Message, Trace, TraceEvent
 
 
@@ -127,6 +128,16 @@ def parse_policy(spec: str) -> SlicePolicy:
         else:
             raise ValueError("unknown slice option %r" % key)
     return SlicePolicy(attribute, block=block, missing=missing)
+
+
+def slice_positions(graph: CausalityGraph, trace: Trace, policy: SlicePolicy) -> Iterator[Positions]:
+    """instance_positions of each slice, in slice_trace order.
+
+    Positions count within the slice.  Slices are built one at a
+    time, so only the positions outlive the loop.
+    """
+    for rows in _buckets(trace, policy).values():
+        yield instance_positions(graph, _rows_to_trace(rows))
 
 
 def sliced_support_deltas(

@@ -167,18 +167,32 @@ def _propagate(domains: list[tuple[int, int]], balances: tuple[Balance, ...]) ->
 
 
 def _leaves(domains: list[tuple[int, int]], balances: tuple[Balance, ...]) -> Iterator[Assignment]:
-    if not _propagate(domains, balances):
-        return
-    open_vars = [i for i, (lo, hi) in enumerate(domains) if lo < hi]
-    if not open_vars:
-        yield tuple(lo for lo, _ in domains)
-        return
-    var = min(open_vars, key=lambda i: domains[i][1] - domains[i][0])
-    lo, hi = domains[var]
-    for value in range(hi, lo - 1, -1):
-        child = list(domains)
-        child[var] = (value, value)
-        yield from _leaves(child, balances)
+    """Depth-first over the search tree, without recursion.
+
+    frames holds, per level, the propagated parent domains, the
+    branching variable, and the values still to try on it.
+    """
+    frames: list[tuple[list[tuple[int, int]], int, Iterator[int]]] = []
+    node = domains
+    while True:
+        if _propagate(node, balances):
+            open_vars = [i for i, (lo, hi) in enumerate(node) if lo < hi]
+            if not open_vars:
+                yield tuple(lo for lo, _ in node)
+            else:
+                var = min(open_vars, key=lambda i: node[i][1] - node[i][0])
+                lo, hi = node[var]
+                frames.append((node, var, iter(range(hi, lo - 1, -1))))
+        while frames:
+            parent, var, values = frames[-1]
+            value = next(values, None)
+            if value is not None:
+                node = list(parent)
+                node[var] = (value, value)
+                break
+            frames.pop()
+        else:
+            return
 
 
 def solutions(problem: ConstraintProblem) -> Iterator[Solution]:

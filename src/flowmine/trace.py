@@ -197,12 +197,12 @@ def serialize_message_table(table: MessageTable) -> str:
     return "".join("%d (%s)\n" % (idx, msg.label()) for idx, msg in table)
 
 
-def _parse_triple(text: str, lineno: int) -> Message:
+def _parse_triple(text: str, lineno: int, attrs: dict[str, object] | None = None) -> Message:
     parts = text.split(":")
     if len(parts) != 3 or not all(p.strip() for p in parts):
         raise ParseError("expected 'src:dest:cmd', got %r" % text, lineno)
     try:
-        return Message(*(p.strip() for p in parts))
+        return Message(*(p.strip() for p in parts), {} if attrs is None else attrs)
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
 
@@ -224,16 +224,14 @@ def _parse_token(token: str, table: MessageTable | None, lineno: int) -> Message
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
     head, *pairs = token.split(";")
-    msg = _parse_triple(head, lineno)
     attrs: dict[str, object] = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise ParseError("attribute %r is not key=value" % pair, lineno)
-        key, value = pair.split("=", 1)
-        if not key or not value:
+        key, sep, value = pair.partition("=")
+        if not (sep and key and value):
+            _parse_triple(head, lineno)  # a fault in the triple is reported first
             raise ParseError("attribute %r is not key=value" % pair, lineno)
         attrs[key] = _parse_attr_value(value)
-    return msg.with_attrs(**attrs) if attrs else msg
+    return _parse_triple(head, lineno, attrs)
 
 
 def parse_trace(text: str, table: MessageTable | None = None) -> Trace:

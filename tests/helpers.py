@@ -120,6 +120,87 @@ def random_problem(seed: int, max_edges: int = 8, max_support: int = 4):
         return problem
 
 
+def unshared_extract_pool(problem, sz: int, order: str = "ascending-support", seed: int | None = None) -> list:
+    """model_extract's ranked pool, with every walk re-solving each of
+    its pins from scratch: no solve is shared between or within walks.
+
+    Uses the production solver, which criterion 05 checks against
+    brute force; what this reference leaves out is the sharing.
+    """
+    import random
+
+    from flowmine import enumerate_solutions, pin_zero, solve
+
+    seeds = enumerate_solutions(problem, sz)
+    if seed is not None:
+        random.Random(seed).shuffle(seeds)
+    pool: dict = {}
+    for start in seeds:
+        current_p, current = problem, start
+        while True:
+            nonzero = [i for i, v in enumerate(current.values) if v > 0]
+            if order == "ascending-support":
+                nonzero.sort(key=lambda i: (problem.uppers[i], i))
+            elif order == "descending-support":
+                nonzero.sort(key=lambda i: (-problem.uppers[i], i))
+            for i in nonzero:
+                pinned = pin_zero(current_p, current_p.edges[i])
+                nxt = solve(pinned)
+                if nxt is not None:
+                    current_p, current = pinned, nxt
+                    break
+            else:
+                break
+        if current.size > start.size:
+            current = start
+        pool.setdefault(current.values, current)
+    return sorted(pool.values(), key=lambda s: s.rank_key())
+
+
+def naive_slices(trace: Trace, attribute: str) -> list[Trace]:
+    """Per value of the attribute, the sub-trace of the messages that
+    carry it, in event order; each message without it is a slice of
+    its own."""
+    keyed: dict = {}
+    for e_idx, event in enumerate(trace.events):
+        for m in event:
+            key = ("key", m.attrs[attribute]) if attribute in m.attrs else ("solo", len(keyed))
+            keyed.setdefault(key, {}).setdefault(e_idx, []).append(m)
+    return [trace_of(*events.values()) for events in keyed.values()]
+
+
+def reference_parse_token(token: str, lineno: int) -> Message:
+    """One trace token without a table, parsed as the grammar reads:
+    the triple first, then its key=value attributes in order, then
+    the attribute names (a bad name raises a ValueError, no line)."""
+    from flowmine import ParseError
+
+    if token.isdigit():
+        raise ParseError("index token %r needs a message table" % token, lineno)
+    head, *pairs = token.split(";")
+    parts = head.split(":")
+    if len(parts) != 3 or not all(p.strip() for p in parts):
+        raise ParseError("expected 'src:dest:cmd', got %r" % head, lineno)
+    try:
+        msg = Message(*(p.strip() for p in parts))
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+    attrs: dict = {}
+    for pair in pairs:
+        if "=" not in pair:
+            raise ParseError("attribute %r is not key=value" % pair, lineno)
+        key, value = pair.split("=", 1)
+        if not key or not value:
+            raise ParseError("attribute %r is not key=value" % pair, lineno)
+        if re.fullmatch(r"-?\d+", value):
+            attrs[key] = int(value)
+        elif re.fullmatch(r"-?0[xX][0-9a-fA-F]+", value):
+            attrs[key] = int(value, 16)
+        else:
+            attrs[key] = value
+    return Message(msg.src, msg.dest, msg.cmd, attrs) if attrs else msg
+
+
 def instance_pair_counts(instances, edges) -> Counter:
     """Expected per-edge supports when pairing is confined to one flow
     instance: nearest-match within each instance's own sequence."""

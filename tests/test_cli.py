@@ -86,6 +86,7 @@ def test_mine_auto_window(paths, tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "auto", "value": 2}
     assert summary["windows_tried"] == 4  # w = 0, 1, 3, then 2
+    assert summary["solves"] == 11  # the 4 probes and 7 distinct pinned sets
     assert summary["best_size"] == 7
     assert summary["states"] == 5
     assert summary["messages"] == 12
@@ -100,6 +101,7 @@ def test_mine_window_off(paths, tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "off", "value": None}
     assert summary["windows_tried"] == 1
+    assert summary["solves"] == 18  # pinned sets only: no window was probed
     assert summary["best_size"] == 4
 
 
@@ -132,6 +134,7 @@ def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "auto", "value": 172}
     assert summary["windows_tried"] == 16  # 8 gallops to 127, 255, then 7 bisections
+    assert summary["solves"] == 30  # 200 walks down to one model share 14 pinned sets
     assert summary["best_size"] == 7
 
 
@@ -179,7 +182,19 @@ def test_eval_reports_json(paths, model_file, capsys):
     assert obj["accepted"] == 12 and obj["total"] == 12
     assert obj["ratio"] == 1.0
     assert obj["strategy"] == "oldest-first"
+    assert obj["fallback"] is None
     assert obj["rejected_positions"] == []
+
+
+def test_eval_names_the_budget_fallback(paths, model_file, capsys):
+    argv = ["eval", "--model", model_file, "--trace", paths["simul_trace"],
+            "--table", paths["table"], "--strategy", "exhaustive"]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["fallback"] is None
+    assert main(argv + ["--budget", "1"]) == EXIT_OK
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["strategy"], obj["fallback"]) == ("exhaustive", "oldest-first")
+    assert obj["accepted"] == 12
 
 
 def test_eval_newest_first_rejects_one(paths, model_file, capsys):
@@ -251,16 +266,3 @@ def test_config_rejects_unknown_keys(paths, tmp_path, capsys):
             "--config", str(cfg), "--out", str(tmp_path / "x")]
     assert main(argv) == EXIT_INPUT
     assert "not recognized" in capsys.readouterr().err
-
-
-def test_worker_env_is_validated(paths, tmp_path, capsys, monkeypatch):
-    out_dir = tmp_path / "mined"
-    argv = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"],
-            "--window", "2", "--out", str(out_dir)]
-    monkeypatch.setenv("FLOWMINE_THREADS", "2")
-    assert main(argv) == EXIT_OK
-    summary = json.loads((out_dir / "summary.json").read_text())
-    assert summary["best_size"] == 7
-    monkeypatch.setenv("FLOWMINE_THREADS", "many")
-    assert main(argv) == EXIT_INPUT
-    assert "FLOWMINE_THREADS" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import logging
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import flowmine.extract
 from flowmine import (
     ExtractConfig,
     GenConfig,
@@ -22,9 +23,18 @@ from flowmine import (
     solve,
     trace_of,
 )
-from flowmine.extract import annotated_graph
+from flowmine.extract import REDUCTION_ORDERS, annotated_graph, prepare_annotation
 
-from helpers import admits_single_zeroing, brute_minimum_size, random_problem
+from helpers import (
+    admits_single_zeroing,
+    brute_minimum_size,
+    naive_edge_support,
+    naive_initials,
+    naive_slices,
+    naive_terminals,
+    random_problem,
+    unshared_extract_pool,
+)
 
 
 def mixed_problem(mixed_trace, table, window=None):
@@ -36,8 +46,6 @@ def test_config_validation():
         ExtractConfig(sz=0)
     with pytest.raises(ValueError):
         ExtractConfig(reduction_order="by-vibes")
-    with pytest.raises(ValueError):
-        ExtractConfig(workers=0)
 
 
 def test_reduction_never_grows_and_stays_feasible(mixed_trace, table):
@@ -72,13 +80,6 @@ def test_extract_is_deterministic_and_ranked(mixed_trace, table):
     keys = [s.rank_key() for s in a.pool]
     assert keys == sorted(keys)
     assert len({s.values for s in a.pool}) == len(a.pool)
-
-
-def test_extract_parallel_matches_serial(mixed_trace, hits_trace, table):
-    p = build_constraints(annotated_graph([mixed_trace, hits_trace], table=table))
-    serial = model_extract(p, ExtractConfig(sz=100))
-    threaded = model_extract(p, ExtractConfig(sz=100, workers=4))
-    assert [s.values for s in serial.pool] == [s.values for s in threaded.pool]
 
 
 def test_extract_seeded_shuffle_changes_order_not_best(mixed_trace, table):
@@ -219,3 +220,59 @@ def test_extract_best_bounded_by_brute_minimum(seed):
         assert floor <= result.best.size
         for s in result.pool:
             assert check_solution(p, s.values)
+
+
+def assert_pool_matches_unshared(problem, sz, order, seed):
+    result = model_extract(problem, ExtractConfig(sz=sz, top=sz, reduction_order=order, seed=seed))
+    expected = unshared_extract_pool(problem, sz, order, seed)
+    if result is None:
+        assert expected == []
+        return
+    assert list(result.pool) == expected  # values and the pinned problem each was found under
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.integers(1, 40), st.sampled_from(REDUCTION_ORDERS), st.none() | st.integers(0, 9))
+def test_shared_solves_match_unshared_walks_on_random_problems(problem_seed, sz, order, seed):
+    assert_pool_matches_unshared(random_problem(problem_seed), sz, order, seed)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 8), st.integers(0, 10**6), st.none() | st.integers(0, 4), st.sampled_from(REDUCTION_ORDERS))
+def test_shared_solves_match_unshared_walks_on_generated_traces(flowspec, instances, seed, window, order):
+    trace = generate(flowspec, GenConfig(instances=instances, seed=seed, simul_prob=0.2))
+    problem = build_constraints(annotated_graph([trace], window=window))
+    assert_pool_matches_unshared(problem, 30, order, None)
+
+
+def test_each_pinned_set_is_solved_once(mixed_trace, table, monkeypatch):
+    p = mixed_problem(mixed_trace, table)
+    pinned = []
+    real = flowmine.extract.solve
+    monkeypatch.setattr(flowmine.extract, "solve", lambda q: pinned.append(q.pinned) or real(q))
+    result = model_extract(p, ExtractConfig(sz=200))
+    assert result.solves == len(pinned) == len(set(pinned)) == 18
+
+
+ATTRIBUTED = st.builds(
+    lambda m, pid: m if pid is None else m.with_attrs(pid=pid), SMALL_MESSAGES, st.none() | st.integers(0, 2)
+)
+ATTRIBUTED_TRACES = st.lists(
+    st.lists(ATTRIBUTED, min_size=1, max_size=3), min_size=1, max_size=12
+).map(lambda evs: trace_of(*evs))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(ATTRIBUTED_TRACES, min_size=1, max_size=2), st.booleans())
+def test_prepared_annotation_matches_naive_at_every_window(traces, sliced):
+    prepared = prepare_annotation(traces, SlicePolicy("pid") if sliced else None)
+    units = [u for t in traces for u in (naive_slices(t, "pid") if sliced else [t])]
+    longest = max(t.msg_count for t in traces)
+    initials, terminals = naive_initials(traces), naive_terminals(traces)
+    for window in [*range(longest + 1), None]:
+        graph = prepared.at(window)
+        for (head, tail), support in graph.edges.items():
+            assert support == sum(naive_edge_support(u, head, tail, window) for u in units)
+        for m, stats in graph.nodes.items():
+            assert stats.support == sum(1 for t in traces for _, _, x in t.flattened() if x == m)
+            assert (stats.initial, stats.terminal) == (m in initials, m in terminals)

@@ -108,6 +108,7 @@ def test_oldest_first_explains_interleaved_reads(flowspec, simul_trace, table):
     report = acceptance_ratio(fsa, simul_trace, table=table)
     assert (report.accepted, report.total) == (12, 12)
     assert report.rejected == ()
+    assert report.fallback is None
     assert report.ratio == 1.0
     assert report.strategy == "oldest-first"
 
@@ -186,7 +187,7 @@ def test_exhausted_budget_falls_back_to_greedy(flowspec, simul_trace, table, cap
     fsa = ground_truth_fsa(flowspec)
     with caplog.at_level(logging.WARNING, logger="flowmine.fsa"):
         report = acceptance_ratio(fsa, simul_trace, strategy="exhaustive", budget=1, table=table)
-    assert report.strategy == "exhaustive"
+    assert (report.strategy, report.fallback) == ("exhaustive", "oldest-first")
     greedy = acceptance_ratio(fsa, simul_trace, table=table)
     assert (report.accepted, report.rejected) == (greedy.accepted, greedy.rejected)
     assert any("budget" in r.message for r in caplog.records)

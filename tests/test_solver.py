@@ -1,4 +1,5 @@
 import logging
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from flowmine import (
     trace_of,
 )
 from flowmine.extract import annotated_graph
-from flowmine.solver import ConstraintProblem
+from flowmine.solver import Balance, ConstraintProblem
 
 from helpers import check_smtlib, random_problem
 
@@ -171,6 +172,33 @@ def test_smtlib_export_encodes_pins_and_blocks(mixed_trace, table):
     check_smtlib(script)
     assert "(assert (= c_1_2 0))" in script
     assert "(not (and" in script
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # n independent balances x_2k + x_2k+1 = 1: every level branches on
+    # x_2k, so the first solution lies n levels down.  The limit is
+    # lowered while solving only to keep n, and the run time, small.
+    frames = 0
+    frame = sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 100)
+    try:
+        n = sys.getrecursionlimit() + 10
+        msgs = [Message("a%d" % i, "b%d" % i, "x") for i in range(2 * n + 1)]
+        p = ConstraintProblem(
+            edges=tuple(zip(msgs, msgs[1:])),
+            ordinals=tuple((i, i + 1) for i in range(2 * n)),
+            uppers=(1,) * (2 * n),
+            balances=tuple(Balance("n%d" % k, "out", 1, (2 * k, 2 * k + 1)) for k in range(n)),
+        )
+        sols = [s.values for s in enumerate_solutions(p, 3)]
+    finally:
+        sys.setrecursionlimit(saved)
+    # values are tried from the top down, the deepest choice first
+    ones = (1, 0) * n
+    assert sols == [ones, ones[:-2] + (0, 1), ones[:-4] + (0, 1, 1, 0)]
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import flowmine.trace
 from flowmine import (
     Message,
     MessageTable,
@@ -12,6 +13,8 @@ from flowmine import (
     trace_of,
     unique_messages,
 )
+
+from helpers import reference_parse_token
 
 ATOMS = st.text(alphabet="abcdefgh0123", min_size=1, max_size=4)
 MESSAGES = st.builds(Message, ATOMS, ATOMS, ATOMS)
@@ -90,6 +93,70 @@ def test_parse_trace_inline_triples_with_attrs():
     t = parse_trace("cpu0:cache:rd_req;addr=0x40;pid=7\n")
     m = t.events[0].messages[0]
     assert m.attrs == {"addr": 64, "pid": 7}
+
+
+# tokens that hit every branch of the token grammar, reserved
+# characters included; '#' never leads, or the line is a comment
+PIECES = st.sampled_from(["a", "b1", "", "(", "#a"])
+PAIRS = st.builds(
+    lambda k, eq, v: k + eq + v,
+    st.sampled_from(["a", "b", "", "x(", "y:z"]),
+    st.sampled_from(["=", ""]),
+    st.sampled_from(["1", "-2", "0x1f", "ab", "", "a=b"]),
+)
+TOKENS = (
+    st.builds(
+        lambda head, pairs: ";".join([":".join(head), *pairs]),
+        st.lists(PIECES, min_size=3, max_size=3) | st.lists(PIECES, min_size=2, max_size=4),
+        st.lists(PAIRS, max_size=3),
+    )
+    | st.text(alphabet="ab1x:;=(#-", min_size=1, max_size=14)
+).filter(lambda t: not t.startswith("#"))
+
+
+@settings(max_examples=400)
+@given(st.lists(TOKENS, min_size=1, max_size=4))
+@example(["a:b:c;pid=7;addr=0x40", "a:b:c;tag=x1"])  # accepted
+@example(["a:b:c;a="])  # empty value
+@example(["a:b:c;x;y"])  # the first malformed pair is named
+@example(["a(:b:c;x"])  # a bad atom is named before a malformed pair
+@example(["a:b:c;x(=1;y"])  # a malformed pair is named before a bad name
+@example(["a:b:c", "a:b:c;x(=1"])  # a bad name, with its line
+def test_token_parsing_matches_reference(tokens):
+    want: list[Message] = []
+    error = None
+    for lineno, token in enumerate(tokens, start=1):
+        try:
+            want.append(reference_parse_token(token, lineno))
+        except ParseError as exc:
+            error = str(exc)
+        except ValueError as exc:
+            # a bad attribute name: the reference has no line for it
+            error = "line %d: %s" % (lineno, exc)
+        if error is not None:
+            break
+    text = "\n".join(tokens) + "\n"
+    if error is not None:
+        with pytest.raises(ParseError) as err:
+            parse_trace(text)
+        assert str(err.value) == error
+        return
+    got = [e.messages[0] for e in parse_trace(text).events]
+    assert [(m.triple(), dict(m.attrs)) for m in got] == [(m.triple(), dict(m.attrs)) for m in want]
+
+
+def test_attributed_token_is_checked_once(monkeypatch):
+    checked = []
+    real = flowmine.trace._check_atom
+    monkeypatch.setattr(flowmine.trace, "_check_atom", lambda text, what: checked.append(what) or real(text, what))
+    parse_trace("cpu0:cache:rd_req;addr=0x40;pid=7\n")
+    assert checked == ["source", "destination", "command", "attribute name", "attribute name"]
+
+
+def test_bad_attribute_name_reports_its_line():
+    with pytest.raises(ParseError) as err:
+        parse_trace("a:b:c\na:b:c;x(y=1\n")
+    assert str(err.value) == "line 2: attribute name 'x(y' contains reserved characters"
 
 
 def test_parse_trace_index_needs_table():
