@@ -63,7 +63,6 @@ from .solver import (
     enumerate_solutions,
     export_smtlib,
     pin_zero,
-    block_assignment,
     solve,
 )
 from .trace import (

@@ -109,12 +109,6 @@ class CausalityGraph:
         1-based insertion rank otherwise."""
         return self._ordinals[msg.plain()]
 
-    def initial_messages(self) -> set[Message]:
-        return {m for m, st in self.nodes.items() if st.initial}
-
-    def terminal_messages(self) -> set[Message]:
-        return {m for m, st in self.nodes.items() if st.terminal}
-
     def with_edge_supports(self, supports: Mapping[Edge, int]) -> "CausalityGraph":
         """A copy with the same structure and node supports, and edge
         supports read from supports (0 where it has no entry)."""

@@ -137,7 +137,6 @@ def _extract_cfg(args) -> ExtractConfig:
         sz=args.sz,
         top=args.top,
         reduction_order=args.order,
-        seed=args.seed,
     )
 
 
@@ -295,7 +294,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--sz", type=int, default=200, help="solutions enumerated before reduction")
     p.add_argument("--top", type=int, default=20, help="models kept in the report")
     p.add_argument("--order", default="ascending-support", choices=REDUCTION_ORDERS)
-    p.add_argument("--seed", type=int, default=None, help="shuffle candidate order")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub("eval", cmd_eval, "score a model against a trace")

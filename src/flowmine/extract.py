@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import random
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -62,7 +61,6 @@ class ExtractConfig:
     sz: int = 200  # solutions enumerated before reduction
     top: int = 20  # models reported
     reduction_order: str = "ascending-support"
-    seed: int | None = None  # optional shuffle of the candidate order
 
     def __post_init__(self):
         if self.reduction_order not in REDUCTION_ORDERS:
@@ -135,8 +133,6 @@ def model_extract(problem: ConstraintProblem, cfg: ExtractConfig = ExtractConfig
     seeds = enumerate_solutions(problem, cfg.sz)
     if not seeds:
         return None
-    if cfg.seed is not None:
-        random.Random(cfg.seed).shuffle(seeds)
     solved: dict[frozenset[int], Solution | None] = {}
     distinct: dict[tuple[int, ...], Solution] = {}
     for s in seeds:
@@ -222,8 +218,7 @@ def _gallop(max_w: int) -> Iterator[int]:
     while w < max_w:
         yield w
         w = 2 * w + 1
-    if max_w >= 0:
-        yield max_w
+    yield max_w
 
 
 def auto_window(
@@ -247,8 +242,10 @@ def auto_window(
     windows_tried counts the probes and its solves include them.
     Each construction warning is logged once per search, not once per
     probe.  Raises NoFeasibleWindowError when no length up to max_w
-    works.
+    works, and ValueError when max_w is negative.
     """
+    if max_w < 0:
+        raise ValueError("the maximum window length must be non-negative, got %d" % max_w)
     tried: list[int] = []
     prepared = prepare_annotation(traces, slice_policy, table)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -164,7 +165,8 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
     remember the largest reject allowance they failed under, which
     carries pruning across rounds.  The node budget spans all rounds;
     beyond it the oldest-first result is returned, marked as a
-    fallback.
+    fallback.  The search recurses once per message, so a trace
+    longer than the recursion limit allows falls back the same way.
     """
     events = [tuple(_canonical(e, table)) for e in trace.events]
     delta = fsa.transitions
@@ -227,6 +229,12 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
                 return AcceptanceReport(total - len(rejected), total, rejected, "exhaustive")
     except _BudgetExceeded:
         log.warning("exhaustive evaluation hit the %d node budget; using oldest-first", budget)
+    except RecursionError:
+        log.warning(
+            "exhaustive evaluation of %d messages hit the recursion limit (%d); using oldest-first",
+            total,
+            sys.getrecursionlimit(),
+        )
     report = _greedy(fsa, trace, newest=False, table=table, name="exhaustive")
     return replace(report, fallback="oldest-first")
 

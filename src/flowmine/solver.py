@@ -23,19 +23,19 @@ Search
 Interval domains, fixpoint propagation over the balance equations,
 then depth-first search branching on the variable with the smallest
 remaining domain (lowest edge index on ties), values tried from the
-upper end downward.  The solution stream is deterministic; previously
-returned or explicitly blocked assignments are skipped, which is also
-how enumeration produces distinct solutions.
+upper end downward.  The solution stream is deterministic, and it
+is distinct by construction: each leaf fixes every variable, and
+sibling branches fix the branching variable to different values, so
+no two leaves share an assignment.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import islice, product
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .causality import CausalityGraph, Edge
 
@@ -61,7 +61,6 @@ class ConstraintProblem:
     uppers: tuple[int, ...]
     balances: tuple[Balance, ...]
     pinned: frozenset[int] = frozenset()
-    blocked: tuple[Assignment, ...] = ()
     _index: dict[Edge, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -137,13 +136,6 @@ def pin_zero(problem: ConstraintProblem, edge: Edge) -> ConstraintProblem:
     return replace(problem, pinned=problem.pinned | {i}, _index=problem._index)
 
 
-def block_assignment(problem: ConstraintProblem, values: Assignment) -> ConstraintProblem:
-    """A copy of the problem that excludes one exact assignment."""
-    if len(values) != len(problem.edges):
-        raise ValueError("assignment length %d does not match %d edges" % (len(values), len(problem.edges)))
-    return replace(problem, blocked=problem.blocked + (tuple(values),), _index=problem._index)
-
-
 def _propagate(domains: list[tuple[int, int]], balances: tuple[Balance, ...]) -> bool:
     """Tighten interval domains to a fixpoint; False on contradiction."""
     changed = True
@@ -196,12 +188,10 @@ def _leaves(domains: list[tuple[int, int]], balances: tuple[Balance, ...]) -> It
 
 
 def solutions(problem: ConstraintProblem) -> Iterator[Solution]:
-    """All solutions, deterministically ordered, blocked ones skipped."""
+    """All solutions, distinct and deterministically ordered."""
     domains = [(0, problem.effective_upper(i)) for i in range(len(problem.edges))]
-    blocked = set(problem.blocked)
     for assignment in _leaves(domains, problem.balances):
-        if assignment not in blocked:
-            yield Solution(problem, assignment)
+        yield Solution(problem, assignment)
 
 
 def solve(problem: ConstraintProblem) -> Solution | None:
@@ -219,44 +209,20 @@ BRUTE_FORCE_CAP = 10_000_000
 
 
 def brute_force_solutions(problem: ConstraintProblem, cap: int = BRUTE_FORCE_CAP) -> list[Assignment]:
-    """Check every assignment in the bound box; the independent oracle.
+    """Check every assignment in the bound box, in lexicographic
+    order; the independent oracle.
 
     Refuses to run when the box holds more than cap points.
     """
-    n = len(problem.edges)
-    sizes = [problem.effective_upper(i) + 1 for i in range(n)]
-    total = 1
-    for s in sizes:
-        total *= s
+    ranges = [range(problem.effective_upper(i) + 1) for i in range(len(problem.edges))]
+    total = math.prod(map(len, ranges))
     if total > cap:
         raise ValueError("assignment space %d exceeds cap %d" % (total, cap))
-    blocked = set(problem.blocked)
-    if n == 0:
-        return [] if () in blocked else [()]
-
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    rows = np.zeros((len(problem.balances), n), dtype=np.int64)
-    totals = np.zeros(len(problem.balances), dtype=np.int64)
-    for r, b in enumerate(problem.balances):
-        totals[r] = b.total
-        for v in b.vars:
-            rows[r, v] = 1
-
-    out: list[Assignment] = []
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        grid = np.empty((len(idx), n), dtype=np.int64)
-        for i in range(n):
-            grid[:, i] = (idx // strides[i]) % sizes[i]
-        ok = np.all(rows @ grid.T == totals[:, None], axis=0)
-        for row in grid[ok]:
-            values = tuple(int(x) for x in row)
-            if values not in blocked:
-                out.append(values)
-    return out
+    return [
+        values
+        for values in product(*ranges)
+        if all(sum(values[v] for v in b.vars) == b.total for b in problem.balances)
+    ]
 
 
 def export_smtlib(problem: ConstraintProblem) -> str:
@@ -276,23 +242,17 @@ def export_smtlib(problem: ConstraintProblem) -> str:
     for b in problem.balances:
         term = names[b.vars[0]] if len(b.vars) == 1 else "(+ %s)" % " ".join(names[v] for v in b.vars)
         lines.append("(assert (= %s %d)) ; %s %s" % (term, b.total, b.node, b.side))
-    for values in problem.blocked:
-        eqs = " ".join("(= %s %d)" % (names[i], v) for i, v in enumerate(values))
-        lines.append("(assert (not (and %s)))" % eqs)
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
 
 
 def check_solution(problem: ConstraintProblem, values: Iterable[int]) -> bool:
-    """Does an assignment satisfy bounds, pins, balances, and blocks?"""
+    """Does an assignment satisfy bounds, pins, and balances?"""
     vals = tuple(values)
     if len(vals) != len(problem.edges):
         return False
     for i, v in enumerate(vals):
         if v < 0 or v > problem.effective_upper(i):
             return False
-    for b in problem.balances:
-        if sum(vals[v] for v in b.vars) != b.total:
-            return False
-    return vals not in set(problem.blocked)
+    return all(sum(vals[v] for v in b.vars) == b.total for b in problem.balances)

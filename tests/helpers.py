@@ -6,11 +6,30 @@ calling the production code, so agreement is meaningful.
 
 from __future__ import annotations
 
+import contextlib
 import re
+import sys
 from collections import Counter
 from itertools import product
 
 from flowmine import Message, Trace, causal, trace_of
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames: int):
+    """Set the recursion limit to the current stack depth plus frames
+    while the block runs, and yield it, so that a small input suffices
+    to go deeper than the limit."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield depth + frames
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def naive_edge_support(trace: Trace, head: Message, tail: Message, window: int | None) -> int:
@@ -74,8 +93,6 @@ def brute_minimum_size(problem) -> int | None:
     ranges = [range(problem.effective_upper(i) + 1) for i in range(len(problem.edges))]
     best = None
     for values in product(*ranges):
-        if values in problem.blocked:
-            continue
         if any(sum(values[i] for i in b.vars) != b.total for b in problem.balances):
             continue
         size = sum(1 for v in values if v)
@@ -120,20 +137,16 @@ def random_problem(seed: int, max_edges: int = 8, max_support: int = 4):
         return problem
 
 
-def unshared_extract_pool(problem, sz: int, order: str = "ascending-support", seed: int | None = None) -> list:
+def unshared_extract_pool(problem, sz: int, order: str = "ascending-support") -> list:
     """model_extract's ranked pool, with every walk re-solving each of
     its pins from scratch: no solve is shared between or within walks.
 
     Uses the production solver, which criterion 05 checks against
     brute force; what this reference leaves out is the sharing.
     """
-    import random
-
     from flowmine import enumerate_solutions, pin_zero, solve
 
     seeds = enumerate_solutions(problem, sz)
-    if seed is not None:
-        random.Random(seed).shuffle(seeds)
     pool: dict = {}
     for start in seeds:
         current_p, current = problem, start

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flowmine
 from flowmine import fsa_from_json, fsa_to_json, ground_truth_fsa, parse_trace
 from flowmine.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 
@@ -117,6 +122,24 @@ def test_mine_auto_bound_exhausted(paths, tmp_path, capsys):
             "--max-window", "1", "--out", str(tmp_path / "x")]
     assert main(argv) == EXIT_INFEASIBLE
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_mine_rejects_a_negative_window_bound(paths, tmp_path, capsys):
+    argv = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"],
+            "--max-window", "-3", "--out", str(tmp_path / "x")]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "non-negative" in err and "infeasible" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_mine_takes_no_seed(paths, tmp_path, capsys):
+    base = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"], "--out", str(tmp_path / "x")]
+    assert main(base + ["--seed", "1"]) == EXIT_INPUT
+    cfg = tmp_path / "mine.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    assert main(base + ["--config", str(cfg)]) == EXIT_INPUT
+    assert "config keys not recognized: seed" in capsys.readouterr().err
 
 
 def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
@@ -266,3 +289,15 @@ def test_config_rejects_unknown_keys(paths, tmp_path, capsys):
             "--config", str(cfg), "--out", str(tmp_path / "x")]
     assert main(argv) == EXIT_INPUT
     assert "not recognized" in capsys.readouterr().err
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S keeps site-packages and its .pth hooks out of the child, so an
+    # import of any installed package fails there instead of passing
+    env = dict(os.environ, PYTHONPATH=str(Path(flowmine.__file__).parents[1]))
+    code = "import sys, flowmine.cli; print(*sorted({m.partition('.')[0] for m in sys.modules}))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "flowmine" in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"flowmine", "__main__"} == set()

@@ -82,14 +82,6 @@ def test_extract_is_deterministic_and_ranked(mixed_trace, table):
     assert len({s.values for s in a.pool}) == len(a.pool)
 
 
-def test_extract_seeded_shuffle_changes_order_not_best(mixed_trace, table):
-    p = mixed_problem(mixed_trace, table)
-    plain = model_extract(p, ExtractConfig(sz=200))
-    shuffled = model_extract(p, ExtractConfig(sz=200, seed=99))
-    assert plain.best.values == shuffled.best.values
-    assert {s.values for s in plain.pool} == {s.values for s in shuffled.pool}
-
-
 def test_extract_infeasible_returns_none(mixed_trace, table):
     p = mixed_problem(mixed_trace, table, window=0)
     assert model_extract(p, ExtractConfig(sz=10)) is None
@@ -119,6 +111,15 @@ def test_auto_window_errors_when_bound_too_small(mixed_trace, table):
         auto_window([mixed_trace], ExtractConfig(sz=10), max_w=1, table=table)
     with pytest.raises(NoFeasibleWindowError):
         auto_window([mixed_trace], ExtractConfig(sz=10), max_w=0, table=table)
+
+
+def test_auto_window_rejects_a_negative_bound(mixed_trace, table, monkeypatch):
+    probed = []
+    real = flowmine.extract.prepare_annotation
+    monkeypatch.setattr(flowmine.extract, "prepare_annotation", lambda *a: probed.append(a) or real(*a))
+    with pytest.raises(ValueError, match="non-negative"):
+        auto_window([mixed_trace], ExtractConfig(sz=10), max_w=-3, table=table)
+    assert probed == []
 
 
 def test_auto_window_warns_once_per_run(mixed_trace, caplog):
@@ -222,9 +223,9 @@ def test_extract_best_bounded_by_brute_minimum(seed):
             assert check_solution(p, s.values)
 
 
-def assert_pool_matches_unshared(problem, sz, order, seed):
-    result = model_extract(problem, ExtractConfig(sz=sz, top=sz, reduction_order=order, seed=seed))
-    expected = unshared_extract_pool(problem, sz, order, seed)
+def assert_pool_matches_unshared(problem, sz, order):
+    result = model_extract(problem, ExtractConfig(sz=sz, top=sz, reduction_order=order))
+    expected = unshared_extract_pool(problem, sz, order)
     if result is None:
         assert expected == []
         return
@@ -232,9 +233,9 @@ def assert_pool_matches_unshared(problem, sz, order, seed):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 10**6), st.integers(1, 40), st.sampled_from(REDUCTION_ORDERS), st.none() | st.integers(0, 9))
-def test_shared_solves_match_unshared_walks_on_random_problems(problem_seed, sz, order, seed):
-    assert_pool_matches_unshared(random_problem(problem_seed), sz, order, seed)
+@given(st.integers(0, 10**6), st.integers(1, 40), st.sampled_from(REDUCTION_ORDERS))
+def test_shared_solves_match_unshared_walks_on_random_problems(problem_seed, sz, order):
+    assert_pool_matches_unshared(random_problem(problem_seed), sz, order)
 
 
 @settings(deadline=None, max_examples=25)
@@ -242,7 +243,7 @@ def test_shared_solves_match_unshared_walks_on_random_problems(problem_seed, sz,
 def test_shared_solves_match_unshared_walks_on_generated_traces(flowspec, instances, seed, window, order):
     trace = generate(flowspec, GenConfig(instances=instances, seed=seed, simul_prob=0.2))
     problem = build_constraints(annotated_graph([trace], window=window))
-    assert_pool_matches_unshared(problem, 30, order, None)
+    assert_pool_matches_unshared(problem, 30, order)
 
 
 def test_each_pinned_set_is_solved_once(mixed_trace, table, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from flowmine import (
     FSA,
     START,
+    GenConfig,
     Message,
     acceptance_ratio,
     build_constraints,
@@ -13,6 +14,7 @@ from flowmine import (
     enumerate_solutions,
     fsa_from_json,
     fsa_to_json,
+    generate,
     ground_truth_fsa,
     solve,
     to_dot,
@@ -20,7 +22,7 @@ from flowmine import (
 )
 from flowmine.extract import annotated_graph
 
-from helpers import check_dot
+from helpers import check_dot, recursion_headroom
 
 
 def loop_fsa(*msgs: Message) -> FSA:
@@ -191,6 +193,23 @@ def test_exhausted_budget_falls_back_to_greedy(flowspec, simul_trace, table, cap
     greedy = acceptance_ratio(fsa, simul_trace, table=table)
     assert (report.accepted, report.rejected) == (greedy.accepted, greedy.rejected)
     assert any("budget" in r.message for r in caplog.records)
+
+
+def test_trace_deeper_than_the_recursion_limit_falls_back(flowspec, table, caplog):
+    # the search recurses once per message; the limit is lowered only
+    # to keep the trace, and the run time, small
+    fsa = ground_truth_fsa(flowspec)
+    trace = generate(flowspec, GenConfig(instances=40, seed=3, simul_prob=0.2))
+    assert trace.msg_count > 100
+    with recursion_headroom(100) as limit, caplog.at_level(logging.WARNING, logger="flowmine.fsa"):
+        report = acceptance_ratio(fsa, trace, strategy="exhaustive", table=table)
+    assert (report.strategy, report.fallback) == ("exhaustive", "oldest-first")
+    greedy = acceptance_ratio(fsa, trace, table=table)
+    assert (report.accepted, report.rejected) == (greedy.accepted, greedy.rejected)
+    assert [r.getMessage() for r in caplog.records] == [
+        "exhaustive evaluation of %d messages hit the recursion limit (%d); using oldest-first"
+        % (trace.msg_count, limit)
+    ]
 
 
 @st.composite
