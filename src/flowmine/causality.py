@@ -20,10 +20,11 @@ the instance positions that pair_instances collects per edge, does
 not depend on w, so edge_supports can rerun the matching at many
 lengths from one collection.
 
-Instances are keyed by their attribute-free message.  Message
-equality ignores attributes, so an attributed instance looks its node
-up directly, and a message is stripped of its attributes once per
-trace, not once per instance.
+Instances are keyed by message id, never by Message object.  A
+trace's ids map to graph node ordinals through one list as long as
+its alphabet (node_numbers), and instance positions are keyed by
+ordinal, so attributes play no part and no Message is hashed per
+instance.  Graph nodes and edges themselves stay Messages.
 """
 
 from __future__ import annotations
@@ -52,28 +53,28 @@ def detect_entries_exits(traces: Sequence[Trace]) -> tuple[set[Message], set[Mes
     first instance sends to its source, and terminal when no strictly
     later event than its last instance sends from its destination.
     Either test must hold in every trace that contains the message.
-    Per trace, one forward pass records each message's first and last
-    event, and each component's first event as a destination and last
-    event as a source; those decide both tests.
+    Per trace, the first and last event of each message id decide
+    both tests: a component's first event as a destination is the
+    earliest first event of a message sent to it, and its last event
+    as a source the latest last event of a message it sends.
     """
     initial: dict[Message, bool] = {}
     terminal: dict[Message, bool] = {}
     for trace in traces:
-        spans: dict[Message, list[int]] = {}
+        last = dict(zip(trace.ids, trace.event_of))
+        first = dict(zip(reversed(trace.ids), reversed(trace.event_of)))
         first_dest: dict[str, int] = {}
         last_src: dict[str, int] = {}
-        for e_idx, event in enumerate(trace.events):
-            for m in event:
-                span = spans.get(m)
-                if span is None:
-                    spans[m.plain()] = [e_idx, e_idx]
-                else:
-                    span[1] = e_idx
-                first_dest.setdefault(m.dest, e_idx)
-                last_src[m.src] = e_idx
-        for m, (first, last) in spans.items():
-            initial[m] = initial.get(m, True) and first_dest.get(m.src, first) >= first
-            terminal[m] = terminal.get(m, True) and last_src.get(m.dest, last) <= last
+        for mid, e_idx in first.items():
+            dest = trace.alphabet[mid].dest
+            first_dest[dest] = min(e_idx, first_dest.get(dest, e_idx))
+        for mid, e_idx in last.items():
+            src = trace.alphabet[mid].src
+            last_src[src] = max(e_idx, last_src.get(src, e_idx))
+        for mid, e_last in last.items():
+            m, e_first = trace.alphabet[mid], first[mid]
+            initial[m] = initial.get(m, True) and first_dest.get(m.src, e_first) >= e_first
+            terminal[m] = terminal.get(m, True) and last_src.get(m.dest, e_last) <= e_last
     return {m for m, ok in initial.items() if ok}, {m for m, ok in terminal.items() if ok}
 
 
@@ -108,6 +109,9 @@ class CausalityGraph:
         """Stable node number: table index when a table is attached,
         1-based insertion rank otherwise."""
         return self._ordinals[msg.plain()]
+
+    def messages_by_ordinal(self) -> dict[int, Message]:
+        return {o: m for m, o in self._ordinals.items()}
 
     def with_edge_supports(self, supports: Mapping[Edge, int]) -> "CausalityGraph":
         """A copy with the same structure and node supports, and edge
@@ -189,24 +193,49 @@ def _greedy_matches(
     return count
 
 
-Positions = dict[Message, list[tuple[int, int]]]
+Positions = dict[int, list[tuple[int, int]]]
+
+
+def node_numbers(graph: CausalityGraph, trace: Trace) -> list[int | None]:
+    """The graph ordinal of each message id of trace, None for a
+    message that is not a node.  One lookup per alphabet entry."""
+    return [graph._ordinals.get(m) for m in trace.alphabet]
+
+
+def positions_of(trace: Trace, numbers: list[int | None], members: Iterable[int]) -> Positions:
+    """(event index, position) of the member instances per node
+    ordinal, counted among the members: positions run 0, 1, ... and
+    events are renumbered from 0 in member order."""
+    event_of, ids = trace.event_of, trace.ids
+    positions: Positions = {}
+    event, last = -1, None
+    for pos, i in enumerate(members):
+        if event_of[i] != last:
+            event, last = event + 1, event_of[i]
+        node = numbers[ids[i]]
+        found = positions.get(node)
+        if found is None:
+            if node is None:
+                raise ValueError("message %s is not a graph node" % trace.alphabet[ids[i]].label())
+            positions[node] = [(event, pos)]
+        else:
+            found.append((event, pos))
+    return positions
 
 
 def instance_positions(graph: CausalityGraph, trace: Trace) -> Positions:
-    """(event index, flattened position) of every instance, per node."""
-    nodes = {m: m for m in graph.nodes}
-    positions: Positions = {}
-    for e_idx, pos, m in trace.flattened():
-        key = nodes.get(m)
-        if key is None:
-            raise ValueError("message %s is not a graph node" % m.label())
-        positions.setdefault(key, []).append((e_idx, pos))
-    return positions
+    """(event index, flattened position) of every instance, per node ordinal."""
+    return positions_of(trace, node_numbers(graph, trace), range(trace.msg_count))
+
+
+def _by_message(graph: CausalityGraph, positions: Positions) -> Counter:
+    at = graph.messages_by_ordinal()
+    return Counter({at[o]: len(ps) for o, ps in positions.items()})
 
 
 def node_deltas(graph: CausalityGraph, trace: Trace) -> Counter:
     """Per-node support contributions of one trace (no matching)."""
-    return Counter({m: len(ps) for m, ps in instance_positions(graph, trace).items()})
+    return _by_message(graph, instance_positions(graph, trace))
 
 
 EdgeInstances = dict[Edge, list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]]
@@ -217,14 +246,18 @@ def pair_instances(graph: CausalityGraph, units: Iterable[Positions]) -> EdgeIns
     holds instances of both its messages.
 
     A unit is the instance_positions of one trace, or of one slice of
-    a trace; matching never crosses units.  None of this depends on
+    a trace; matching never crosses units.  Each unit is visited
+    through the out-edges of the nodes it holds, so a small slice
+    costs little however large the graph.  None of this depends on
     the window, so it can be kept and matched at many lengths.
     """
     pairs: EdgeInstances = {e: [] for e in graph.edges}
+    succ: dict[int, list[tuple[int, list]]] = {}
+    for (head, tail), found in pairs.items():
+        succ.setdefault(graph.ordinal(head), []).append((graph.ordinal(tail), found))
     for positions in units:
-        for (head, tail), found in pairs.items():
-            heads = positions.get(head)
-            if heads:
+        for head, heads in positions.items():
+            for tail, found in succ.get(head, ()):
                 tails = positions.get(tail)
                 if tails:
                     found.append((heads, tails))
@@ -246,8 +279,7 @@ def support_deltas(
 ) -> tuple[Counter, Counter]:
     """Per-node and per-edge support contributions of one trace."""
     positions = instance_positions(graph, trace)
-    node_delta = Counter({m: len(ps) for m, ps in positions.items()})
-    return node_delta, edge_supports(pair_instances(graph, [positions]), window)
+    return _by_message(graph, positions), edge_supports(pair_instances(graph, [positions]), window)
 
 
 def annotate(graph: CausalityGraph, trace: Trace, window: int | None = None) -> CausalityGraph:

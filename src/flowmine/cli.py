@@ -152,6 +152,7 @@ def _report_rows(result: ExtractResult) -> list[dict]:
 
 
 def cmd_mine(args) -> int:
+    parsing = time.perf_counter()
     table = _load_table(args.table)
     traces = _load_traces(args.trace, table)
     policy = parse_policy(args.slice) if args.slice else None
@@ -175,7 +176,8 @@ def cmd_mine(args) -> int:
             print("infeasible: the consistency constraints admit no solution", file=sys.stderr)
             return EXIT_INFEASIBLE
         window_desc = {"mode": mode, "value": width}
-    elapsed = time.perf_counter() - started
+    searched = time.perf_counter()
+    elapsed = searched - started
 
     fsa = derive_fsa(result.best, graph)
     out_dir = Path(args.out)
@@ -188,6 +190,7 @@ def cmd_mine(args) -> int:
     (out_dir / "report.json").write_text(
         json.dumps(_report_rows(result), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    stages = {"parse": started - parsing, "search": elapsed, "write": time.perf_counter() - searched}
     summary = {
         "traces": args.trace,
         "messages": sum(t.msg_count for t in traces),
@@ -199,6 +202,7 @@ def cmd_mine(args) -> int:
         "best_size": result.best.size,
         "states": len(fsa.states),
         "wall_time_s": round(elapsed, 6),
+        "stage_s": {stage: round(seconds, 6) for stage, seconds in stages.items()},
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

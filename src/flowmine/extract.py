@@ -168,14 +168,17 @@ def prepare_annotation(
 
     Entry/exit detection and node supports always come from the full,
     unsliced traces; the slicing policy shapes only the pair matching.
+    Everything per instance works on message ids: each trace's ids
+    map to graph nodes through one list of its alphabet's length.
     """
     initials, terminals = detect_entries_exits(traces)
     graph = build_graph(unique_messages(traces), initials, terminals, table)
+    at = graph.messages_by_ordinal()
     units = []
     for t in traces:
         positions = instance_positions(graph, t)
-        for m, ps in positions.items():
-            graph.nodes[m].support += len(ps)
+        for node, ps in positions.items():
+            graph.nodes[at[node]].support += len(ps)
         if slice_policy is None:
             units.append(positions)
         else:

@@ -30,7 +30,7 @@ from typing import Mapping
 
 from .causality import causal
 from .fsa import FSA, START
-from .trace import Message, MessageTable, ParseError, Trace, TraceEvent, _check_atom, _parse_token
+from .trace import Message, MessageTable, ParseError, Trace, _check_atom, _parse_token
 
 __all__ = [
     "Flow",
@@ -190,7 +190,7 @@ class _Live:
     instance_id: int
     flow: str
     branch: int
-    pending: list[Message]
+    pending: list[tuple[int, Message]]  # (message id, message) still to emit
     gap: int = 0
     started: bool = False
     emitted: list[tuple[int, Message]] = field(default_factory=list)
@@ -209,15 +209,23 @@ def simulate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> SimResult:
         if unknown:
             raise ValueError("unknown flow names: %s" % ", ".join(sorted(unknown)))
     rng = random.Random(cfg.seed)
+    alphabet: dict[Message, int] = {}  # message ids, in flow description order
+    coded = [
+        [tuple((alphabet.setdefault(m.plain(), len(alphabet)), m) for m in branch) for branch in flow.branches]
+        for flow in spec.flows
+    ]
     live: list[_Live] = []
-    for flow in spec.flows:
+    for flow, branches in zip(spec.flows, coded):
         for _ in range(cfg.count_for(flow)):
             branch = rng.randrange(len(flow.branches))
-            live.append(_Live(len(live), flow.name, branch, list(flow.branches[branch])))
+            live.append(_Live(len(live), flow.name, branch, list(branches[branch])))
     if not live:
         raise ValueError("no instances configured")
 
-    events: list[TraceEvent] = []
+    event_of: list[int] = []
+    ids: list[int] = []
+    attrs: list[Mapping[str, object] | None] = []
+    e_idx = -1
     remaining = set(range(len(live)))
 
     def overrunners(size: int, members: set[int]) -> list[int]:
@@ -245,20 +253,20 @@ def simulate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> SimResult:
                 if not overrunners(2, {pick, partner}):
                     emitters = sorted((pick, partner))
 
-        e_idx = len(events)
-        msgs = []
+        e_idx += 1
         for i in emitters:
             inst = live[i]
-            msg = inst.pending.pop(0)
+            mid, msg = inst.pending.pop(0)
             if cfg.tag is not None:
                 msg = msg.with_attrs(**{cfg.tag: inst.instance_id})
-            msgs.append(msg)
+            event_of.append(e_idx)
+            ids.append(mid)
+            attrs.append(msg.attrs or None)
             inst.emitted.append((e_idx, msg))
             inst.started = True
             inst.gap = 0
             if not inst.pending:
                 remaining.discard(i)
-        events.append(TraceEvent(tuple(msgs)))
         emitted = set(emitters)
         for i in remaining:
             if live[i].started and i not in emitted:
@@ -268,7 +276,8 @@ def simulate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> SimResult:
         InstanceTrace(inst.instance_id, inst.flow, inst.branch, tuple(inst.emitted))
         for inst in live
     )
-    return SimResult(Trace(tuple(events)), instances)
+    trace = Trace(tuple(alphabet), tuple(event_of), tuple(ids), tuple(attrs))
+    return SimResult(trace, instances)
 
 
 def generate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> Trace:

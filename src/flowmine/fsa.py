@@ -19,7 +19,10 @@ from __future__ import annotations
 import json
 import logging
 import sys
+from bisect import insort
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .causality import CausalityGraph
@@ -116,42 +119,109 @@ class AcceptanceReport:
         return self.accepted / self.total
 
 
-def _canonical(event: Iterable[Message], table: MessageTable | None) -> list[Message]:
+def _ranks(trace: Trace, table: MessageTable | None) -> list[int]:
+    """Per message id, its place in the canonical order inside an
+    event: table index with a table (a used message outside the table
+    raises ValueError), triple order without."""
+    alphabet = trace.alphabet
+    ranks = [0] * len(alphabet)
     if table is not None:
-        return sorted(event, key=table.index_of)
-    return sorted(event, key=Message.triple)
+        for mid in dict.fromkeys(trace.ids):
+            ranks[mid] = table.index_of(alphabet[mid])
+    else:
+        for rank, mid in enumerate(sorted(range(len(alphabet)), key=lambda i: alphabet[i].triple())):
+            ranks[mid] = rank
+    return ranks
+
+
+def _canonical_ids(trace: Trace, table: MessageTable | None) -> list[int]:
+    """Message ids in trace order, each event's ids in canonical order."""
+    ranks = _ranks(trace, table)
+    ids = list(trace.ids)
+    event_of = trace.event_of
+    start = 0
+    for end in range(1, len(ids) + 1):
+        if end == len(ids) or event_of[end] != event_of[start]:
+            if end - start > 1:
+                ids[start:end] = sorted(ids[start:end], key=ranks.__getitem__)
+            start = end
+    return ids
+
+
+def _id_tables(fsa: FSA, trace: Trace) -> tuple[list[str | None], list[dict[str, str]]]:
+    """Per message id of trace: the state a fresh instance enters on
+    it (None without a transition from the initial state), and its
+    transitions from every other state."""
+    index = {m: mid for mid, m in enumerate(trace.alphabet)}
+    opens: list[str | None] = [None] * len(trace.alphabet)
+    moves: list[dict[str, str]] = [{} for _ in trace.alphabet]
+    for (state, msg), target in fsa.transitions.items():
+        mid = index.get(msg)
+        if mid is None:
+            continue
+        if state == fsa.initial:
+            opens[mid] = target
+        else:
+            moves[mid][state] = target
+    return opens, moves
 
 
 def _greedy(fsa: FSA, trace: Trace, newest: bool, table: MessageTable | None, name: str) -> AcceptanceReport:
-    active: list[tuple[int, str]] = []  # (spawn order, state), oldest first
+    """Oldest- or newest-first replay.
+
+    Active instances wait in one queue per state, as spawn numbers in
+    ascending order.  Among the states with a transition on a
+    message, the smallest queue head is the oldest active instance
+    that can take it and the largest queue tail the newest, so the
+    pick is the one a scan of every active instance in spawn order
+    would make.  A fresh instance's spawn number is the largest yet
+    and is appended; an advanced one is inserted into its new queue.
+    """
+    opens, moves = _id_tables(fsa, trace)
+    queues: dict[str, list[int]] = {s: [] for s in fsa.states}
     seq = 0
     accepted = 0
     rejected: list[tuple[int, Message]] = []
-    for e_idx, event in enumerate(trace.events):
-        for m in _canonical(event, table):
-            opened = fsa.step(fsa.initial, m)
-            if opened is not None:
-                accepted += 1
-                if opened != fsa.initial:
-                    active.append((seq, opened))
-                    seq += 1
-                continue
-            slots = [i for i, (_, st) in enumerate(active) if fsa.step(st, m) is not None]
-            if not slots:
-                rejected.append((e_idx, m))
-                continue
-            i = slots[-1] if newest else slots[0]
-            nxt = fsa.step(active[i][1], m)
+    for e_idx, mid in zip(trace.event_of, _canonical_ids(trace, table)):
+        opened = opens[mid]
+        if opened is not None:
             accepted += 1
-            if nxt == fsa.initial:
-                active.pop(i)
-            else:
-                active[i] = (active[i][0], nxt)
+            if opened != fsa.initial:
+                queues[opened].append(seq)
+                seq += 1
+            continue
+        source = None
+        for state, target in moves[mid].items():
+            queue = queues[state]
+            if queue:
+                spawn = queue[-1] if newest else queue[0]
+                if source is None or (spawn > pick if newest else spawn < pick):
+                    source, pick, nxt = queue, spawn, target
+        if source is None:
+            rejected.append((e_idx, trace.alphabet[mid]))
+            continue
+        accepted += 1
+        source.pop(-1 if newest else 0)
+        if nxt != fsa.initial:
+            insort(queues[nxt], pick)
     return AcceptanceReport(accepted, trace.msg_count, tuple(rejected), name)
 
 
 class _BudgetExceeded(Exception):
     pass
+
+
+def _fits(calls: int) -> bool:
+    """Whether calls nested Python calls, this one the first, fit
+    under the recursion limit.  Probed rather than computed from the
+    frames on the stack, because the interpreter also counts C-level
+    calls that no frame shows (a test runner adds several)."""
+    if calls <= 1:
+        return True
+    try:
+        return _fits(calls - 1)
+    except RecursionError:
+        return False
 
 
 def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None) -> AcceptanceReport:
@@ -161,24 +231,34 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
     Maximizing acceptance is minimizing rejections, so the search
     deepens iteratively on the reject count: a depth-first pass asks
     "does a completion with at most R rejects exist?" for R = 0, 1,
-    2, ...  Dead (position, remaining messages, active states) keys
-    remember the largest reject allowance they failed under, which
-    carries pruning across rounds.  The node budget spans all rounds;
-    beyond it the oldest-first result is returned, marked as a
-    fallback.  The search recurses once per message, so a trace
-    longer than the recursion limit allows falls back the same way.
+    2, ...  Dead (position, remaining message ids, active states)
+    keys remember the largest reject allowance they failed under,
+    which carries pruning across rounds.  The node budget spans all
+    rounds; beyond it the oldest-first result is returned, marked as
+    a fallback.
+
+    The search recurses once per message: a successful pass nests one
+    dfs call per message, plus one for the end of the trace, on top
+    of this function's frame, and that last call returns without
+    calling anything.  When that many nested calls do not fit under
+    the recursion limit, no pass can succeed, so the search is not
+    started and the result falls back the same way.
     """
-    events = [tuple(_canonical(e, table)) for e in trace.events]
-    delta = fsa.transitions
+    events = [
+        tuple(mid for _, mid in group)
+        for _, group in groupby(zip(trace.event_of, _canonical_ids(trace, table)), key=itemgetter(0))
+    ]
+    opens, moves = _id_tables(fsa, trace)
     initial = fsa.initial
     failed: dict[tuple, int] = {}
     nodes = 0
-    path: list[tuple[int, Message, str, str | None]] = []
+    path: list[tuple[int, int, str, str | None]] = []
+    last_event = len(events) - 1
 
-    def dfs(e_idx: int, rest: tuple[Message, ...], states: tuple[str, ...], r_left: int) -> bool:
+    def dfs(e_idx: int, rest: tuple[int, ...], states: tuple[str, ...], r_left: int) -> bool:
         nonlocal nodes
         if not rest:
-            if e_idx + 1 == len(events):
+            if e_idx == last_event:
                 return True
             e_idx, rest = e_idx + 1, events[e_idx + 1]
         key = (e_idx, rest, states)
@@ -187,13 +267,13 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
         nodes += 1
         if nodes > budget:
             raise _BudgetExceeded
-        tried: set[tuple[str, str, str]] = set()
+        tried: set[int] = set()
         for k, m in enumerate(rest):
-            if m.triple() in tried:
+            if m in tried:
                 continue
-            tried.add(m.triple())
+            tried.add(m)
             tail = rest[:k] + rest[k + 1 :]
-            opened = delta.get((initial, m))
+            opened = opens[m]
             if opened is not None:
                 ns = states if opened == initial else tuple(sorted(states + (opened,)))
                 path.append((e_idx, m, "open", None))
@@ -201,7 +281,7 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
                     return True
                 path.pop()
             for st in dict.fromkeys(states):
-                moved = delta.get((st, m))
+                moved = moves[m].get(st)
                 if moved is None:
                     continue
                 pool = list(states)
@@ -222,10 +302,12 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
 
     total = trace.msg_count
     try:
+        if not _fits(total + 1):
+            raise RecursionError  # no pass can succeed, so none is started
         for allowance in range(total + 1):
             path.clear()
             if dfs(0, events[0], (), allowance):
-                rejected = tuple((e, m) for e, m, action, _ in path if action == "reject")
+                rejected = tuple((e, trace.alphabet[m]) for e, m, action, _ in path if action == "reject")
                 return AcceptanceReport(total - len(rejected), total, rejected, "exhaustive")
     except _BudgetExceeded:
         log.warning("exhaustive evaluation hit the %d node budget; using oldest-first", budget)

@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .causality import CausalityGraph, Positions, apply_deltas, instance_positions, node_deltas, support_deltas
-from .trace import Message, Trace, TraceEvent
+from .causality import CausalityGraph, Positions, apply_deltas, node_deltas, node_numbers, positions_of, support_deltas
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -53,35 +53,27 @@ def address_block(addr: int, line_size: int) -> int:
     return addr // line_size
 
 
-def _slice_key(msg: Message, policy: SlicePolicy) -> object:
-    value = msg.attrs[policy.attribute]
-    if policy.block is not None:
-        return address_block(value, policy.block)
-    return value
+_UNKEYED = object()  # the key of a slice holding one instance without the attribute
 
 
-def _buckets(trace: Trace, policy: SlicePolicy) -> dict[tuple, list]:
-    buckets: dict[tuple, list] = {}
-    solo = 0
-    for e_idx, event in enumerate(trace.events):
-        for m in event:
-            if policy.attribute in m.attrs:
-                key = ("key", _slice_key(m, policy))
-            elif policy.missing == "drop":
-                continue
-            else:
-                key = ("solo", solo)
-                solo += 1
-            rows = buckets.setdefault(key, [])
-            if rows and rows[-1][0] == e_idx:
-                rows[-1][1].append(m)
-            else:
-                rows.append((e_idx, [m]))
+def _buckets(trace: Trace, policy: SlicePolicy) -> list[tuple[object, list[int]]]:
+    """(key, instance numbers in trace order) per slice, in order of
+    first appearance."""
+    name, block = policy.attribute, policy.block
+    isolate = policy.missing == "isolate"
+    keyed: dict[object, list[int]] = {}
+    buckets: list[tuple[object, list[int]]] = []
+    for i, attrs in enumerate(trace.attrs):
+        if attrs and name in attrs:
+            key = attrs[name] if block is None else address_block(attrs[name], block)
+            members = keyed.get(key)
+            if members is None:
+                members = keyed[key] = []
+                buckets.append((key, members))
+            members.append(i)
+        elif isolate:
+            buckets.append((_UNKEYED, [i]))
     return buckets
-
-
-def _rows_to_trace(rows: list) -> Trace:
-    return Trace(tuple(TraceEvent(tuple(ms)) for _, ms in rows))
 
 
 def slice_trace(trace: Trace, policy: SlicePolicy) -> list[Trace]:
@@ -90,7 +82,7 @@ def slice_trace(trace: Trace, policy: SlicePolicy) -> list[Trace]:
     Every slice preserves the event structure and relative order of
     its messages.  Slices come back in order of first appearance.
     """
-    return [_rows_to_trace(rows) for rows in _buckets(trace, policy).values()]
+    return [trace.select(members) for _, members in _buckets(trace, policy)]
 
 
 def labeled_slices(trace: Trace, policy: SlicePolicy) -> list[tuple[str, Trace]]:
@@ -100,9 +92,13 @@ def labeled_slices(trace: Trace, policy: SlicePolicy) -> list[tuple[str, Trace]]
     for lacking the attribute get running unkeyed<N> labels.
     """
     out = []
-    for key, rows in _buckets(trace, policy).items():
-        label = str(key[1]) if key[0] == "key" else "unkeyed%d" % key[1]
-        out.append((label, _rows_to_trace(rows)))
+    unkeyed = 0
+    for key, members in _buckets(trace, policy):
+        if key is _UNKEYED:
+            label, unkeyed = "unkeyed%d" % unkeyed, unkeyed + 1
+        else:
+            label = str(key)
+        out.append((label, trace.select(members)))
     return out
 
 
@@ -133,11 +129,13 @@ def parse_policy(spec: str) -> SlicePolicy:
 def slice_positions(graph: CausalityGraph, trace: Trace, policy: SlicePolicy) -> Iterator[Positions]:
     """instance_positions of each slice, in slice_trace order.
 
-    Positions count within the slice.  Slices are built one at a
-    time, so only the positions outlive the loop.
+    Positions count within the slice.  They are read off the trace's
+    columns through one id-to-node list, so no slice is built as a
+    trace.
     """
-    for rows in _buckets(trace, policy).values():
-        yield instance_positions(graph, _rows_to_trace(rows))
+    numbers = node_numbers(graph, trace)
+    for _, members in _buckets(trace, policy):
+        yield positions_of(trace, numbers, members)
 
 
 def sliced_support_deltas(

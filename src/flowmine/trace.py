@@ -7,6 +7,13 @@ between events, never inside one.  A message is identified by its
 instance (address, packet id, ...) are runtime payload and take no
 part in identity.
 
+A Trace is held as integer columns, one entry per instance: its event
+index, its message id and its attributes.  The ids index the trace's
+alphabet of distinct attribute-free messages, so parsing builds one
+Message per distinct triple, not one per instance, and detection,
+slicing, annotation and replay work on ints.  Event and Message views
+are rebuilt on demand for readers that want objects.
+
 Text formats
 ------------
 Message table, one line per entry, indices dense from 1::
@@ -27,7 +34,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class ParseError(ValueError):
@@ -105,19 +113,55 @@ class TraceEvent:
         return len(self.messages)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    events: tuple[TraceEvent, ...]
+    """A trace held as columns, one entry per message instance in trace order.
+
+    alphabet holds attribute-free messages, each once; an instance's
+    message id indexes it.  event_of is the event index of each
+    instance (0, 1, ... with every event non-empty), and attrs its
+    attribute mapping, None when it has none.  The alphabet may list
+    messages that no instance uses (the rest of a message table, or
+    the parent's messages in a slice).
+
+    events, iteration and flattened() rebuild Message objects; they
+    are views for readers that want them, and the mining and
+    evaluation paths do not use them.
+    """
+
+    alphabet: tuple[Message, ...]
+    event_of: tuple[int, ...]
+    ids: tuple[int, ...]
+    attrs: tuple[Mapping[str, object] | None, ...]
 
     @property
     def msg_count(self) -> int:
-        return sum(len(e) for e in self.events)
+        return len(self.ids)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self.event_of[-1] + 1 if self.event_of else 0
+
+    @cached_property
+    def events(self) -> tuple[TraceEvent, ...]:
+        events: list[list[Message]] = [[] for _ in range(len(self))]
+        for e_idx, mid, attrs in zip(self.event_of, self.ids, self.attrs):
+            m = self.alphabet[mid]
+            events[e_idx].append(Message(m.src, m.dest, m.cmd, attrs) if attrs else m)
+        return tuple(TraceEvent(tuple(ms)) for ms in events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.events == other.events
+
+    def __hash__(self) -> int:
+        return hash(self.events)
+
+    def __repr__(self) -> str:
+        return "<Trace of %d events, %d messages over %d distinct>" % (len(self), self.msg_count, len(self.alphabet))
 
     def flattened(self) -> Iterator[tuple[int, int, Message]]:
         """Yield (event index, running position, message) in trace order."""
@@ -127,30 +171,64 @@ class Trace:
                 yield e_idx, pos, m
                 pos += 1
 
+    def select(self, members: Sequence[int]) -> "Trace":
+        """The sub-trace of the given instances, in the order given
+        (trace order for a slice), with its events renumbered from 0.
+        It shares this trace's alphabet."""
+        event_of = []
+        event, last = -1, None
+        for i in members:
+            if self.event_of[i] != last:
+                event, last = event + 1, self.event_of[i]
+            event_of.append(event)
+        return Trace(
+            self.alphabet,
+            tuple(event_of),
+            tuple(self.ids[i] for i in members),
+            tuple(self.attrs[i] for i in members),
+        )
+
 
 def trace_of(*events: Iterable[Message]) -> Trace:
-    """Build a trace from message iterables, one per event."""
-    return Trace(tuple(TraceEvent(tuple(e)) for e in events))
+    """Build a trace from message iterables, one per event.  Message
+    ids follow first appearance."""
+    index: dict[Message, int] = {}
+    alphabet: list[Message] = []
+    event_of: list[int] = []
+    ids: list[int] = []
+    attrs: list[Mapping[str, object] | None] = []
+    for e_idx, event in enumerate(events):
+        before = len(ids)
+        for m in event:
+            mid = index.get(m)
+            if mid is None:
+                mid = index[m] = len(alphabet)
+                alphabet.append(m.plain())
+            event_of.append(e_idx)
+            ids.append(mid)
+            attrs.append(m.attrs or None)
+        if len(ids) == before:
+            raise ValueError("an event must contain at least one message")
+    return Trace(tuple(alphabet), tuple(event_of), tuple(ids), tuple(attrs))
 
 
 class MessageTable:
     """Bijection between dense integer indices (from 1) and message triples."""
 
     def __init__(self, messages: Iterable[Message]):
-        self._by_index: dict[int, Message] = {}
+        plain = [m.plain() for m in messages]
         self._by_triple: dict[tuple[str, str, str], int] = {}
-        for idx, msg in enumerate(messages, start=1):
-            plain = msg.plain()
-            if plain.triple() in self._by_triple:
-                raise ValueError("duplicate message %s" % plain.label())
-            self._by_index[idx] = plain
-            self._by_triple[plain.triple()] = idx
+        for idx, msg in enumerate(plain, start=1):
+            if msg.triple() in self._by_triple:
+                raise ValueError("duplicate message %s" % msg.label())
+            self._by_triple[msg.triple()] = idx
+        self.messages: tuple[Message, ...] = tuple(plain)  # index i is at position i - 1
 
     def __len__(self) -> int:
-        return len(self._by_index)
+        return len(self.messages)
 
     def __iter__(self) -> Iterator[tuple[int, Message]]:
-        return iter(sorted(self._by_index.items()))
+        return iter(enumerate(self.messages, start=1))
 
     def __contains__(self, msg: Message) -> bool:
         return msg.triple() in self._by_triple
@@ -162,14 +240,14 @@ class MessageTable:
             raise ValueError("message %s is not in the table" % msg.label()) from None
 
     def message_at(self, index: int) -> Message:
-        try:
-            return self._by_index[index]
-        except KeyError:
-            raise ValueError("message index %d is not in the table" % index) from None
+        if not 1 <= index <= len(self.messages):
+            raise ValueError("message index %d is not in the table" % index)
+        return self.messages[index - 1]
 
 
 def parse_message_table(text: str) -> MessageTable:
     entries: dict[int, Message] = {}
+    triples: set[tuple[str, str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -181,9 +259,10 @@ def parse_message_table(text: str) -> MessageTable:
         msg = _parse_triple(m.group(2), lineno)
         if index in entries:
             raise ParseError("duplicate index %d" % index, lineno)
-        if any(msg == other for other in entries.values()):
+        if msg.triple() in triples:
             raise ParseError("duplicate message %s" % msg.label(), lineno)
         entries[index] = msg
+        triples.add(msg.triple())
     if not entries:
         raise ParseError("message table is empty")
     expected = set(range(1, len(entries) + 1))
@@ -197,17 +276,28 @@ def serialize_message_table(table: MessageTable) -> str:
     return "".join("%d (%s)\n" % (idx, msg.label()) for idx, msg in table)
 
 
-def _parse_triple(text: str, lineno: int, attrs: dict[str, object] | None = None) -> Message:
+def _parse_triple(text: str, lineno: int) -> Message:
     parts = text.split(":")
     if len(parts) != 3 or not all(p.strip() for p in parts):
         raise ParseError("expected 'src:dest:cmd', got %r" % text, lineno)
     try:
-        return Message(*(p.strip() for p in parts), {} if attrs is None else attrs)
+        return Message(*(p.strip() for p in parts))
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+
+
+def _parse_index(token: str, table: MessageTable | None, lineno: int) -> Message:
+    if table is None:
+        raise ParseError("index token %r needs a message table" % token, lineno)
+    try:
+        return table.message_at(int(token))
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
 
 
 def _parse_attr_value(text: str) -> object:
+    if text.isdecimal():  # the common case; the same strings as \d+
+        return int(text)
     if _INT_RE.fullmatch(text):
         return int(text)
     if _HEX_RE.fullmatch(text):
@@ -215,63 +305,131 @@ def _parse_attr_value(text: str) -> object:
     return text
 
 
-def _parse_token(token: str, table: MessageTable | None, lineno: int) -> Message:
-    if token.isdigit():
-        if table is None:
-            raise ParseError("index token %r needs a message table" % token, lineno)
-        try:
-            return table.message_at(int(token))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-    head, *pairs = token.split(";")
+def _parse_attrs(pairs: list[str], lineno: int, checked: set[str]) -> dict[str, object]:
+    """key=value pairs, in order.  A malformed pair is reported before
+    a bad attribute name; names already in checked are not checked
+    again, and names that pass are added to it."""
     attrs: dict[str, object] = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not (sep and key and value):
-            _parse_triple(head, lineno)  # a fault in the triple is reported first
             raise ParseError("attribute %r is not key=value" % pair, lineno)
         attrs[key] = _parse_attr_value(value)
-    return _parse_triple(head, lineno, attrs)
+    for key in attrs:
+        if key not in checked:
+            try:
+                _check_atom(key, "attribute name")
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            checked.add(key)
+    return attrs
+
+
+def _parse_token(token: str, table: MessageTable | None, lineno: int) -> Message:
+    """One token as one Message, for the flow description parser."""
+    if token.isdigit():
+        return _parse_index(token, table, lineno)
+    head, *pairs = token.split(";")
+    msg = _parse_triple(head, lineno)  # a fault in the triple is reported first
+    attrs = _parse_attrs(pairs, lineno, set())
+    return Message(msg.src, msg.dest, msg.cmd, attrs) if attrs else msg
+
+
+_GROUPING = str.maketrans("{},", "   ")
 
 
 def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
-    """Parse trace text; one event per non-blank, non-comment line."""
-    events = []
+    """Parse trace text; one event per non-blank, non-comment line.
+
+    Each distinct token head (an index, or the triple before the
+    first ';') is parsed and checked once, and each distinct attribute
+    name is checked once; a repeat is a dict lookup.  With a table the
+    alphabet starts with the table's messages, so message ids follow
+    table order (id = index - 1) and an inline triple from the table
+    gets its index's id; other triples get the next ids in order of
+    first appearance.
+    """
+    alphabet: list[Message] = []
+    by_triple: dict[tuple[str, str, str], int] = {}
+    if table is not None:
+        alphabet.extend(table.messages)
+        by_triple.update((m.triple(), mid) for mid, m in enumerate(alphabet))
+    heads: dict[str, int] = {}  # triple text, bare or before an attributed token's first ';'
+    indices: dict[str, int] = {}  # index tokens
+    checked: set[str] = set()
+    event_of: list[int] = []
+    ids: list[int] = []
+    attrs: list[dict[str, object] | None] = []
+
+    def intern(msg: Message) -> int:
+        mid = by_triple.get(msg.triple())
+        if mid is None:
+            mid = by_triple[msg.triple()] = len(alphabet)
+            alphabet.append(msg)
+        return mid
+
+    events = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.translate(str.maketrans("{},", "   ")).split()
+        tokens = line.translate(_GROUPING).split()
         if not tokens:
             raise ParseError("event line has no messages", lineno)
-        events.append(TraceEvent(tuple(_parse_token(t, table, lineno) for t in tokens)))
+        for token in tokens:
+            head, sep, rest = token.partition(";")
+            if not sep:
+                mid = heads.get(token)
+                if mid is None:
+                    if token.isdigit():
+                        mid = indices.get(token)
+                        if mid is None:
+                            mid = indices[token] = intern(_parse_index(token, table, lineno))
+                    else:
+                        mid = heads[token] = intern(_parse_triple(token, lineno))
+                ids.append(mid)
+                attrs.append(None)
+                continue
+            mid = heads.get(head)
+            if mid is None:
+                mid = heads[head] = intern(_parse_triple(head, lineno))
+            ids.append(mid)
+            attrs.append(_parse_attrs(rest.split(";"), lineno, checked))
+        event_of.extend([events] * len(tokens))
+        events += 1
     if not events:
         raise ParseError("trace has no events")
-    return Trace(tuple(events))
-
-
-def _serialize_message(msg: Message, table: MessageTable | None) -> str:
-    if table is not None and msg in table and not msg.attrs:
-        return str(table.index_of(msg))
-    text = msg.label()
-    for key, value in sorted(msg.attrs.items()):
-        text += ";%s=%s" % (key, value)
-    return text
+    return Trace(tuple(alphabet), tuple(event_of), tuple(ids), tuple(attrs))
 
 
 def serialize_trace(trace: Trace, table: MessageTable | None = None) -> str:
-    lines = []
-    for event in trace.events:
-        lines.append(" ".join(_serialize_message(m, table) for m in event))
+    """Trace text, one line per event.  An instance without attributes
+    is written as its table index when the table has its message."""
+    labels = [m.label() for m in trace.alphabet]
+    bare = [
+        str(table.index_of(m)) if table is not None and m in table else label
+        for m, label in zip(trace.alphabet, labels)
+    ]
+    lines: list[str] = []
+    tokens: list[str] = []
+    current = 0
+    for e_idx, mid, attrs in zip(trace.event_of, trace.ids, trace.attrs):
+        if e_idx != current:
+            lines.append(" ".join(tokens))
+            tokens, current = [], e_idx
+        if attrs:
+            tokens.append(labels[mid] + "".join(";%s=%s" % kv for kv in sorted(attrs.items())))
+        else:
+            tokens.append(bare[mid])
+    if tokens:
+        lines.append(" ".join(tokens))
     return "\n".join(lines) + "\n"
 
 
 def unique_messages(traces: Iterable[Trace]) -> list[Message]:
     """Distinct triples across traces, in first-appearance order."""
-    seen: dict[Message, Message] = {}
+    seen: dict[Message, None] = {}
     for trace in traces:
-        for event in trace.events:
-            for m in event:
-                if m not in seen:
-                    seen[m] = m.plain()
-    return list(seen.values())
+        for mid in dict.fromkeys(trace.ids):
+            seen.setdefault(trace.alphabet[mid])
+    return list(seen)

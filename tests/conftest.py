@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from flowmine import parse_flowspec, parse_message_table, parse_trace
+from flowmine import GenConfig, generate, parse_flowspec, parse_message_table, parse_trace
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,3 +40,9 @@ def hits_trace(table):
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA
+
+
+@pytest.fixture(scope="session")
+def long_tagged_trace(flowspec):
+    """About 10^4 pid-tagged messages, as the sliced benchmark mines."""
+    return generate(flowspec, GenConfig(instances=1650, seed=1001, simul_prob=0.2, tag="pid"))

@@ -170,16 +170,32 @@ def unshared_extract_pool(problem, sz: int, order: str = "ascending-support") ->
     return sorted(pool.values(), key=lambda s: s.rank_key())
 
 
-def naive_slices(trace: Trace, attribute: str) -> list[Trace]:
-    """Per value of the attribute, the sub-trace of the messages that
-    carry it, in event order; each message without it is a slice of
-    its own."""
+def naive_slices(trace: Trace, attribute: str, missing: str = "isolate", block: int | None = None) -> list[Trace]:
+    """Per value of the attribute (per block of values when block is
+    set), the sub-trace of the messages that carry it, in event order;
+    each message without it is a slice of its own, or is left out
+    when missing is "drop"."""
     keyed: dict = {}
     for e_idx, event in enumerate(trace.events):
         for m in event:
-            key = ("key", m.attrs[attribute]) if attribute in m.attrs else ("solo", len(keyed))
+            if attribute in m.attrs:
+                value = m.attrs[attribute]
+                key = ("key", value if block is None else value // block)
+            elif missing == "drop":
+                continue
+            else:
+                key = ("solo", len(keyed))
             keyed.setdefault(key, {}).setdefault(e_idx, []).append(m)
     return [trace_of(*events.values()) for events in keyed.values()]
+
+
+def naive_positions(trace: Trace, ordinal) -> dict:
+    """(event index, flattened position) of every instance, keyed by
+    ordinal(message)."""
+    positions: dict = {}
+    for e_idx, pos, m in trace.flattened():
+        positions.setdefault(ordinal(m), []).append((e_idx, pos))
+    return positions
 
 
 def reference_parse_token(token: str, lineno: int) -> Message:
@@ -212,6 +228,70 @@ def reference_parse_token(token: str, lineno: int) -> Message:
         else:
             attrs[key] = value
     return Message(msg.src, msg.dest, msg.cmd, attrs) if attrs else msg
+
+
+def reference_parse_trace(text: str, table=None) -> list[list[Message]]:
+    """Trace text as events of Message objects, one token at a time:
+    index tokens through the table, the rest through
+    reference_parse_token, with the line added to a bad attribute
+    name's error."""
+    from flowmine import ParseError
+
+    events = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = [t for t in re.split(r"[\s{},]+", line) if t]
+        if not tokens:
+            raise ParseError("event line has no messages", lineno)
+        event = []
+        for token in tokens:
+            try:
+                if token.isdigit() and table is not None:
+                    event.append(table.message_at(int(token)))
+                else:
+                    event.append(reference_parse_token(token, lineno))
+            except ParseError:
+                raise
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+        events.append(event)
+    if not events:
+        raise ParseError("trace has no events")
+    return events
+
+
+def reference_greedy(fsa, trace: Trace, newest: bool, table=None) -> tuple[int, list]:
+    """(accepted, rejected (event index, message) pairs) of the
+    oldest- or newest-first replay, by a scan over every active
+    instance in spawn order for each message."""
+    active: list = []  # (spawn order, state), oldest first
+    seq = 0
+    accepted = 0
+    rejected = []
+    for e_idx, event in enumerate(trace.events):
+        key = table.index_of if table is not None else Message.triple
+        for m in sorted(event, key=key):
+            opened = fsa.step(fsa.initial, m)
+            if opened is not None:
+                accepted += 1
+                if opened != fsa.initial:
+                    active.append((seq, opened))
+                    seq += 1
+                continue
+            slots = [i for i, (_, st) in enumerate(active) if fsa.step(st, m) is not None]
+            if not slots:
+                rejected.append((e_idx, m))
+                continue
+            i = slots[-1] if newest else slots[0]
+            nxt = fsa.step(active[i][1], m)
+            accepted += 1
+            if nxt == fsa.initial:
+                active.pop(i)
+            else:
+                active[i] = (active[i][0], nxt)
+    return accepted, rejected
 
 
 def instance_pair_counts(instances, edges) -> Counter:

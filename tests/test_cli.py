@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import flowmine
-from flowmine import fsa_from_json, fsa_to_json, ground_truth_fsa, parse_trace
+from flowmine import Message, fsa_from_json, fsa_to_json, ground_truth_fsa, parse_trace, serialize_trace
 from flowmine.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 
 from helpers import check_dot, check_smtlib
@@ -95,6 +95,9 @@ def test_mine_auto_window(paths, tmp_path, capsys):
     assert summary["best_size"] == 7
     assert summary["states"] == 5
     assert summary["messages"] == 12
+    assert set(summary["stage_s"]) == {"parse", "search", "write"}
+    assert all(seconds >= 0 for seconds in summary["stage_s"].values())
+    assert summary["stage_s"]["search"] == summary["wall_time_s"]
 
 
 def test_mine_window_off(paths, tmp_path, capsys):
@@ -207,6 +210,23 @@ def test_eval_reports_json(paths, model_file, capsys):
     assert obj["strategy"] == "oldest-first"
     assert obj["fallback"] is None
     assert obj["rejected_positions"] == []
+
+
+def test_eval_builds_no_message_per_instance(
+    paths, model_file, long_tagged_trace, table, tmp_path, capsys, monkeypatch
+):
+    trace_file = tmp_path / "long.trace"
+    trace_file.write_text(serialize_trace(long_tagged_trace, table))
+    transitions = len(fsa_from_json(Path(model_file).read_text()).transitions)
+    built = []
+    real = Message.__post_init__
+    monkeypatch.setattr(Message, "__post_init__", lambda self: built.append(self) or real(self))
+    argv = ["eval", "--model", model_file, "--trace", str(trace_file), "--table", paths["table"]]
+    assert main(argv) == EXIT_OK
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["total"] == long_tagged_trace.msg_count > 9_000
+    # the model's transitions, the table's entries, one per distinct triple
+    assert len(built) <= transitions + len(table) + len(long_tagged_trace.alphabet) + 2
 
 
 def test_eval_names_the_budget_fallback(paths, model_file, capsys):

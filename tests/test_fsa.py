@@ -1,13 +1,14 @@
 import logging
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowmine import (
     FSA,
     START,
     GenConfig,
     Message,
+    MessageTable,
     acceptance_ratio,
     build_constraints,
     derive_fsa,
@@ -20,9 +21,10 @@ from flowmine import (
     to_dot,
     trace_of,
 )
+import flowmine.fsa
 from flowmine.extract import annotated_graph
 
-from helpers import check_dot, recursion_headroom
+from helpers import check_dot, recursion_headroom, reference_greedy
 
 
 def loop_fsa(*msgs: Message) -> FSA:
@@ -210,6 +212,99 @@ def test_trace_deeper_than_the_recursion_limit_falls_back(flowspec, table, caplo
         "exhaustive evaluation of %d messages hit the recursion limit (%d); using oldest-first"
         % (trace.msg_count, limit)
     ]
+
+
+def test_exhaustive_search_starts_only_when_it_can_fit(flowspec, table, monkeypatch, caplog):
+    # A successful search nests one call per message, plus one for the
+    # end of the trace.  Under a lowered limit, find the longest trace
+    # that still gets the exhaustive result.  With a budget of 0, any
+    # node visited reports the budget, so the warnings show whether
+    # the search was started.
+    fsa = ground_truth_fsa(flowspec)
+    flow = [table.message_at(1), table.message_at(2)]  # one cpu0 read, hit
+
+    def run(n, **kw):
+        trace = trace_of(*[[flow[i % 2]] for i in range(n)])
+        caplog.clear()
+        with recursion_headroom(60), caplog.at_level(logging.WARNING, logger="flowmine.fsa"):
+            report = acceptance_ratio(fsa, trace, strategy="exhaustive", table=table, **kw)
+        return report, [r.getMessage() for r in caplog.records]
+
+    longest = 1
+    while run(longest + 1)[0].fallback is None:
+        longest += 1
+    assert 40 < longest < 60
+    fits, warnings = run(longest)
+    assert (fits.fallback, fits.accepted, fits.total, warnings) == (None, longest, longest, [])
+    _, warnings = run(longest, budget=0)
+    assert ["budget" in w for w in warnings] == [True]  # started
+    deeper, warnings = run(longest + 1, budget=0)
+    assert (deeper.strategy, deeper.fallback) == ("exhaustive", "oldest-first")
+    assert ["recursion limit" in w for w in warnings] == [True]  # not started
+    # and it could not have succeeded: searched anyway, it overflows
+    monkeypatch.setattr(flowmine.fsa, "_fits", lambda calls: True)
+    searched, warnings = run(longest + 1)
+    assert searched.fallback == "oldest-first"
+    assert ["recursion limit" in w for w in warnings] == [True]
+
+
+@st.composite
+def replays(draw):
+    """A random deterministic FSA and a trace to replay on it.  Two
+    messages open instances from q0; two others only advance them,
+    from random states, so several active instances in several states
+    often compete for one message.  A fifth message is unknown to the
+    FSA.  Some instances carry attributes."""
+    msgs = [Message(s, d, "x") for s, d in ("ab", "bc", "ca", "bb", "cc")]
+    states = tuple("q%d" % i for i in range(draw(st.integers(2, 4))))
+    transitions = {(states[0], m): draw(st.sampled_from(states)) for m in msgs[:2]}
+    for state in states[1:]:
+        for m in msgs[2:4]:
+            target = draw(st.none() | st.sampled_from(states))
+            if target is not None:
+                transitions[(state, m)] = target
+    fsa = FSA(states=states, transitions=transitions, initial=states[0])
+    instance = st.builds(
+        lambda m, pid: m if pid is None else m.with_attrs(pid=pid),
+        st.sampled_from(msgs),
+        st.none() | st.integers(0, 3),
+    )
+    events = draw(st.lists(st.lists(instance, min_size=1, max_size=3), min_size=1, max_size=30))
+    table = MessageTable(draw(st.permutations(msgs))) if draw(st.booleans()) else None
+    return fsa, trace_of(*events), table
+
+
+def competing_replay(*names):
+    """Two openers (o1 to A, o2 to C); m moves A to B, k moves B to D;
+    n1 closes A or C, n2 closes B or C, and p closes C only.  Which
+    instance an earlier message moved decides whether p is accepted."""
+    msg = {name: Message(name, "x", "y") for name in ("o1", "o2", "m", "k", "n1", "n2", "p")}
+    fsa = FSA(
+        states=(START, "A", "B", "C", "D"),
+        transitions={
+            (START, msg["o1"]): "A", (START, msg["o2"]): "C",
+            ("A", msg["m"]): "B", ("B", msg["k"]): "D",
+            ("A", msg["n1"]): START, ("C", msg["n1"]): START,
+            ("B", msg["n2"]): START, ("C", msg["n2"]): START,
+            ("C", msg["p"]): START,
+        },
+    )
+    return fsa, trace_of(*[[msg[n]] for n in names]), None
+
+
+@settings(deadline=None, max_examples=300)
+@given(replays())
+# oldest-first moves the oldest of two instances in A
+@example(competing_replay("o1", "o2", "o1", "m", "n1", "p"))
+# newest-first moves the newer of two instances that reached B out of spawn order
+@example(competing_replay("o1", "o2", "o1", "m", "m", "k", "n2", "p"))
+def test_greedy_queues_match_the_list_scan(replay):
+    fsa, trace, table = replay
+    for strategy, newest in (("oldest-first", False), ("newest-first", True)):
+        report = acceptance_ratio(fsa, trace, strategy=strategy, table=table)
+        accepted, rejected = reference_greedy(fsa, trace, newest, table)
+        assert (report.accepted, report.total) == (accepted, trace.msg_count)
+        assert [(e, m.triple()) for e, m in report.rejected] == [(e, m.triple()) for e, m in rejected]
 
 
 @st.composite

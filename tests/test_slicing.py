@@ -3,9 +3,20 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowmine import Message, SlicePolicy, address_block, parse_policy, slice_trace, trace_of
+from flowmine import (
+    Message,
+    SlicePolicy,
+    address_block,
+    build_graph,
+    parse_policy,
+    slice_trace,
+    trace_of,
+    unique_messages,
+)
 from flowmine.extract import annotated_graph
-from flowmine.slicing import labeled_slices, sliced_support_deltas
+from flowmine.slicing import labeled_slices, slice_positions, sliced_support_deltas
+
+from helpers import naive_positions, naive_slices
 
 
 def tagged(src, dest, cmd, **attrs):
@@ -170,3 +181,31 @@ def test_sliced_edge_support_never_exceeds_unbounded_unsliced(trace, window):
     )
     for e, s in sliced_edges.items():
         assert s <= unbounded.edges[e]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.lists(
+            st.builds(
+                Message,
+                st.sampled_from(["a", "b", "c"]),
+                st.sampled_from(["a", "b", "c"]),
+                st.sampled_from(["x", "y"]),
+                st.just({}) | st.fixed_dictionaries({"pid": st.integers(0, 200)}),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=10,
+    ).map(lambda evs: trace_of(*evs)),
+    st.sampled_from(["isolate", "drop"]),
+    st.none() | st.sampled_from([1, 64]),
+)
+def test_slice_positions_match_naive_slices(trace, missing, block):
+    graph = build_graph(unique_messages([trace]), set(), set())
+    policy = SlicePolicy("pid", block=block, missing=missing)
+    got = list(slice_positions(graph, trace, policy))
+    want = [naive_positions(part, graph.ordinal) for part in naive_slices(trace, "pid", missing, block)]
+    assert got == want

@@ -14,7 +14,7 @@ from flowmine import (
     unique_messages,
 )
 
-from helpers import reference_parse_token
+from helpers import reference_parse_token, reference_parse_trace
 
 ATOMS = st.text(alphabet="abcdefgh0123", min_size=1, max_size=4)
 MESSAGES = st.builds(Message, ATOMS, ATOMS, ATOMS)
@@ -82,6 +82,13 @@ def test_parse_table_rejects_gaps_and_duplicates():
         parse_message_table("")
 
 
+def test_duplicate_message_names_the_first_duplicate_line():
+    text = "1 (a:b:x)\n2 (c:d:y)\n# comment\n3 (c:d:y)\n4 (a:b:x)\n"
+    with pytest.raises(ParseError) as err:
+        parse_message_table(text)
+    assert (str(err.value), err.value.line) == ("line 4: duplicate message c:d:y", 4)
+
+
 def test_parse_trace_braces_and_comments(table):
     t = parse_trace("# header\n{1,3}\n\n5\n", table)
     assert len(t) == 2
@@ -145,11 +152,73 @@ def test_token_parsing_matches_reference(tokens):
     assert [(m.triple(), dict(m.attrs)) for m in got] == [(m.triple(), dict(m.attrs)) for m in want]
 
 
+SMALL_TABLE = parse_message_table("1 (a:b:c)\n2 (b:c:a)\n3 (c:a:b)\n")
+TRIPLES = st.builds(lambda *p: ":".join(p), *[st.sampled_from(["a", "b", "c"])] * 3)
+GOOD_PAIRS = st.builds(
+    lambda k, v: k + "=" + v, st.sampled_from(["pid", "addr", "x"]), st.sampled_from(["1", "-2", "0x1f", "ab", "007"])
+)
+TRACE_TOKENS = st.one_of(
+    st.sampled_from(["1", "2", "3", "0", "4", "\u00b2"]),  # indices, in and out of the table
+    TRIPLES,
+    st.builds(lambda head, pairs: ";".join([head, *pairs]), TRIPLES, st.lists(GOOD_PAIRS, min_size=1, max_size=3)),
+    TOKENS,
+)
+EVENT_LINES = st.builds(
+    lambda tokens, sep, braced: ("{%s}" if braced else "%s") % sep.join(tokens),
+    st.lists(TRACE_TOKENS, max_size=3),
+    st.sampled_from([" ", ",", " , ", "\t"]),
+    st.booleans(),
+)
+TRACE_TEXTS = st.lists(EVENT_LINES | st.sampled_from(["", "  ", "# a:b:c", "#1"]), min_size=1, max_size=8).map(
+    lambda lines: "\n".join(lines) + "\n"
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(TRACE_TEXTS, st.booleans())
+@example("1 a:b:c;pid=1\nb:c:a 2\n", True)  # index and inline name the same message
+@example("b:c:a;pid=1 a:b:c 1\n", False)
+@example("{}\n", False)
+@example("# only\n", True)
+def test_columnar_parse_matches_reference(text, with_table):
+    table = SMALL_TABLE if with_table else None
+    try:
+        want = reference_parse_trace(text, table)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_trace(text, table)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return
+    got = parse_trace(text, table)
+    assert [[(m.triple(), dict(m.attrs)) for m in e] for e in got.events] == [
+        [(m.triple(), dict(m.attrs)) for m in e] for e in want
+    ]
+    flat = [m for event in want for m in event]
+    alphabet = list(table.messages) if table is not None else []
+    for m in flat:
+        if m not in alphabet:
+            alphabet.append(m.plain())
+    assert got.alphabet == tuple(alphabet)  # table order, then first appearance
+    assert got.ids == tuple(alphabet.index(m) for m in flat)
+    assert got.event_of == tuple(e for e, event in enumerate(want) for _ in event)
+    assert got.attrs == tuple(dict(m.attrs) or None for m in flat)
+
+
+def test_parse_builds_no_message_per_instance(long_tagged_trace, table, monkeypatch):
+    text = serialize_trace(long_tagged_trace, table)
+    built = []
+    real = Message.__post_init__
+    monkeypatch.setattr(Message, "__post_init__", lambda self: built.append(self) or real(self))
+    trace = parse_trace(text, table)
+    assert trace.msg_count > 9_000
+    assert len(built) <= len(unique_messages([trace])) + 2
+
+
 def test_attributed_token_is_checked_once(monkeypatch):
     checked = []
     real = flowmine.trace._check_atom
     monkeypatch.setattr(flowmine.trace, "_check_atom", lambda text, what: checked.append(what) or real(text, what))
-    parse_trace("cpu0:cache:rd_req;addr=0x40;pid=7\n")
+    parse_trace("cpu0:cache:rd_req;addr=0x40;pid=7\ncpu0:cache:rd_req;pid=8 cpu0:cache:rd_req;addr=0\n")
     assert checked == ["source", "destination", "command", "attribute name", "attribute name"]
 
 
