@@ -2,8 +2,8 @@
 
 The pipeline: parse traces of (source, destination, command)
 messages, build a causality graph annotated with occurrence and
-pairing supports, solve integer consistency constraints over the
-edges, shrink solutions to small models, and score the resulting
+pairing supports, find the smallest models that satisfy integer
+consistency constraints over the edges, and score the resulting
 state machines against traces by acceptance ratio.  A synthetic
 generator produces interleaved traces from known flow descriptions
 so results can be checked against ground truth.
@@ -78,5 +78,6 @@ from .trace import (
     trace_of,
     unique_messages,
 )
+from .transport import SearchStats, Shortfall, minimum_models, shortfall
 
 __version__ = "0.1.0"

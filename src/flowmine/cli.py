@@ -23,7 +23,6 @@ from .extract import (
     ExtractConfig,
     ExtractResult,
     NoFeasibleWindowError,
-    REDUCTION_ORDERS,
     annotated_graph,
     auto_window,
     model_extract,
@@ -40,6 +39,7 @@ from .trace import (
     parse_trace,
     serialize_trace,
 )
+from .transport import Shortfall, shortfall
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -132,14 +132,6 @@ def cmd_slice(args) -> int:
     return EXIT_OK
 
 
-def _extract_cfg(args) -> ExtractConfig:
-    return ExtractConfig(
-        sz=args.sz,
-        top=args.top,
-        reduction_order=args.order,
-    )
-
-
 def _report_rows(result: ExtractResult) -> list[dict]:
     rows = []
     for rank, sol in enumerate(result.top, start=1):
@@ -151,12 +143,28 @@ def _report_rows(result: ExtractResult) -> list[dict]:
     return rows
 
 
+def _infeasible(args, traces: list[Trace], reason: str, why: Shortfall) -> int:
+    """Report an infeasible mine, and its witness, on stderr and in summary.json."""
+    print("infeasible: %s; %s" % (reason, why.describe()), file=sys.stderr)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary = {
+        "traces": args.trace,
+        "messages": sum(t.msg_count for t in traces),
+        "slice": args.slice,
+        "infeasible": why.to_json(),
+        "reason": reason,
+    }
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return EXIT_INFEASIBLE
+
+
 def cmd_mine(args) -> int:
     parsing = time.perf_counter()
     table = _load_table(args.table)
     traces = _load_traces(args.trace, table)
     policy = parse_policy(args.slice) if args.slice else None
-    cfg = _extract_cfg(args)
+    cfg = ExtractConfig(top=args.top)
     mode, fixed = _parse_window(args.window)
     started = time.perf_counter()
     if mode == "auto":
@@ -165,16 +173,15 @@ def cmd_mine(args) -> int:
                 traces, cfg, max_w=args.max_window, slice_policy=policy, table=table
             )
         except NoFeasibleWindowError as exc:
-            print("infeasible: %s" % exc, file=sys.stderr)
-            return EXIT_INFEASIBLE
+            return _infeasible(args, traces, str(exc), exc.shortfall)
         window_desc = {"mode": "auto", "value": found}
     else:
         width = fixed if mode == "fixed" else None
         graph = annotated_graph(traces, window=width, slice_policy=policy, table=table)
-        result = model_extract(build_constraints(graph), cfg)
+        problem = build_constraints(graph)
+        result = model_extract(problem, cfg)
         if result is None:
-            print("infeasible: the consistency constraints admit no solution", file=sys.stderr)
-            return EXIT_INFEASIBLE
+            return _infeasible(args, traces, "the consistency constraints admit no solution", shortfall(problem))
         window_desc = {"mode": mode, "value": width}
     searched = time.perf_counter()
     elapsed = searched - started
@@ -199,6 +206,8 @@ def cmd_mine(args) -> int:
         "solves": result.solves,
         "slice": args.slice,
         "candidates": len(result.pool),
+        "search": result.search.to_json(),
+        "infeasible": None,
         "best_size": result.best.size,
         "states": len(fsa.states),
         "wall_time_s": round(elapsed, 6),
@@ -208,9 +217,10 @@ def cmd_mine(args) -> int:
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     shown = "off" if window_desc["value"] is None else window_desc["value"]
+    fallback = "" if result.search.fallback is None else " (fallback: %s)" % result.search.fallback
     print(
-        "model size %d (%d states), window %s, %d candidates, %.3fs -> %s"
-        % (result.best.size, len(fsa.states), shown, len(result.pool), elapsed, out_dir)
+        "model size %d (%d states), window %s, %d minima%s, %.3fs -> %s"
+        % (result.best.size, len(fsa.states), shown, len(result.pool), fallback, elapsed, out_dir)
     )
     return EXIT_OK
 
@@ -295,9 +305,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--window", default="auto", help="auto, off, or a length")
     p.add_argument("--max-window", type=int, default=12, help="auto search bound")
     p.add_argument("--slice", help="attribute slicing policy")
-    p.add_argument("--sz", type=int, default=200, help="solutions enumerated before reduction")
-    p.add_argument("--top", type=int, default=20, help="models kept in the report")
-    p.add_argument("--order", default="ascending-support", choices=REDUCTION_ORDERS)
+    p.add_argument("--top", type=int, default=20, help="smallest models kept in the report")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub("eval", cmd_eval, "score a model against a trace")
@@ -337,9 +345,6 @@ def main(argv: list[str] | None = None) -> int:
             by_name[args.command].set_defaults(**defaults)
             args = parser.parse_args(argv)
         return args.func(args)
-    except NoFeasibleWindowError as exc:
-        print("infeasible: %s" % exc, file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

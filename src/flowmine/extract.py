@@ -1,35 +1,32 @@
-"""Search for small models that explain an annotated graph.
+"""Search for the smallest models that explain an annotated graph.
 
-A solution of the consistency problem is already a model candidate:
-its non-zero edges say which triggering actually happened.  Smaller
-candidates generalize better, so each enumerated solution is walked
-downhill: repeatedly pin one of its non-zero edges to zero and
-re-solve, until no single pin keeps the problem feasible.  The walk
-follows one path (no backtracking over pin choices); if it strands
-on a larger solution than it started from, the starting solution is
-kept instead.  Walks from different seeds soon pin the same edge
-sets, and a re-solve depends only on the set pinned, so the walks of
-one extraction share their solves.  Candidates are ranked by size,
-then by their sorted non-zero edge list, then by values, which makes
-the choice of best model deterministic and independent of the order
-in which seeds are walked.
+A solution of the consistency problem is a model candidate: the
+edges it uses say which triggering actually happened.  Smaller
+candidates generalize better, so model_extract asks the solver for
+every smallest support (transport.minimum_models: max-flow feasibility
+and an exact branch and bound) and ranks them by Solution.rank_key:
+size, then the largest total edge support, then the sorted edge
+numbers.  The counts of each model are the flow that found it.
 
-Annotation likewise avoids repeated work: everything about a trace
-set that does not depend on the window length (entry/exit detection,
-graph structure, node supports, instance positions) is prepared once,
-and only the pair matching is redone per window length.
+Annotation avoids repeated work: everything about a trace set that
+does not depend on the window length (entry/exit detection, graph
+structure, node supports, instance positions) is prepared once, and
+only the pair matching is redone per window length.  A window probe
+is one max flow.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-# annotate, annotate_sliced, detect_initials and detect_terminals are
-# not called here; they stay importable from this module because
-# perfbench/tracing.py wraps them under these names.
+# annotate, annotate_sliced, detect_initials, detect_terminals,
+# enumerate_solutions, solve and reduce_model are not called here;
+# they stay importable from this module because perfbench/tracing.py
+# wraps them under these names.
 from .causality import (  # noqa: F401
     CausalityGraph,
     EdgeInstances,
@@ -39,13 +36,22 @@ from .causality import (  # noqa: F401
     detect_initials,
     detect_terminals,
     edge_supports,
-    instance_positions,
+    node_numbers,
     pair_instances,
+    positions_of,
 )
 from .slicing import SlicePolicy, annotate_sliced, slice_positions  # noqa: F401
-from .solver import ConstraintProblem, Solution, build_constraints, enumerate_solutions, pin_zero, solve
+from .solver import (  # noqa: F401
+    ConstraintProblem,
+    Solution,
+    build_constraints,
+    enumerate_solutions,
+    pin_zero,
+    solve,
+)
 from .solver import log as solver_log
 from .trace import MessageTable, Trace, unique_messages
+from .transport import SearchStats, Shortfall, minimum_models, shortfall
 
 log = logging.getLogger(__name__)
 
@@ -53,29 +59,32 @@ REDUCTION_ORDERS = ("ascending-support", "descending-support", "index")
 
 
 class NoFeasibleWindowError(RuntimeError):
-    """No window length up to the configured bound admits a solution."""
+    """No window length up to the configured bound admits a solution.
+
+    shortfall says why the largest length tried has none."""
+
+    def __init__(self, message: str, shortfall: Shortfall):
+        super().__init__(message)
+        self.shortfall = shortfall
 
 
 @dataclass(frozen=True)
 class ExtractConfig:
-    sz: int = 200  # solutions enumerated before reduction
     top: int = 20  # models reported
-    reduction_order: str = "ascending-support"
 
     def __post_init__(self):
-        if self.reduction_order not in REDUCTION_ORDERS:
-            raise ValueError("unknown reduction order %r" % (self.reduction_order,))
-        if self.sz < 1 or self.top < 1:
-            raise ValueError("sz and top must be positive")
+        if self.top < 1:
+            raise ValueError("top must be positive")
 
 
 @dataclass(frozen=True)
 class ExtractResult:
     best: Solution
     top: tuple[Solution, ...]
-    pool: tuple[Solution, ...]  # all distinct reduced candidates, ranked
-    windows_tried: int = 1  # window lengths annotated and solved to reach this result
-    solves: int = 0  # solve calls run: one per window probe, one per distinct pinned edge set
+    pool: tuple[Solution, ...]  # every smallest model found, ranked
+    search: SearchStats
+    windows_tried: int = 1  # window lengths annotated and tested to reach this result
+    solves: int = 0  # max flows run: one per window probe, and the search's
 
 
 def _pin_order(sol: Solution, order: str) -> list[int]:
@@ -87,36 +96,23 @@ def _pin_order(sol: Solution, order: str) -> list[int]:
     return candidates
 
 
-def reduce_model(
-    problem: ConstraintProblem,
-    sol: Solution,
-    order: str = "ascending-support",
-    solved: dict[frozenset[int], Solution | None] | None = None,
-) -> Solution:
-    """Walk one pin-to-zero path down from sol.
+def reduce_model(problem: ConstraintProblem, sol: Solution, order: str = "ascending-support") -> Solution:
+    """Walk one pin-to-zero path down from sol: a local minimum.
 
-    Each step pins the first non-zero edge (in the configured order)
-    whose pin leaves the problem feasible, then continues from the
-    new solution with the pin kept.  The walk ends when every single
-    pin is infeasible.  Solutions along the way may grow (pins can
-    force flow onto more edges); the result is never larger than the
-    input, falling back to the input when the walk strands high.
-
-    solved maps pinned edge sets of this problem to their solve
-    results.  solve is deterministic, so walks that pass the
-    same dict share their re-solves without changing their paths.
+    Each step pins the first non-zero edge (in the given order) whose
+    pin leaves the problem feasible, then continues from the new
+    solution with the pin kept.  The walk ends when every single pin
+    is infeasible.  Solutions along the way may grow (pins can force
+    flow onto more edges); the result is never larger than the input,
+    falling back to the input when the walk strands high.  mine does
+    not call it: model_extract finds the global minima.
     """
     if order not in REDUCTION_ORDERS:
         raise ValueError("unknown reduction order %r" % (order,))
-    if solved is None:
-        solved = {}
     current_p, current_s = problem, sol
     while True:
         for i in _pin_order(current_s, order):
-            pins = current_p.pinned | {i}
-            if pins not in solved:
-                solved[pins] = solve(pin_zero(current_p, current_p.edges[i]))
-            nxt = solved[pins]
+            nxt = solve(pin_zero(current_p, current_p.edges[i]))
             if nxt is not None:
                 current_p, current_s = nxt.problem, nxt
                 break
@@ -129,17 +125,14 @@ def reduce_model(
 
 
 def model_extract(problem: ConstraintProblem, cfg: ExtractConfig = ExtractConfig()) -> ExtractResult | None:
-    """Enumerate, reduce, rank.  None when the problem is infeasible."""
-    seeds = enumerate_solutions(problem, cfg.sz)
-    if not seeds:
+    """Every smallest model, ranked.  None when the problem is infeasible."""
+    found = minimum_models(problem)
+    if found is None:
         return None
-    solved: dict[frozenset[int], Solution | None] = {}
-    distinct: dict[tuple[int, ...], Solution] = {}
-    for s in seeds:
-        reduced = reduce_model(problem, s, cfg.reduction_order, solved)
-        distinct.setdefault(reduced.values, reduced)
-    ranked = sorted(distinct.values(), key=Solution.rank_key)
-    return ExtractResult(best=ranked[0], top=tuple(ranked[: cfg.top]), pool=tuple(ranked), solves=len(solved))
+    ranked, stats = found
+    return ExtractResult(
+        best=ranked[0], top=tuple(ranked[: cfg.top]), pool=tuple(ranked), search=stats, solves=stats.flows
+    )
 
 
 @dataclass(frozen=True)
@@ -169,18 +162,19 @@ def prepare_annotation(
     Entry/exit detection and node supports always come from the full,
     unsliced traces; the slicing policy shapes only the pair matching.
     Everything per instance works on message ids: each trace's ids
-    map to graph nodes through one list of its alphabet's length.
+    map to graph nodes through one list of its alphabet's length, and
+    a node's support is the count of its ids.
     """
     initials, terminals = detect_entries_exits(traces)
     graph = build_graph(unique_messages(traces), initials, terminals, table)
     at = graph.messages_by_ordinal()
     units = []
     for t in traces:
-        positions = instance_positions(graph, t)
-        for node, ps in positions.items():
-            graph.nodes[at[node]].support += len(ps)
+        numbers = node_numbers(graph, t)
+        for i, n in Counter(t.ids).items():
+            graph.nodes[at[numbers[i]]].support += n
         if slice_policy is None:
-            units.append(positions)
+            units.append(positions_of(t, numbers, range(t.msg_count)))
         else:
             units.extend(slice_positions(graph, t, slice_policy))
     return PreparedAnnotation(graph, pair_instances(graph, units))
@@ -239,43 +233,43 @@ def auto_window(
     constraints from above, feasibility is monotone in w.  So the
     search gallops over w = 0, 1, 3, 7, ... (capped at max_w) until a
     length is feasible, then bisects the last gap, testing each probe
-    with a single solve.  The trace set is prepared once, so a probe
+    with one max flow.  The trace set is prepared once, so a probe
     only matches pairs.  Models are extracted once, at the length
     found, and (w, graph, extraction) is returned; the extraction's
     windows_tried counts the probes and its solves include them.
     Each construction warning is logged once per search, not once per
-    probe.  Raises NoFeasibleWindowError when no length up to max_w
-    works, and ValueError when max_w is negative.
+    probe.  Raises NoFeasibleWindowError, carrying the max_w probe's
+    shortfall, when no length up to max_w works, and ValueError when
+    max_w is negative.
     """
     if max_w < 0:
         raise ValueError("the maximum window length must be non-negative, got %d" % max_w)
     tried: list[int] = []
     prepared = prepare_annotation(traces, slice_policy, table)
 
-    def probe(w: int) -> tuple[CausalityGraph, ConstraintProblem] | None:
+    def probe(w: int) -> tuple[CausalityGraph, ConstraintProblem, Shortfall | None]:
         tried.append(w)
         graph = prepared.at(w)
         problem = build_constraints(graph)
-        return None if solve(problem) is None else (graph, problem)
+        return graph, problem, shortfall(problem)
 
     with _once_per_run(solver_log):
         low = -1  # largest length known infeasible
         for high in _gallop(max_w):
-            hit = probe(high)
-            if hit is not None:
+            graph, problem, short = probe(high)
+            if short is None:
                 break
             low = high
         else:
             raise NoFeasibleWindowError(
-                "no window length up to %d admits a solution (%d windows tried)" % (max_w, len(tried))
+                "no window length up to %d admits a solution (%d windows tried)" % (max_w, len(tried)), short
             )
         while high - low > 1:
             mid = (low + high) // 2
             nearer = probe(mid)
-            if nearer is None:
-                low = mid
+            if nearer[2] is None:
+                high, (graph, problem, _) = mid, nearer
             else:
-                high, hit = mid, nearer
-    graph, problem = hit
+                low = mid
     result = model_extract(problem, cfg)
     return high, graph, replace(result, windows_tried=len(tried), solves=len(tried) + result.solves)

@@ -1,5 +1,9 @@
-"""Support-consistency constraints over an annotated graph, and an
-exact integer solver for them.
+"""Support-consistency constraints over an annotated graph, and
+exact solvers for them.
+
+This module builds the problem and holds the oracle solvers; the
+search that mine runs (max-flow feasibility, infeasibility witnesses,
+smallest models) is in flowmine.transport.
 
 Model
 -----
@@ -12,21 +16,20 @@ tail instances were really triggered by head instances.
 
 A node side without any edges gets no constraint (logged, since for
 an interior node that usually means the trace set is too thin).
-Edges with support 0 stay as variables pinned to that bound; they
-matter for the shape of later reductions.
+Edges with support 0 stay as variables pinned to that bound.
 
 Infeasibility is an answer, not an error: it says the observed
 supports admit no explanation, e.g. because a window is too tight.
 
-Search
-------
-Interval domains, fixpoint propagation over the balance equations,
-then depth-first search branching on the variable with the smallest
-remaining domain (lowest edge index on ties), values tried from the
-upper end downward.  The solution stream is deterministic, and it
-is distinct by construction: each leaf fixes every variable, and
-sibling branches fix the branching variable to different values, so
-no two leaves share an assignment.
+Oracles
+-------
+solve, solutions and enumerate_solutions are an interval-propagation
+depth-first search over values, and brute_force_solutions checks
+every point of the bound box.  They accept any balances, and tests
+check the transport search against them.  The interval search
+branches on the variable with the smallest remaining domain
+(lowest edge index on ties), values tried from the upper end downward,
+so its solution stream is deterministic and distinct by construction.
 """
 
 from __future__ import annotations
@@ -99,10 +102,15 @@ class Solution:
         return tuple(e for e, v in self.items() if v > 0)
 
     def rank_key(self):
-        """(size, sorted non-zero edge numbers, values): the total order
-        used to pick best models and break ties deterministically."""
-        nz = tuple(self.problem.ordinals[i] for i, v in enumerate(self.values) if v > 0)
-        return (self.size, nz, self.values)
+        """(size, minus the total upper over the support, sorted support
+        edge numbers): among equal sizes, the model with the most
+        edge evidence first, then a deterministic tie-break."""
+        support = [i for i, v in enumerate(self.values) if v > 0]
+        return (
+            len(support),
+            -sum(self.problem.uppers[i] for i in support),
+            tuple(sorted(self.problem.ordinals[i] for i in support)),
+        )
 
 
 def build_constraints(graph: CausalityGraph) -> ConstraintProblem:

@@ -114,13 +114,14 @@ def admits_single_zeroing(problem, solution) -> bool:
     return False
 
 
-def random_problem(seed: int, max_edges: int = 8, max_support: int = 4):
-    """Deterministic random consistency problem within the size caps.
+def random_problem(seed: int, max_edges: int = 8, max_support: int = 4, feasible: bool = False):
+    """Deterministic random consistency problem within the size caps,
+    and with a solution when feasible is set.
 
     Draws traces until one fits, so callers never see a rejection."""
     import random
 
-    from flowmine import build_constraints
+    from flowmine import build_constraints, solve
     from flowmine.extract import annotated_graph
 
     rng = random.Random(seed)
@@ -134,40 +135,9 @@ def random_problem(seed: int, max_edges: int = 8, max_support: int = 4):
             continue
         if any(b.total > max_support for b in problem.balances):
             continue
+        if feasible and solve(problem) is None:
+            continue
         return problem
-
-
-def unshared_extract_pool(problem, sz: int, order: str = "ascending-support") -> list:
-    """model_extract's ranked pool, with every walk re-solving each of
-    its pins from scratch: no solve is shared between or within walks.
-
-    Uses the production solver, which criterion 05 checks against
-    brute force; what this reference leaves out is the sharing.
-    """
-    from flowmine import enumerate_solutions, pin_zero, solve
-
-    seeds = enumerate_solutions(problem, sz)
-    pool: dict = {}
-    for start in seeds:
-        current_p, current = problem, start
-        while True:
-            nonzero = [i for i, v in enumerate(current.values) if v > 0]
-            if order == "ascending-support":
-                nonzero.sort(key=lambda i: (problem.uppers[i], i))
-            elif order == "descending-support":
-                nonzero.sort(key=lambda i: (-problem.uppers[i], i))
-            for i in nonzero:
-                pinned = pin_zero(current_p, current_p.edges[i])
-                nxt = solve(pinned)
-                if nxt is not None:
-                    current_p, current = pinned, nxt
-                    break
-            else:
-                break
-        if current.size > start.size:
-            current = start
-        pool.setdefault(current.values, current)
-    return sorted(pool.values(), key=lambda s: s.rank_key())
 
 
 def naive_slices(trace: Trace, attribute: str, missing: str = "isolate", block: int | None = None) -> list[Trace]:

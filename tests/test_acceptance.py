@@ -137,7 +137,7 @@ def test_criterion_10_windowing_helps(flowspec, table):
     with criterion(10, "auto-window scores at least unbounded, 0.02 slack"):
         started = time.perf_counter()
         auto_scores, unbounded_scores = [], []
-        cfg = ExtractConfig(sz=30)
+        cfg = ExtractConfig()
         for seed in range(10):
             trace = generate(
                 flowspec, GenConfig(instances=5, seed=seed, max_gap=10, simul_prob=0.2)

@@ -91,7 +91,10 @@ def test_mine_auto_window(paths, tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "auto", "value": 2}
     assert summary["windows_tried"] == 4  # w = 0, 1, 3, then 2
-    assert summary["solves"] == 11  # the 4 probes and 7 distinct pinned sets
+    assert summary["solves"] == 16  # the 4 probes, the search's root flow and 11 reroutes
+    assert summary["search"] == {"nodes": 24, "bound_prunes": 8, "minima": 1, "proved": True, "fallback": None}
+    assert summary["candidates"] == len(report) == 1  # the windowed problem has one solution
+    assert summary["infeasible"] is None
     assert summary["best_size"] == 7
     assert summary["states"] == 5
     assert summary["messages"] == 12
@@ -109,15 +112,27 @@ def test_mine_window_off(paths, tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "off", "value": None}
     assert summary["windows_tried"] == 1
-    assert summary["solves"] == 18  # pinned sets only: no window was probed
+    assert summary["solves"] == 15  # the search's max flows only: no window was probed
+    assert summary["search"] == {"nodes": 32, "bound_prunes": 12, "minima": 4, "proved": True, "fallback": None}
     assert summary["best_size"] == 4
+    # every minimum is reported, ranked, with its flow's counts
+    report = json.loads((out_dir / "report.json").read_text())
+    assert [row["rank"] for row in report] == [1, 2, 3, 4]
+    assert {row["size"] for row in report} == {4}
+    assert all(edge["count"] >= 1 for row in report for edge in row["edges"])
 
 
 def test_mine_fixed_window_infeasible(paths, tmp_path, capsys):
     argv = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"],
             "--window", "0", "--out", str(tmp_path / "x")]
     assert main(argv) == EXIT_INFEASIBLE
-    assert "infeasible" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: the consistency constraints admit no solution; the out-balances of ")
+    summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+    witness = summary["infeasible"]
+    assert set(witness) == {"out_balances", "need", "in_balances", "capacity"}
+    assert witness["need"] > witness["capacity"]
+    assert not (tmp_path / "x" / "model.json").exists()
 
 
 def test_mine_auto_bound_exhausted(paths, tmp_path, capsys):
@@ -145,6 +160,18 @@ def test_mine_takes_no_seed(paths, tmp_path, capsys):
     assert "config keys not recognized: seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--sz", "200"], ["--order", "ascending-support"]])
+def test_mine_takes_no_sz_or_order(paths, tmp_path, capsys, flag):
+    # the search finds every smallest model itself, so neither the
+    # enumeration size nor the walk order is a setting any more
+    base = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"], "--out", str(tmp_path / "x")]
+    assert main(base + flag) == EXIT_INPUT
+    cfg = tmp_path / "mine.json"
+    cfg.write_text(json.dumps({flag[0][2:]: flag[1]}))
+    assert main(base + ["--config", str(cfg)]) == EXIT_INPUT
+    assert "config keys not recognized: %s" % flag[0][2:] in capsys.readouterr().err
+
+
 def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
     # This 1,932-message trace is feasible only from w = 172 on: the
     # auto search gives up at 128 after 9 probes (0, 1, 3, ..., 127,
@@ -154,13 +181,24 @@ def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
                  "--simul", "0.2", "--seed", "11006", "--out", str(trace_file)]) == EXIT_OK
     base = ["mine", "--trace", str(trace_file), "--table", paths["table"]]
     assert main(base + ["--max-window", "128", "--out", str(tmp_path / "x")]) == EXIT_INFEASIBLE
-    assert "(9 windows tried)" in capsys.readouterr().err
+    # the witness of the w = 128 probe: one fetch request too many for
+    # the fetch responses that can follow it within the window
+    assert capsys.readouterr().err == (
+        "infeasible: no window length up to 128 admits a solution (9 windows tried); the out-balances of "
+        "cache:mem:fetch_req need 326, but their in-balance neighbours mem:cache:fetch_resp take at most 325\n"
+    )
+    summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+    assert summary["infeasible"] == {
+        "out_balances": ["cache:mem:fetch_req"], "need": 326,
+        "in_balances": ["mem:cache:fetch_resp"], "capacity": 325,
+    }
     out_dir = tmp_path / "wide"
     assert main(base + ["--max-window", "2000", "--out", str(out_dir)]) == EXIT_OK
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "auto", "value": 172}
     assert summary["windows_tried"] == 16  # 8 gallops to 127, 255, then 7 bisections
-    assert summary["solves"] == 30  # 200 walks down to one model share 14 pinned sets
+    assert summary["solves"] == 16 + 25  # the probes, then the search's root flow and 24 reroutes
+    assert summary["search"]["proved"] and summary["search"]["minima"] == summary["candidates"] == 6
     assert summary["best_size"] == 7
 
 
@@ -190,8 +228,8 @@ def test_mine_usage_errors(paths, tmp_path, capsys):
     base = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"]]
     # bad window spec
     assert main(base + ["--window", "soon", "--out", str(tmp_path)]) == EXIT_INPUT
-    # unknown reduction order is an argparse choices error
-    assert main(base + ["--order", "bogus", "--out", str(tmp_path)]) == EXIT_INPUT
+    # unknown flag
+    assert main(base + ["--order", "index", "--out", str(tmp_path)]) == EXIT_INPUT
     # missing required --out
     assert main(base) == EXIT_INPUT
     # unreadable trace file
@@ -282,7 +320,7 @@ def test_dot_command(paths, model_file, tmp_path, capsys):
 
 def test_config_file_supplies_defaults(paths, tmp_path):
     cfg = tmp_path / "mine.json"
-    cfg.write_text(json.dumps({"window": "2", "sz": 50}))
+    cfg.write_text(json.dumps({"window": "2", "top": 5}))
     out_dir = tmp_path / "mined"
     argv = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"],
             "--config", str(cfg), "--out", str(out_dir)]

@@ -1,9 +1,10 @@
 import logging
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import flowmine.extract
+import flowmine.transport
 from flowmine import (
     ExtractConfig,
     GenConfig,
@@ -20,10 +21,12 @@ from flowmine import (
     model_extract,
     pin_zero,
     reduce_model,
+    shortfall,
     solve,
     trace_of,
 )
-from flowmine.extract import REDUCTION_ORDERS, annotated_graph, prepare_annotation
+from flowmine.causality import instance_positions
+from flowmine.extract import annotated_graph, prepare_annotation
 
 from helpers import (
     admits_single_zeroing,
@@ -33,7 +36,6 @@ from helpers import (
     naive_slices,
     naive_terminals,
     random_problem,
-    unshared_extract_pool,
 )
 
 
@@ -43,9 +45,11 @@ def mixed_problem(mixed_trace, table, window=None):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExtractConfig(sz=0)
-    with pytest.raises(ValueError):
-        ExtractConfig(reduction_order="by-vibes")
+        ExtractConfig(top=0)
+    with pytest.raises(TypeError):
+        ExtractConfig(sz=200)
+    with pytest.raises(TypeError):
+        ExtractConfig(reduction_order="ascending-support")
 
 
 def test_reduction_never_grows_and_stays_feasible(mixed_trace, table):
@@ -66,30 +70,31 @@ def test_reduction_reaches_local_minimum(mixed_trace, table):
 
 def test_extract_best_is_globally_minimal(mixed_trace, table):
     p = mixed_problem(mixed_trace, table)
-    result = model_extract(p, ExtractConfig(sz=200))
+    result = model_extract(p)
     assert result.best.size == brute_minimum_size(p) == 4
-    assert result.best.size <= min(s.size for s in result.pool)
+    assert {s.size for s in result.pool} == {4}
     assert check_solution(p, result.best.values)
 
 
 def test_extract_is_deterministic_and_ranked(mixed_trace, table):
     p = mixed_problem(mixed_trace, table)
-    a = model_extract(p, ExtractConfig(sz=200))
-    b = model_extract(p, ExtractConfig(sz=200))
+    a = model_extract(p)
+    b = model_extract(p)
     assert [s.values for s in a.pool] == [s.values for s in b.pool]
     keys = [s.rank_key() for s in a.pool]
     assert keys == sorted(keys)
-    assert len({s.values for s in a.pool}) == len(a.pool)
+    assert len({s.nonzero_edges() for s in a.pool}) == len(a.pool)
+    assert a.search.proved and a.search.minima == len(a.pool)
 
 
 def test_extract_infeasible_returns_none(mixed_trace, table):
     p = mixed_problem(mixed_trace, table, window=0)
-    assert model_extract(p, ExtractConfig(sz=10)) is None
+    assert model_extract(p) is None
 
 
 def test_multi_trace_discovers_direct_reply(mixed_trace, hits_trace, table):
     p = build_constraints(annotated_graph([mixed_trace, hits_trace], table=table))
-    result = model_extract(p, ExtractConfig(sz=200))
+    result = model_extract(p)
     assert result.best.size == 5
     pairs = {
         (table.index_of(h), table.index_of(t)) for h, t in result.best.nonzero_edges()
@@ -98,7 +103,7 @@ def test_multi_trace_discovers_direct_reply(mixed_trace, hits_trace, table):
 
 
 def test_auto_window_finds_smallest_feasible(mixed_trace, table):
-    w, graph, result = auto_window([mixed_trace], ExtractConfig(sz=50), max_w=10, table=table)
+    w, graph, result = auto_window([mixed_trace], max_w=10, table=table)
     assert w == 2
     p = build_constraints(graph)
     assert check_solution(p, result.best.values)
@@ -107,10 +112,13 @@ def test_auto_window_finds_smallest_feasible(mixed_trace, table):
 
 
 def test_auto_window_errors_when_bound_too_small(mixed_trace, table):
+    with pytest.raises(NoFeasibleWindowError) as raised:
+        auto_window([mixed_trace], max_w=1, table=table)
+    # the witness comes from the max_w probe
+    graph = annotated_graph([mixed_trace], window=1, table=table)
+    assert raised.value.shortfall == shortfall(build_constraints(graph))
     with pytest.raises(NoFeasibleWindowError):
-        auto_window([mixed_trace], ExtractConfig(sz=10), max_w=1, table=table)
-    with pytest.raises(NoFeasibleWindowError):
-        auto_window([mixed_trace], ExtractConfig(sz=10), max_w=0, table=table)
+        auto_window([mixed_trace], max_w=0, table=table)
 
 
 def test_auto_window_rejects_a_negative_bound(mixed_trace, table, monkeypatch):
@@ -118,7 +126,7 @@ def test_auto_window_rejects_a_negative_bound(mixed_trace, table, monkeypatch):
     real = flowmine.extract.prepare_annotation
     monkeypatch.setattr(flowmine.extract, "prepare_annotation", lambda *a: probed.append(a) or real(*a))
     with pytest.raises(ValueError, match="non-negative"):
-        auto_window([mixed_trace], ExtractConfig(sz=10), max_w=-3, table=table)
+        auto_window([mixed_trace], max_w=-3, table=table)
     assert probed == []
 
 
@@ -131,7 +139,7 @@ def test_auto_window_warns_once_per_run(mixed_trace, caplog):
     for _ in range(2):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="flowmine.solver"):
-            w, _, result = auto_window([mixed_trace, side], ExtractConfig(sz=10), max_w=10)
+            w, _, result = auto_window([mixed_trace, side], max_w=10)
         assert (w, result.windows_tried) == (2, 4)
         assert [r.getMessage() for r in caplog.records] == [
             "node b:c:out has no incoming edges; in-balance skipped"
@@ -148,7 +156,7 @@ def linear_window_scan(traces, cfg, max_w, slice_policy=None):
     return None
 
 
-SEARCH_CFG = ExtractConfig(sz=5, top=3)
+SEARCH_CFG = ExtractConfig(top=3)
 SMALL_MESSAGES = st.builds(
     Message, st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "b", "c"]), st.sampled_from(["x", "y"])
 )
@@ -201,9 +209,8 @@ def test_reduction_orders_are_all_valid(mixed_trace, table):
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 10**6))
 def test_reduction_monotone_on_random_problems(seed):
-    p = random_problem(seed)
+    p = random_problem(seed, feasible=True)
     sol = solve(p)
-    assume(sol is not None)
     reduced = reduce_model(p, sol)
     assert reduced.size <= sol.size
     assert check_solution(p, reduced.values)
@@ -213,46 +220,25 @@ def test_reduction_monotone_on_random_problems(seed):
 @given(st.integers(0, 10**6))
 def test_extract_best_bounded_by_brute_minimum(seed):
     p = random_problem(seed, max_edges=6)
-    result = model_extract(p, ExtractConfig(sz=100))
+    result = model_extract(p)
     floor = brute_minimum_size(p)
     if result is None:
         assert floor is None
     else:
-        assert floor <= result.best.size
+        assert floor == result.best.size
         for s in result.pool:
             assert check_solution(p, s.values)
 
 
-def assert_pool_matches_unshared(problem, sz, order):
-    result = model_extract(problem, ExtractConfig(sz=sz, top=sz, reduction_order=order))
-    expected = unshared_extract_pool(problem, sz, order)
-    if result is None:
-        assert expected == []
-        return
-    assert list(result.pool) == expected  # values and the pinned problem each was found under
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.integers(0, 10**6), st.integers(1, 40), st.sampled_from(REDUCTION_ORDERS))
-def test_shared_solves_match_unshared_walks_on_random_problems(problem_seed, sz, order):
-    assert_pool_matches_unshared(random_problem(problem_seed), sz, order)
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.integers(1, 8), st.integers(0, 10**6), st.none() | st.integers(0, 4), st.sampled_from(REDUCTION_ORDERS))
-def test_shared_solves_match_unshared_walks_on_generated_traces(flowspec, instances, seed, window, order):
-    trace = generate(flowspec, GenConfig(instances=instances, seed=seed, simul_prob=0.2))
-    problem = build_constraints(annotated_graph([trace], window=window))
-    assert_pool_matches_unshared(problem, 30, order)
-
-
-def test_each_pinned_set_is_solved_once(mixed_trace, table, monkeypatch):
-    p = mixed_problem(mixed_trace, table)
-    pinned = []
-    real = flowmine.extract.solve
-    monkeypatch.setattr(flowmine.extract, "solve", lambda q: pinned.append(q.pinned) or real(q))
-    result = model_extract(p, ExtractConfig(sz=200))
-    assert result.solves == len(pinned) == len(set(pinned)) == 18
+def test_solves_counts_every_max_flow(mixed_trace, table, monkeypatch):
+    routed = []
+    real = flowmine.transport._Network.route
+    monkeypatch.setattr(flowmine.transport._Network, "route", lambda *a: routed.append(a) or real(*a))
+    _, _, result = auto_window([mixed_trace], max_w=10, table=table)
+    # one max flow per window probe, then the search's: its root flow
+    # and one per reroute around an excluded edge
+    assert result.windows_tried == 4
+    assert result.solves == len(routed) == result.windows_tried + result.search.flows
 
 
 ATTRIBUTED = st.builds(
@@ -277,3 +263,18 @@ def test_prepared_annotation_matches_naive_at_every_window(traces, sliced):
         for m, stats in graph.nodes.items():
             assert stats.support == sum(1 for t in traces for _, _, x in t.flattened() if x == m)
             assert (stats.initial, stats.terminal) == (m in initials, m in terminals)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(ATTRIBUTED_TRACES, min_size=1, max_size=2), st.booleans())
+def test_node_supports_count_ids(traces, sliced):
+    # supports are counted from message ids, sliced or not, and agree
+    # with the instance positions they replaced
+    prepared = prepare_annotation(traces, SlicePolicy("pid") if sliced else None)
+    graph = prepared.graph
+    at = graph.messages_by_ordinal()
+    expected = dict.fromkeys(graph.nodes, 0)
+    for t in traces:
+        for node, positions in instance_positions(graph, t).items():
+            expected[at[node]] += len(positions)
+    assert {m: stats.support for m, stats in graph.nodes.items()} == expected
