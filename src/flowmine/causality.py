@@ -12,13 +12,12 @@ tail instances left to right, each one grabs the nearest earlier
 unmatched head instance.  Instances inside one event are concurrent
 and never pair with each other.  An optional window length w keeps a
 pair only when the tail lies at most w + 1 positions after the head
-in the flattened trace.  The matching is one stack pass per edge,
-linear in the instances of its two messages, and its counts never
-decrease as w grows (see _greedy_matches), which is what lets the
-window search bisect instead of scanning every length.  Its input,
-the instance positions that pair_instances collects per edge, does
-not depend on w, so edge_supports can rerun the matching at many
-lengths from one collection.
+in the flattened trace.  One stack pass per edge, linear in the
+instances of its two messages and run without a window, gives each
+paired tail its threshold: the smallest w at which the matching pairs
+it (see _thresholds).  An edge's support at w is then the number of
+its thresholds <= w, so it never decreases as w grows, and every
+window length reads its supports from the same sorted lists.
 
 Instances are keyed by message id, never by Message object.  A
 trace's ids map to graph node ordinals through one list as long as
@@ -30,6 +29,7 @@ instance.  Graph nodes and edges themselves stay Messages.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
@@ -152,47 +152,6 @@ def build_graph(
     return CausalityGraph(nodes=nodes, edges=edges, table=table, _ordinals=ordinals)
 
 
-def _greedy_matches(
-    heads: list[tuple[int, int]], tails: list[tuple[int, int]], window: int | None
-) -> int:
-    """Size of the left-to-right nearest-unmatched pairing.
-
-    heads/tails are (event index, flattened position) lists in trace
-    order.  A pair needs the head in a strictly earlier event, and
-    tail_pos <= head_pos + window + 1 when a window is set.
-
-    One stack pass, O(H + T): before each tail, every head from a
-    strictly earlier event is pushed, so the top of the stack is the
-    nearest unmatched candidate.  If the top lies outside the window,
-    every deeper head lies further back, and since later tails sit at
-    later positions they stay out of reach for good: the stack is
-    cleared.
-
-    The same argument makes the count monotone in the window.  Both
-    windows w < w' push the same heads, and by induction over the
-    tails the stack held for w is always a suffix of the stack held
-    for w': where w' clears, w clears too, and where w' pops, w pops
-    the same top or clears.  A tail matched under w therefore finds
-    the same top within reach under w', so edge supports never
-    decrease as w grows.
-    """
-    stack: list[int] = []
-    count = 0
-    nxt = 0
-    for t_event, t_pos in tails:
-        while nxt < len(heads) and heads[nxt][0] < t_event:
-            stack.append(heads[nxt][1])
-            nxt += 1
-        if not stack:
-            continue
-        if window is not None and t_pos > stack[-1] + window + 1:
-            stack.clear()
-        else:
-            stack.pop()
-            count += 1
-    return count
-
-
 Positions = dict[int, list[tuple[int, int]]]
 
 
@@ -238,37 +197,80 @@ def node_deltas(graph: CausalityGraph, trace: Trace) -> Counter:
     return _by_message(graph, instance_positions(graph, trace))
 
 
-EdgeInstances = dict[Edge, list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]]
+def _thresholds(heads: list[tuple[int, int]], tails: list[tuple[int, int]], out: list[int]) -> None:
+    """Append to out, per tail that the matching pairs without a
+    window, the smallest window length at which it is paired.
+
+    heads/tails are (event index, flattened position) lists in trace
+    order.  A pair needs the head in a strictly earlier event, and
+    tail_pos <= head_pos + w + 1 under a window w.
+
+    The matching at one window is a stack pass: before each tail,
+    every head from a strictly earlier event is pushed, so the top of
+    the stack is the nearest unmatched candidate.  A top out of reach
+    has every deeper head further back, out of reach of later tails
+    too, so the stack is cleared; otherwise the top is popped.
+
+    Two windows w < w' push the same heads, and by induction over the
+    tails the stack at w is always a suffix of the stack at w': where
+    w' clears, w clears too, and where w' pops, w pops the same top or
+    clears.  So each entry of the unwindowed stack is held from some
+    smallest w on, nondecreasing from the top down, and a tail whose
+    top is held from h and lies gap positions back is paired exactly
+    at w >= max(h, gap - 1); below that the stack is empty or cleared,
+    so the entries left are held from at least that much.  held keeps
+    per entry a bound that also covers the entries below it, and a pop
+    hands it down to the new top.
+    """
+    stack: list[int] = []  # positions of the unmatched heads
+    held: list[int] = []  # per entry: it and those below are held from no smaller w
+    nxt, n = 0, len(heads)
+    for t_event, t_pos in tails:
+        while nxt < n and heads[nxt][0] < t_event:
+            stack.append(heads[nxt][1])
+            held.append(-1)
+            nxt += 1
+        if stack:
+            w = max(held.pop(), t_pos - stack.pop() - 1)
+            out.append(w)
+            if held and held[-1] < w:
+                held[-1] = w
 
 
-def pair_instances(graph: CausalityGraph, units: Iterable[Positions]) -> EdgeInstances:
-    """Per edge, the (heads, tails) position lists of every unit that
-    holds instances of both its messages.
+Thresholds = dict[Edge, list[int]]
+
+
+def window_thresholds(graph: CausalityGraph, units: Iterable[Positions]) -> Thresholds:
+    """Per edge, the sorted thresholds of its paired tail instances,
+    over every unit: its support at window length w is the number of
+    thresholds <= w, and without a window all of them.
 
     A unit is the instance_positions of one trace, or of one slice of
     a trace; matching never crosses units.  Each unit is visited
     through the out-edges of the nodes it holds, so a small slice
-    costs little however large the graph.  None of this depends on
-    the window, so it can be kept and matched at many lengths.
+    costs little however large the graph.
     """
-    pairs: EdgeInstances = {e: [] for e in graph.edges}
-    succ: dict[int, list[tuple[int, list]]] = {}
-    for (head, tail), found in pairs.items():
-        succ.setdefault(graph.ordinal(head), []).append((graph.ordinal(tail), found))
+    found: Thresholds = {e: [] for e in graph.edges}
+    succ: dict[int, list[tuple[int, list[int]]]] = {}
+    for (head, tail), out in found.items():
+        succ.setdefault(graph.ordinal(head), []).append((graph.ordinal(tail), out))
     for positions in units:
         for head, heads in positions.items():
-            for tail, found in succ.get(head, ()):
+            for tail, out in succ.get(head, ()):
                 tails = positions.get(tail)
                 if tails:
-                    found.append((heads, tails))
-    return pairs
+                    _thresholds(heads, tails, out)
+    for out in found.values():
+        out.sort()
+    return found
 
 
-def edge_supports(pairs: EdgeInstances, window: int | None) -> Counter:
-    """Matched pairs per edge, summed over units; zero counts omitted."""
+def supports_at(thresholds: Thresholds, window: int | None) -> Counter:
+    """Matched pairs per edge at window length w (None: no window);
+    zero counts omitted."""
     supports: Counter = Counter()
-    for edge, found in pairs.items():
-        n = sum(_greedy_matches(heads, tails, window) for heads, tails in found)
+    for edge, found in thresholds.items():
+        n = len(found) if window is None else bisect_right(found, window)
         if n:
             supports[edge] = n
     return supports
@@ -279,7 +281,7 @@ def support_deltas(
 ) -> tuple[Counter, Counter]:
     """Per-node and per-edge support contributions of one trace."""
     positions = instance_positions(graph, trace)
-    return _by_message(graph, positions), edge_supports(pair_instances(graph, [positions]), window)
+    return _by_message(graph, positions), supports_at(window_thresholds(graph, [positions]), window)
 
 
 def annotate(graph: CausalityGraph, trace: Trace, window: int | None = None) -> CausalityGraph:

@@ -30,7 +30,7 @@ from .extract import (
 from .flows import GenConfig, generate, parse_flowspec
 from .fsa import STRATEGIES, acceptance_ratio, derive_fsa, fsa_from_json, fsa_to_json, to_dot
 from .slicing import labeled_slices, parse_policy
-from .solver import build_constraints, export_smtlib
+from .solver import ConstraintProblem, build_constraints, export_smtlib
 from .trace import (
     MessageTable,
     ParseError,
@@ -143,8 +143,9 @@ def _report_rows(result: ExtractResult) -> list[dict]:
     return rows
 
 
-def _infeasible(args, traces: list[Trace], reason: str, why: Shortfall) -> int:
-    """Report an infeasible mine, and its witness, on stderr and in summary.json."""
+def _infeasible(args, traces: list[Trace], reason: str, why: Shortfall, problem: ConstraintProblem) -> int:
+    """Report an infeasible mine, and its witness, on stderr and in
+    summary.json; problem is the one the witness is about."""
     print("infeasible: %s; %s" % (reason, why.describe()), file=sys.stderr)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -154,6 +155,7 @@ def _infeasible(args, traces: list[Trace], reason: str, why: Shortfall) -> int:
         "slice": args.slice,
         "infeasible": why.to_json(),
         "reason": reason,
+        "skipped_balances": problem.skipped,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_INFEASIBLE
@@ -167,13 +169,13 @@ def cmd_mine(args) -> int:
     cfg = ExtractConfig(top=args.top)
     mode, fixed = _parse_window(args.window)
     started = time.perf_counter()
+    if args.max_window is not None:
+        print("note: --max-window is ignored; the window search needs no bound", file=sys.stderr)
     if mode == "auto":
         try:
-            found, graph, result = auto_window(
-                traces, cfg, max_w=args.max_window, slice_policy=policy, table=table
-            )
+            found, graph, result = auto_window(traces, cfg, slice_policy=policy, table=table)
         except NoFeasibleWindowError as exc:
-            return _infeasible(args, traces, str(exc), exc.shortfall)
+            return _infeasible(args, traces, str(exc), exc.shortfall, exc.problem)
         window_desc = {"mode": "auto", "value": found}
     else:
         width = fixed if mode == "fixed" else None
@@ -181,7 +183,8 @@ def cmd_mine(args) -> int:
         problem = build_constraints(graph)
         result = model_extract(problem, cfg)
         if result is None:
-            return _infeasible(args, traces, "the consistency constraints admit no solution", shortfall(problem))
+            reason = "the consistency constraints admit no solution"
+            return _infeasible(args, traces, reason, shortfall(problem), problem)
         window_desc = {"mode": mode, "value": width}
     searched = time.perf_counter()
     elapsed = searched - started
@@ -208,6 +211,7 @@ def cmd_mine(args) -> int:
         "candidates": len(result.pool),
         "search": result.search.to_json(),
         "infeasible": None,
+        "skipped_balances": result.best.problem.skipped,
         "best_size": result.best.size,
         "states": len(fsa.states),
         "wall_time_s": round(elapsed, 6),
@@ -303,7 +307,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--trace", action="append", required=True, help="trace file (repeatable)")
     p.add_argument("--table", help="message table file")
     p.add_argument("--window", default="auto", help="auto, off, or a length")
-    p.add_argument("--max-window", type=int, default=12, help="auto search bound")
+    p.add_argument("--max-window", type=int, help="ignored: the auto search needs no bound")
     p.add_argument("--slice", help="attribute slicing policy")
     p.add_argument("--top", type=int, default=20, help="smallest models kept in the report")
     p.add_argument("--out", required=True, help="output directory")

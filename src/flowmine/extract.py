@@ -8,17 +8,18 @@ and an exact branch and bound) and ranks them by Solution.rank_key:
 size, then the largest total edge support, then the sorted edge
 numbers.  The counts of each model are the flow that found it.
 
-Annotation avoids repeated work: everything about a trace set that
-does not depend on the window length (entry/exit detection, graph
-structure, node supports, instance positions) is prepared once, and
-only the pair matching is redone per window length.  A window probe
-is one max flow.
+Annotation is prepared once per trace set: entry/exit detection,
+graph structure, node supports, and one matching pass that gives every
+paired tail instance the smallest window length at which it is paired.
+Any window length then reads its edge supports from those thresholds
+with one bisection per edge, and a window probe is one max flow.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
@@ -29,16 +30,16 @@ from typing import Iterator, Sequence
 # wraps them under these names.
 from .causality import (  # noqa: F401
     CausalityGraph,
-    EdgeInstances,
+    Thresholds,
     annotate,
     build_graph,
     detect_entries_exits,
     detect_initials,
     detect_terminals,
-    edge_supports,
     node_numbers,
-    pair_instances,
     positions_of,
+    supports_at,
+    window_thresholds,
 )
 from .slicing import SlicePolicy, annotate_sliced, slice_positions  # noqa: F401
 from .solver import (  # noqa: F401
@@ -59,13 +60,15 @@ REDUCTION_ORDERS = ("ascending-support", "descending-support", "index")
 
 
 class NoFeasibleWindowError(RuntimeError):
-    """No window length up to the configured bound admits a solution.
+    """No window length admits a solution, not even no window at all.
 
-    shortfall says why the largest length tried has none."""
+    problem is the unwindowed one, and shortfall says why it has no
+    solution."""
 
-    def __init__(self, message: str, shortfall: Shortfall):
+    def __init__(self, message: str, shortfall: Shortfall, problem: ConstraintProblem):
         super().__init__(message)
         self.shortfall = shortfall
+        self.problem = problem
 
 
 @dataclass(frozen=True)
@@ -140,16 +143,16 @@ class PreparedAnnotation:
     """The part of annotating a trace set that no window length changes.
 
     graph has the final structure and node supports, and zero edge
-    supports; pairs holds, per edge, the instance positions that the
-    matching pairs up.  at(w) only runs the matching.
+    supports; thresholds holds, per edge, the sorted smallest window
+    lengths at which its paired tails are paired.  at(w) only counts.
     """
 
     graph: CausalityGraph
-    pairs: EdgeInstances
+    thresholds: Thresholds
 
     def at(self, window: int | None) -> CausalityGraph:
         """A fresh graph annotated at window length w (None: no window)."""
-        return self.graph.with_edge_supports(edge_supports(self.pairs, window))
+        return self.graph.with_edge_supports(supports_at(self.thresholds, window))
 
 
 def prepare_annotation(
@@ -177,7 +180,7 @@ def prepare_annotation(
             units.append(positions_of(t, numbers, range(t.msg_count)))
         else:
             units.extend(slice_positions(graph, t, slice_policy))
-    return PreparedAnnotation(graph, pair_instances(graph, units))
+    return PreparedAnnotation(graph, window_thresholds(graph, units))
 
 
 def annotated_graph(
@@ -209,67 +212,45 @@ def _once_per_run(logger: logging.Logger) -> Iterator[None]:
         logger.removeFilter(first_time)
 
 
-def _gallop(max_w: int) -> Iterator[int]:
-    """0, 1, 3, 7, ... below max_w, then max_w itself."""
-    w = 0
-    while w < max_w:
-        yield w
-        w = 2 * w + 1
-    yield max_w
-
-
 def auto_window(
     traces: Sequence[Trace],
     cfg: ExtractConfig = ExtractConfig(),
-    max_w: int = 12,
     slice_policy: SlicePolicy | None = None,
     table: MessageTable | None = None,
 ) -> tuple[int, CausalityGraph, ExtractResult]:
     """Smallest window length that admits a model.
 
     Edge supports never decrease as the window grows (see
-    causality._greedy_matches), while node supports and the graph
+    causality._thresholds), while node supports and the graph
     structure do not depend on it; since supports only bound the
-    constraints from above, feasibility is monotone in w.  So the
-    search gallops over w = 0, 1, 3, 7, ... (capped at max_w) until a
-    length is feasible, then bisects the last gap, testing each probe
-    with one max flow.  The trace set is prepared once, so a probe
-    only matches pairs.  Models are extracted once, at the length
-    found, and (w, graph, extraction) is returned; the extraction's
-    windows_tried counts the probes and its solves include them.
-    Each construction warning is logged once per search, not once per
-    probe.  Raises NoFeasibleWindowError, carrying the max_w probe's
-    shortfall, when no length up to max_w works, and ValueError when
-    max_w is negative.
+    constraints from above, feasibility is monotone in w.  Supports
+    change only at 0 and the thresholds, so the smallest feasible w
+    is one of these, and the largest has the supports of no window.
+    The search probes w = 0, then bisects the rest, one max flow per
+    probe.  Models are extracted once, at the length found, and (w,
+    graph, extraction) is returned; the extraction's windows_tried
+    counts the probes and its solves include them.  Each construction
+    warning is logged once per search, not once per probe.  Raises
+    NoFeasibleWindowError, with the unwindowed problem and its
+    shortfall, when no length works.
     """
-    if max_w < 0:
-        raise ValueError("the maximum window length must be non-negative, got %d" % max_w)
-    tried: list[int] = []
     prepared = prepare_annotation(traces, slice_policy, table)
+    windows = sorted({0}.union(*prepared.thresholds.values()))
+    probed: dict[int, tuple[CausalityGraph, ConstraintProblem, Shortfall | None]] = {}
 
-    def probe(w: int) -> tuple[CausalityGraph, ConstraintProblem, Shortfall | None]:
-        tried.append(w)
+    def feasible(w: int) -> bool:
         graph = prepared.at(w)
         problem = build_constraints(graph)
-        return graph, problem, shortfall(problem)
+        probed[w] = graph, problem, shortfall(problem)
+        return probed[w][2] is None
 
     with _once_per_run(solver_log):
-        low = -1  # largest length known infeasible
-        for high in _gallop(max_w):
-            graph, problem, short = probe(high)
-            if short is None:
-                break
-            low = high
-        else:
-            raise NoFeasibleWindowError(
-                "no window length up to %d admits a solution (%d windows tried)" % (max_w, len(tried)), short
-            )
-        while high - low > 1:
-            mid = (low + high) // 2
-            nearer = probe(mid)
-            if nearer[2] is None:
-                high, (graph, problem, _) = mid, nearer
-            else:
-                low = mid
+        found = 0 if feasible(0) else bisect_left(windows, True, lo=1, key=feasible)
+    if found == len(windows):
+        _, problem, short = probed[windows[-1]]
+        reason = "no window length admits a solution, not even no window (%d tried)" % len(probed)
+        raise NoFeasibleWindowError(reason, short, problem)
+    w = windows[found]
+    graph, problem, _ = probed[w]
     result = model_extract(problem, cfg)
-    return high, graph, replace(result, windows_tried=len(tried), solves=len(tried) + result.solves)
+    return w, graph, replace(result, windows_tried=len(probed), solves=len(probed) + result.solves)

@@ -14,8 +14,9 @@ tail instances were really triggered by head instances.
   * for each node n with outgoing edges: sum of c_e over them equals
     support(n); same for incoming edges.
 
-A node side without any edges gets no constraint (logged, since for
-an interior node that usually means the trace set is too thin).
+A node side without any edges gets no constraint (logged and listed
+in ConstraintProblem.skipped, since for an interior node that usually
+means the trace set is too thin).
 Edges with support 0 stay as variables pinned to that bound.
 
 Infeasibility is an answer, not an error: it says the observed
@@ -64,6 +65,7 @@ class ConstraintProblem:
     uppers: tuple[int, ...]
     balances: tuple[Balance, ...]
     pinned: frozenset[int] = frozenset()
+    skipped: tuple[tuple[str, str], ...] = ()  # (node, side) of each balance left out for want of edges
     _index: dict[Edge, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,6 +123,7 @@ def build_constraints(graph: CausalityGraph) -> ConstraintProblem:
     index = {e: i for i, e in enumerate(edges)}
 
     balances = []
+    skipped = []
     for node in order:
         stats = graph.nodes[node]
         out_vars = tuple(index[e] for e in edges if e[0] == node)
@@ -129,12 +132,14 @@ def build_constraints(graph: CausalityGraph) -> ConstraintProblem:
             balances.append(Balance(node.label(), "out", stats.support, out_vars))
         elif not stats.terminal:
             log.warning("node %s has no outgoing edges; out-balance skipped", node.label())
+            skipped.append((node.label(), "out"))
         if in_vars:
             balances.append(Balance(node.label(), "in", stats.support, in_vars))
         elif not stats.initial:
             log.warning("node %s has no incoming edges; in-balance skipped", node.label())
+            skipped.append((node.label(), "in"))
     return ConstraintProblem(
-        edges=edges, ordinals=ordinals, uppers=uppers, balances=tuple(balances)
+        edges=edges, ordinals=ordinals, uppers=uppers, balances=tuple(balances), skipped=tuple(skipped)
     )
 
 

@@ -191,13 +191,14 @@ class SearchStats:
     nodes: int  # branch-and-bound nodes visited
     bound_prunes: int  # nodes cut off by a lower bound
     minima: int  # smallest supports found
-    proved: bool  # the search finished, so these are all the minima
-    fallback: str | None  # "node-budget" when it stopped early
+    size_proved: bool  # the tie-pruning pass finished: no smaller support exists
+    all_listed: bool  # the tie-keeping pass finished too: these are all the minima
+    fallback: str | None  # "node-budget" when either pass stopped early
     flows: int  # max flows run: the root's, and one per reroute around an edge
 
     def to_json(self) -> dict:
         return {"nodes": self.nodes, "bound_prunes": self.bound_prunes, "minima": self.minima,
-                "proved": self.proved, "fallback": self.fallback}
+                "size_proved": self.size_proved, "all_listed": self.all_listed, "fallback": self.fallback}
 
 
 class _BranchAndBound:
@@ -232,9 +233,10 @@ class _BranchAndBound:
         """Prove the smallest size first, pruning ties, then list every
         support of that size, keeping ties; budget caps both passes."""
         self._greedy(flow)
-        proved = self._search(flow, budget, 1) and self._search(flow, budget, 0)
-        return SearchStats(self.nodes, self.prunes, len(self.found), proved,
-                           None if proved else "node-budget", self.flows)
+        size_proved = self._search(flow, budget, 1)
+        all_listed = size_proved and self._search(flow, budget, 0)
+        return SearchStats(self.nodes, self.prunes, len(self.found), size_proved, all_listed,
+                           None if all_listed else "node-budget", self.flows)
 
     def _search(self, root: list[int], budget: int, ties: int) -> bool:
         """One depth-first pass, pruning nodes whose bound exceeds the

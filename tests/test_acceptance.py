@@ -80,7 +80,7 @@ def test_criterion_04_causality_guarantee(pipelined_trace, table):
         result_u = model_extract(build_constraints(graph_u))
         assert result_u is not None
         pools.append((graph_u, result_u.pool))
-        _, graph_a, result_a = auto_window([pipelined_trace], max_w=pipelined_trace.msg_count, table=table)
+        _, graph_a, result_a = auto_window([pipelined_trace], table=table)
         pools.append((graph_a, result_a.pool))
         for graph, pool in pools:
             for sol in pool:
@@ -142,7 +142,7 @@ def test_criterion_10_windowing_helps(flowspec, table):
             trace = generate(
                 flowspec, GenConfig(instances=5, seed=seed, max_gap=10, simul_prob=0.2)
             )
-            _, graph, result = auto_window([trace], cfg, max_w=trace.msg_count, table=table)
+            _, graph, result = auto_window([trace], cfg, table=table)
             fsa = derive_fsa(result.best, graph)
             auto_scores.append(acceptance_ratio(fsa, trace, table=table).ratio)
             graph_u = annotated_graph([trace], table=table)

@@ -13,7 +13,7 @@ from flowmine import (
     trace_of,
     unique_messages,
 )
-from flowmine.causality import _greedy_matches
+from flowmine.causality import _thresholds
 from flowmine.extract import annotated_graph
 
 from helpers import naive_edge_support, naive_initials, naive_terminals
@@ -184,19 +184,23 @@ LONG_TRACES = st.lists(
 ).map(lambda evs: trace_of(*evs))
 
 
-@settings(deadline=None, max_examples=300)
-@given(LONG_TRACES, st.integers(0, 50) | st.none())
-def test_stack_matcher_agrees_with_quadratic_oracle_on_long_traces(trace, window):
+@settings(deadline=None, max_examples=100)
+@given(LONG_TRACES)
+def test_stack_matcher_agrees_with_quadratic_oracle_on_long_traces(trace):
     # every ordered pair of messages, head == tail included, whether or
-    # not the pair survives as a graph edge
+    # not the pair survives as a graph edge: one threshold pass counts
+    # the pairs at every window
     flat = list(trace.flattened())
     msgs = unique_messages([trace])
     for head in msgs:
         heads = [(e, p) for e, p, m in flat if m == head]
         for tail in msgs:
             tails = [(e, p) for e, p, m in flat if m == tail]
-            got = _greedy_matches(heads, tails, window)
-            assert got == naive_edge_support(trace, head, tail, window), (head, tail, window)
+            found: list[int] = []
+            _thresholds(heads, tails, found)
+            for window in [*range(51), None]:
+                got = sum(1 for w in found if window is None or w <= window)
+                assert got == naive_edge_support(trace, head, tail, window), (head, tail, window)
 
 
 @settings(deadline=None)

@@ -7,7 +7,18 @@ from pathlib import Path
 import pytest
 
 import flowmine
-from flowmine import Message, fsa_from_json, fsa_to_json, ground_truth_fsa, parse_trace, serialize_trace
+import flowmine.transport
+from flowmine import (
+    Message,
+    annotated_graph,
+    build_constraints,
+    fsa_from_json,
+    fsa_to_json,
+    ground_truth_fsa,
+    parse_trace,
+    serialize_trace,
+    shortfall,
+)
 from flowmine.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 
 from helpers import check_dot, check_smtlib
@@ -90,11 +101,16 @@ def test_mine_auto_window(paths, tmp_path, capsys):
     assert report[0]["rank"] == 1 and report[0]["size"] == 7
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "auto", "value": 2}
-    assert summary["windows_tried"] == 4  # w = 0, 1, 3, then 2
+    # w = 0, then a bisection over the supports' change points 1, 2,
+    # 3 and 4 (window off) probes 3, 2 and 1
+    assert summary["windows_tried"] == 4
     assert summary["solves"] == 16  # the 4 probes, the search's root flow and 11 reroutes
-    assert summary["search"] == {"nodes": 24, "bound_prunes": 8, "minima": 1, "proved": True, "fallback": None}
+    assert summary["search"] == {
+        "nodes": 24, "bound_prunes": 8, "minima": 1, "size_proved": True, "all_listed": True, "fallback": None,
+    }
     assert summary["candidates"] == len(report) == 1  # the windowed problem has one solution
     assert summary["infeasible"] is None
+    assert summary["skipped_balances"] == []
     assert summary["best_size"] == 7
     assert summary["states"] == 5
     assert summary["messages"] == 12
@@ -113,7 +129,9 @@ def test_mine_window_off(paths, tmp_path, capsys):
     assert summary["window"] == {"mode": "off", "value": None}
     assert summary["windows_tried"] == 1
     assert summary["solves"] == 15  # the search's max flows only: no window was probed
-    assert summary["search"] == {"nodes": 32, "bound_prunes": 12, "minima": 4, "proved": True, "fallback": None}
+    assert summary["search"] == {
+        "nodes": 32, "bound_prunes": 12, "minima": 4, "size_proved": True, "all_listed": True, "fallback": None,
+    }
     assert summary["best_size"] == 4
     # every minimum is reported, ranked, with its flow's counts
     report = json.loads((out_dir / "report.json").read_text())
@@ -135,20 +153,39 @@ def test_mine_fixed_window_infeasible(paths, tmp_path, capsys):
     assert not (tmp_path / "x" / "model.json").exists()
 
 
-def test_mine_auto_bound_exhausted(paths, tmp_path, capsys):
+def test_mine_names_a_search_that_proves_the_size_but_lists_no_more(paths, tmp_path, capsys, monkeypatch):
+    # the tie-pruning pass proves the greedy model's size 4 minimal by
+    # pruning its root; a budget of one node leaves the tie-keeping
+    # pass nothing to list the other three minima with
+    monkeypatch.setattr(flowmine.transport, "SEARCH_NODE_BUDGET", 1)
+    out_dir = tmp_path / "mined"
     argv = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"],
-            "--max-window", "1", "--out", str(tmp_path / "x")]
-    assert main(argv) == EXIT_INFEASIBLE
-    assert "infeasible" in capsys.readouterr().err
+            "--window", "off", "--out", str(out_dir)]
+    assert main(argv) == EXIT_OK
+    assert "(fallback: node-budget)" in capsys.readouterr().out
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["search"] == {
+        "nodes": 1, "bound_prunes": 1, "minima": 1, "size_proved": True, "all_listed": False,
+        "fallback": "node-budget",
+    }
+    assert summary["best_size"] == 4
 
 
-def test_mine_rejects_a_negative_window_bound(paths, tmp_path, capsys):
-    argv = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"],
-            "--max-window", "-3", "--out", str(tmp_path / "x")]
-    assert main(argv) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "non-negative" in err and "infeasible" not in err
-    assert not (tmp_path / "x").exists()
+def test_mine_infeasible_with_any_window(tmp_path, capsys):
+    # one x reaches b, but two y leave it, however wide the window
+    trace_file = tmp_path / "short.trace"
+    trace_file.write_text("a:b:x\nb:c:y\nb:c:y\n")
+    out_dir = tmp_path / "x"
+    assert main(["mine", "--trace", str(trace_file), "--out", str(out_dir)]) == EXIT_INFEASIBLE
+    off = build_constraints(annotated_graph([parse_trace(trace_file.read_text())]))
+    assert capsys.readouterr().err == (
+        "infeasible: no window length admits a solution, not even no window (1 tried); %s\n"
+        % shortfall(off).describe()
+    )
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["infeasible"] == shortfall(off).to_json()
+    assert summary["skipped_balances"] == []
+    assert not (out_dir / "model.json").exists()
 
 
 def test_mine_takes_no_seed(paths, tmp_path, capsys):
@@ -173,33 +210,43 @@ def test_mine_takes_no_sz_or_order(paths, tmp_path, capsys, flag):
 
 
 def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
-    # This 1,932-message trace is feasible only from w = 172 on: the
-    # auto search gives up at 128 after 9 probes (0, 1, 3, ..., 127,
-    # 128) and finds 172 when allowed to look further.
-    trace_file = tmp_path / "long.trace"
-    assert main(["gen", "--spec", paths["spec"], "--table", paths["table"], "--instances", "320",
-                 "--simul", "0.2", "--seed", "11006", "--out", str(trace_file)]) == EXIT_OK
-    base = ["mine", "--trace", str(trace_file), "--table", paths["table"]]
-    assert main(base + ["--max-window", "128", "--out", str(tmp_path / "x")]) == EXIT_INFEASIBLE
-    # the witness of the w = 128 probe: one fetch request too many for
-    # the fetch responses that can follow it within the window
-    assert capsys.readouterr().err == (
-        "infeasible: no window length up to 128 admits a solution (9 windows tried); the out-balances of "
-        "cache:mem:fetch_req need 326, but their in-balance neighbours mem:cache:fetch_resp take at most 325\n"
-    )
-    summary = json.loads((tmp_path / "x" / "summary.json").read_text())
-    assert summary["infeasible"] == {
-        "out_balances": ["cache:mem:fetch_req"], "need": 326,
-        "in_balances": ["mem:cache:fetch_resp"], "capacity": 325,
-    }
-    out_dir = tmp_path / "wide"
-    assert main(base + ["--max-window", "2000", "--out", str(out_dir)]) == EXIT_OK
+    # These 1,932-message traces are feasible only from w = 52 and
+    # w = 172 on.  The search probes w = 0, then bisects the supports'
+    # change points, about 250 of them, up to window off: 9 probes.
+    for seed, width in ((1001, 52), (11006, 172)):
+        trace_file = tmp_path / ("long%d.trace" % seed)
+        assert main(["gen", "--spec", paths["spec"], "--table", paths["table"], "--instances", "320",
+                     "--simul", "0.2", "--seed", str(seed), "--out", str(trace_file)]) == EXIT_OK
+        base = ["mine", "--trace", str(trace_file), "--table", paths["table"]]
+        out_dir = tmp_path / ("wide%d" % seed)
+        assert main(base + ["--out", str(out_dir)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["window"] == {"mode": "auto", "value": width}
+        assert summary["windows_tried"] == 9
+        assert summary["solves"] == 9 + 25  # the probes, then the search's root flow and 24 reroutes
+        assert summary["search"]["all_listed"] and summary["search"]["minima"] == summary["candidates"] == 6
+        assert summary["best_size"] == 7
+    # --max-window is still accepted, and ignored with a note: gen seed
+    # 11006 mines at w = 172 under --max-window 128 too
+    bounded = tmp_path / "bounded"
+    assert main(base + ["--max-window", "128", "--out", str(bounded)]) == EXIT_OK
+    assert capsys.readouterr().err == "note: --max-window is ignored; the window search needs no bound\n"
+    for name in ("model.json", "graph.json", "report.json"):
+        assert (bounded / name).read_text() == (out_dir / name).read_text()
+
+
+def test_mine_records_skipped_balances(mixed_trace, tmp_path):
+    # the side trace leaves b:c:out without an incoming edge (see
+    # test_extract.test_auto_window_warns_once_per_run)
+    mixed_file, side_file = tmp_path / "mixed.trace", tmp_path / "side.trace"
+    mixed_file.write_text(serialize_trace(mixed_trace))
+    side_file.write_text("a:b:go\nb:c:out\na:b:go\n")
+    out_dir = tmp_path / "mined"
+    assert main(["mine", "--trace", str(mixed_file), "--trace", str(side_file), "--out", str(out_dir)]) == EXIT_OK
     summary = json.loads((out_dir / "summary.json").read_text())
-    assert summary["window"] == {"mode": "auto", "value": 172}
-    assert summary["windows_tried"] == 16  # 8 gallops to 127, 255, then 7 bisections
-    assert summary["solves"] == 16 + 25  # the probes, then the search's root flow and 24 reroutes
-    assert summary["search"]["proved"] and summary["search"]["minima"] == summary["candidates"] == 6
-    assert summary["best_size"] == 7
+    assert summary["window"] == {"mode": "auto", "value": 2}
+    assert summary["skipped_balances"] == [["b:c:out", "in"]]
 
 
 def test_mine_multiple_traces(paths, tmp_path):

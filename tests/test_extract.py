@@ -3,7 +3,6 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import flowmine.extract
 import flowmine.transport
 from flowmine import (
     ExtractConfig,
@@ -84,7 +83,7 @@ def test_extract_is_deterministic_and_ranked(mixed_trace, table):
     keys = [s.rank_key() for s in a.pool]
     assert keys == sorted(keys)
     assert len({s.nonzero_edges() for s in a.pool}) == len(a.pool)
-    assert a.search.proved and a.search.minima == len(a.pool)
+    assert a.search.size_proved and a.search.all_listed and a.search.minima == len(a.pool)
 
 
 def test_extract_infeasible_returns_none(mixed_trace, table):
@@ -103,7 +102,7 @@ def test_multi_trace_discovers_direct_reply(mixed_trace, hits_trace, table):
 
 
 def test_auto_window_finds_smallest_feasible(mixed_trace, table):
-    w, graph, result = auto_window([mixed_trace], max_w=10, table=table)
+    w, graph, result = auto_window([mixed_trace], table=table)
     assert w == 2
     p = build_constraints(graph)
     assert check_solution(p, result.best.values)
@@ -111,23 +110,16 @@ def test_auto_window_finds_smallest_feasible(mixed_trace, table):
     assert result.best.size == 7
 
 
-def test_auto_window_errors_when_bound_too_small(mixed_trace, table):
+def test_auto_window_errors_when_no_window_is_feasible():
+    # one x reaches b, but two y leave it: no window, however wide,
+    # gives the second y a trigger
+    x, y = Message("a", "b", "x"), Message("b", "c", "y")
+    trace = trace_of([x], [y], [y])
     with pytest.raises(NoFeasibleWindowError) as raised:
-        auto_window([mixed_trace], max_w=1, table=table)
-    # the witness comes from the max_w probe
-    graph = annotated_graph([mixed_trace], window=1, table=table)
-    assert raised.value.shortfall == shortfall(build_constraints(graph))
-    with pytest.raises(NoFeasibleWindowError):
-        auto_window([mixed_trace], max_w=0, table=table)
-
-
-def test_auto_window_rejects_a_negative_bound(mixed_trace, table, monkeypatch):
-    probed = []
-    real = flowmine.extract.prepare_annotation
-    monkeypatch.setattr(flowmine.extract, "prepare_annotation", lambda *a: probed.append(a) or real(*a))
-    with pytest.raises(ValueError, match="non-negative"):
-        auto_window([mixed_trace], max_w=-3, table=table)
-    assert probed == []
+        auto_window([trace])
+    # the witness is that of the window-off problem
+    assert raised.value.shortfall == shortfall(build_constraints(annotated_graph([trace])))
+    assert raised.value.shortfall is not None
 
 
 def test_auto_window_warns_once_per_run(mixed_trace, caplog):
@@ -139,16 +131,20 @@ def test_auto_window_warns_once_per_run(mixed_trace, caplog):
     for _ in range(2):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="flowmine.solver"):
-            w, _, result = auto_window([mixed_trace, side], max_w=10)
+            w, _, result = auto_window([mixed_trace, side])
         assert (w, result.windows_tried) == (2, 4)
         assert [r.getMessage() for r in caplog.records] == [
             "node b:c:out has no incoming edges; in-balance skipped"
         ]
+        # and the chosen problem records it
+        assert result.best.problem.skipped == (("b:c:out", "in"),)
 
 
-def linear_window_scan(traces, cfg, max_w, slice_policy=None):
-    """Reference for auto_window: try every w from 0 up, in order."""
-    for w in range(max_w + 1):
+def linear_window_scan(traces, cfg, slice_policy=None):
+    """Reference for auto_window: try every w from 0 up, in order, to
+    the longest trace's length, from where supports are those of no
+    window."""
+    for w in range(max(t.msg_count for t in traces) + 1):
         graph = annotated_graph(traces, window=w, slice_policy=slice_policy)
         problem = build_constraints(graph)
         if solve(problem) is not None:
@@ -165,13 +161,13 @@ SMALL_TRACES = st.lists(
 ).map(lambda evs: trace_of(*evs))
 
 
-def assert_search_matches_scan(traces, max_w, slice_policy=None):
-    expected = linear_window_scan(traces, SEARCH_CFG, max_w, slice_policy)
+def assert_search_matches_scan(traces, slice_policy=None):
+    expected = linear_window_scan(traces, SEARCH_CFG, slice_policy)
     if expected is None:
         with pytest.raises(NoFeasibleWindowError):
-            auto_window(traces, SEARCH_CFG, max_w=max_w, slice_policy=slice_policy)
+            auto_window(traces, SEARCH_CFG, slice_policy=slice_policy)
         return
-    w, graph, result = auto_window(traces, SEARCH_CFG, max_w=max_w, slice_policy=slice_policy)
+    w, graph, result = auto_window(traces, SEARCH_CFG, slice_policy=slice_policy)
     want_w, want_graph, want_result = expected
     assert w == want_w
     assert dump_graph(graph) == dump_graph(want_graph)
@@ -180,19 +176,19 @@ def assert_search_matches_scan(traces, max_w, slice_policy=None):
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.lists(SMALL_TRACES, min_size=1, max_size=2), st.integers(0, 12))
-def test_auto_window_matches_linear_scan_on_random_traces(traces, max_w):
-    assert_search_matches_scan(traces, max_w)
+@given(st.lists(SMALL_TRACES, min_size=1, max_size=2))
+def test_auto_window_matches_linear_scan_on_random_traces(traces):
+    assert_search_matches_scan(traces)
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(1, 12), st.integers(0, 10**6), st.integers(0, 40), st.booleans())
-def test_auto_window_matches_linear_scan_on_generated_traces(flowspec, instances, seed, max_w, sliced):
+@given(st.integers(1, 12), st.integers(0, 10**6), st.booleans())
+def test_auto_window_matches_linear_scan_on_generated_traces(flowspec, instances, seed, sliced):
     # interleaved cache reads, where the smallest feasible window is
-    # often well above 0 and sometimes above max_w
+    # often well above 0
     cfg = GenConfig(instances=instances, seed=seed, simul_prob=0.2, tag="pid" if sliced else None)
     policy = SlicePolicy("pid") if sliced else None
-    assert_search_matches_scan([generate(flowspec, cfg)], max_w, policy)
+    assert_search_matches_scan([generate(flowspec, cfg)], policy)
 
 
 def test_reduction_orders_are_all_valid(mixed_trace, table):
@@ -234,7 +230,7 @@ def test_solves_counts_every_max_flow(mixed_trace, table, monkeypatch):
     routed = []
     real = flowmine.transport._Network.route
     monkeypatch.setattr(flowmine.transport._Network, "route", lambda *a: routed.append(a) or real(*a))
-    _, _, result = auto_window([mixed_trace], max_w=10, table=table)
+    _, _, result = auto_window([mixed_trace], table=table)
     # one max flow per window probe, then the search's: its root flow
     # and one per reroute around an excluded edge
     assert result.windows_tried == 4

@@ -103,7 +103,7 @@ def test_search_finds_exactly_the_brute_force_minima(seed):
         return
     models, stats = found
     assert models[0].size == floor
-    assert stats.proved and stats.fallback is None
+    assert stats.size_proved and stats.all_listed and stats.fallback is None
     assert stats.minima == len(models)
     minima = {support(a) for a in brute_force_solutions(p) if len(support(a)) == floor}
     assert {support(m.values) for m in models} == minima
@@ -125,12 +125,15 @@ def test_budget_fallback_is_named_and_no_larger_than_the_greedy_incumbent(seed, 
         greedy, greedy_stats = minimum_models(p)
         mp.setattr(flowmine.transport, "SEARCH_NODE_BUDGET", budget)
         models, stats = minimum_models(p)
-    assert (greedy_stats.nodes, greedy_stats.proved, greedy_stats.fallback) == (0, False, "node-budget")
+    assert (greedy_stats.nodes, greedy_stats.size_proved, greedy_stats.all_listed) == (0, False, False)
+    assert greedy_stats.fallback == "node-budget"
     assert stats.nodes <= budget
     assert models[0].size <= greedy[0].size
-    if stats.proved:
-        assert stats.fallback is None
+    assert stats.size_proved or not stats.all_listed
+    if stats.size_proved:
         assert models[0].size == brute_minimum_size(p)
+    if stats.all_listed:
+        assert stats.fallback is None
     else:
         assert stats.fallback == "node-budget" and stats.nodes == budget
     for m in models:
