@@ -21,7 +21,6 @@ from .causality import (
     support_deltas,
 )
 from .extract import (
-    ExtractConfig,
     ExtractResult,
     NoFeasibleWindowError,
     PreparedAnnotation,

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .causality import dump_graph
 from .extract import (
-    ExtractConfig,
     ExtractResult,
     NoFeasibleWindowError,
     annotated_graph,
@@ -132,9 +131,9 @@ def cmd_slice(args) -> int:
     return EXIT_OK
 
 
-def _report_rows(result: ExtractResult) -> list[dict]:
+def _report_rows(result: ExtractResult, top: int) -> list[dict]:
     rows = []
-    for rank, sol in enumerate(result.top, start=1):
+    for rank, sol in enumerate(result.pool[:top], start=1):
         edges = [
             {"head": _msg_obj(h), "tail": _msg_obj(t), "count": sol.value((h, t))}
             for h, t in sol.nonzero_edges()
@@ -166,14 +165,15 @@ def cmd_mine(args) -> int:
     table = _load_table(args.table)
     traces = _load_traces(args.trace, table)
     policy = parse_policy(args.slice) if args.slice else None
-    cfg = ExtractConfig(top=args.top)
+    if args.top < 1:
+        raise ValueError("top must be positive")
     mode, fixed = _parse_window(args.window)
     started = time.perf_counter()
     if args.max_window is not None:
         print("note: --max-window is ignored; the window search needs no bound", file=sys.stderr)
     if mode == "auto":
         try:
-            found, graph, result = auto_window(traces, cfg, slice_policy=policy, table=table)
+            found, graph, result = auto_window(traces, slice_policy=policy, table=table)
         except NoFeasibleWindowError as exc:
             return _infeasible(args, traces, str(exc), exc.shortfall, exc.problem)
         window_desc = {"mode": "auto", "value": found}
@@ -181,7 +181,7 @@ def cmd_mine(args) -> int:
         width = fixed if mode == "fixed" else None
         graph = annotated_graph(traces, window=width, slice_policy=policy, table=table)
         problem = build_constraints(graph)
-        result = model_extract(problem, cfg)
+        result = model_extract(problem)
         if result is None:
             reason = "the consistency constraints admit no solution"
             return _infeasible(args, traces, reason, shortfall(problem), problem)
@@ -198,7 +198,7 @@ def cmd_mine(args) -> int:
         json.dumps(dump_graph(graph), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (out_dir / "report.json").write_text(
-        json.dumps(_report_rows(result), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(_report_rows(result, args.top), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     stages = {"parse": started - parsing, "search": elapsed, "write": time.perf_counter() - searched}
     summary = {

@@ -12,17 +12,18 @@ Annotation is prepared once per trace set: entry/exit detection,
 graph structure, node supports, and one matching pass that gives every
 paired tail instance the smallest window length at which it is paired.
 Any window length then reads its edge supports from those thresholds
-with one bisection per edge, and a window probe is one max flow.
+with one bisection per edge.  The constraints are built once per
+window search: a probe swaps in its edge supports as the upper
+bounds and runs one max flow.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # annotate, annotate_sliced, detect_initials, detect_terminals,
 # enumerate_solutions, solve and reduce_model are not called here;
@@ -30,6 +31,7 @@ from typing import Iterator, Sequence
 # wraps them under these names.
 from .causality import (  # noqa: F401
     CausalityGraph,
+    Edge,
     Thresholds,
     annotate,
     build_graph,
@@ -50,7 +52,6 @@ from .solver import (  # noqa: F401
     pin_zero,
     solve,
 )
-from .solver import log as solver_log
 from .trace import MessageTable, Trace, unique_messages
 from .transport import SearchStats, Shortfall, minimum_models, shortfall
 
@@ -72,21 +73,11 @@ class NoFeasibleWindowError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ExtractConfig:
-    top: int = 20  # models reported
-
-    def __post_init__(self):
-        if self.top < 1:
-            raise ValueError("top must be positive")
-
-
-@dataclass(frozen=True)
 class ExtractResult:
     best: Solution
-    top: tuple[Solution, ...]
     pool: tuple[Solution, ...]  # every smallest model found, ranked
     search: SearchStats
-    windows_tried: int = 1  # window lengths annotated and tested to reach this result
+    windows_tried: int = 1  # window lengths probed to reach this result
     solves: int = 0  # max flows run: one per window probe, and the search's
 
 
@@ -127,15 +118,13 @@ def reduce_model(problem: ConstraintProblem, sol: Solution, order: str = "ascend
     return current_s
 
 
-def model_extract(problem: ConstraintProblem, cfg: ExtractConfig = ExtractConfig()) -> ExtractResult | None:
+def model_extract(problem: ConstraintProblem) -> ExtractResult | None:
     """Every smallest model, ranked.  None when the problem is infeasible."""
     found = minimum_models(problem)
     if found is None:
         return None
     ranked, stats = found
-    return ExtractResult(
-        best=ranked[0], top=tuple(ranked[: cfg.top]), pool=tuple(ranked), search=stats, solves=stats.flows
-    )
+    return ExtractResult(best=ranked[0], pool=tuple(ranked), search=stats, solves=stats.flows)
 
 
 @dataclass(frozen=True)
@@ -144,7 +133,8 @@ class PreparedAnnotation:
 
     graph has the final structure and node supports, and zero edge
     supports; thresholds holds, per edge, the sorted smallest window
-    lengths at which its paired tails are paired.  at(w) only counts.
+    lengths at which its paired tails are paired.  at(w) and
+    uppers(edges, w) only count.
     """
 
     graph: CausalityGraph
@@ -153,6 +143,12 @@ class PreparedAnnotation:
     def at(self, window: int | None) -> CausalityGraph:
         """A fresh graph annotated at window length w (None: no window)."""
         return self.graph.with_edge_supports(supports_at(self.thresholds, window))
+
+    def uppers(self, edges: Sequence[Edge], window: int | None) -> tuple[int, ...]:
+        """The supports of edges at window length w (None: no window),
+        in the order given: a probe's upper bounds."""
+        supports = supports_at(self.thresholds, window)
+        return tuple(supports[e] for e in edges)
 
 
 def prepare_annotation(
@@ -193,28 +189,8 @@ def annotated_graph(
     return prepare_annotation(traces, slice_policy, table).at(window)
 
 
-@contextlib.contextmanager
-def _once_per_run(logger: logging.Logger) -> Iterator[None]:
-    """Let each distinct record through the logger once while the block runs."""
-    seen: set[tuple[int, str]] = set()
-
-    def first_time(record: logging.LogRecord) -> bool:
-        key = (record.levelno, record.getMessage())
-        if key in seen:
-            return False
-        seen.add(key)
-        return True
-
-    logger.addFilter(first_time)
-    try:
-        yield
-    finally:
-        logger.removeFilter(first_time)
-
-
 def auto_window(
     traces: Sequence[Trace],
-    cfg: ExtractConfig = ExtractConfig(),
     slice_policy: SlicePolicy | None = None,
     table: MessageTable | None = None,
 ) -> tuple[int, CausalityGraph, ExtractResult]:
@@ -226,31 +202,31 @@ def auto_window(
     constraints from above, feasibility is monotone in w.  Supports
     change only at 0 and the thresholds, so the smallest feasible w
     is one of these, and the largest has the supports of no window.
-    The search probes w = 0, then bisects the rest, one max flow per
-    probe.  Models are extracted once, at the length found, and (w,
-    graph, extraction) is returned; the extraction's windows_tried
-    counts the probes and its solves include them.  Each construction
-    warning is logged once per search, not once per probe.  Raises
-    NoFeasibleWindowError, with the unwindowed problem and its
+    The constraints are built once, from the window-independent
+    graph, so each construction warning is logged once per search; a
+    probe replaces only the upper bounds and runs one max flow.  The
+    search probes w = 0, then bisects the rest.  The graph is
+    annotated and models are extracted once, at the length found,
+    and (w, graph, extraction) is returned; the extraction's
+    windows_tried counts the probes and its solves include them.
+    Raises NoFeasibleWindowError, with the unwindowed problem and its
     shortfall, when no length works.
     """
     prepared = prepare_annotation(traces, slice_policy, table)
+    skeleton = build_constraints(prepared.graph)
     windows = sorted({0}.union(*prepared.thresholds.values()))
-    probed: dict[int, tuple[CausalityGraph, ConstraintProblem, Shortfall | None]] = {}
+    probed: dict[int, tuple[ConstraintProblem, Shortfall | None]] = {}
 
     def feasible(w: int) -> bool:
-        graph = prepared.at(w)
-        problem = build_constraints(graph)
-        probed[w] = graph, problem, shortfall(problem)
-        return probed[w][2] is None
+        problem = replace(skeleton, uppers=prepared.uppers(skeleton.edges, w))
+        probed[w] = problem, shortfall(problem)
+        return probed[w][1] is None
 
-    with _once_per_run(solver_log):
-        found = 0 if feasible(0) else bisect_left(windows, True, lo=1, key=feasible)
+    found = 0 if feasible(0) else bisect_left(windows, True, lo=1, key=feasible)
     if found == len(windows):
-        _, problem, short = probed[windows[-1]]
+        problem, short = probed[windows[-1]]
         reason = "no window length admits a solution, not even no window (%d tried)" % len(probed)
         raise NoFeasibleWindowError(reason, short, problem)
     w = windows[found]
-    graph, problem, _ = probed[w]
-    result = model_extract(problem, cfg)
-    return w, graph, replace(result, windows_tried=len(probed), solves=len(probed) + result.solves)
+    result = model_extract(probed[w][0])
+    return w, prepared.at(w), replace(result, windows_tried=len(probed), solves=len(probed) + result.solves)

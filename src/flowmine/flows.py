@@ -25,6 +25,7 @@ next source), and all branches of a flow open with the same message.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -191,8 +192,6 @@ class _Live:
     flow: str
     branch: int
     pending: list[tuple[int, Message]]  # (message id, message) still to emit
-    gap: int = 0
-    started: bool = False
     emitted: list[tuple[int, Message]] = field(default_factory=list)
 
 
@@ -203,6 +202,11 @@ def simulate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> SimResult:
     instance emits its next message; instances whose gap budget would
     otherwise overrun are forced out first, together when necessary.
     Identical seeds give identical results.
+
+    An instance's gap is the number of messages sent since its last
+    emission.  Only started, unfinished instances have one, and the
+    gap bound makes each of them emit within max_gap messages, so
+    there are few of them however many instances are configured.
     """
     if isinstance(cfg.instances, Mapping):
         unknown = set(cfg.instances) - {f.name for f in spec.flows}
@@ -226,14 +230,12 @@ def simulate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> SimResult:
     ids: list[int] = []
     attrs: list[Mapping[str, object] | None] = []
     e_idx = -1
-    remaining = set(range(len(live)))
+    remaining = list(range(len(live)))  # unfinished instances, sorted
+    marks: dict[int, int] = {}  # started, unfinished instance -> messages sent at its last emission
+    sent = 0
 
     def overrunners(size: int, members: set[int]) -> list[int]:
-        return [
-            i
-            for i in sorted(remaining - members)
-            if live[i].started and live[i].gap + size > cfg.max_gap
-        ]
+        return sorted(i for i, mark in marks.items() if i not in members and sent - mark + size > cfg.max_gap)
 
     while remaining:
         must: set[int] = set()
@@ -245,15 +247,17 @@ def simulate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> SimResult:
         if must:
             emitters = sorted(must)
         else:
-            pick = rng.choice(sorted(remaining))
+            at = rng.choice(range(len(remaining)))
+            pick = remaining[at]
             emitters = [pick]
-            others = sorted(remaining - {pick})
-            if others and rng.random() < cfg.simul_prob:
-                partner = rng.choice(others)
+            if len(remaining) > 1 and rng.random() < cfg.simul_prob:
+                other = rng.choice(range(len(remaining) - 1))  # among the others: skip the pick
+                partner = remaining[other + (other >= at)]
                 if not overrunners(2, {pick, partner}):
                     emitters = sorted((pick, partner))
 
         e_idx += 1
+        sent += len(emitters)
         for i in emitters:
             inst = live[i]
             mid, msg = inst.pending.pop(0)
@@ -263,14 +267,11 @@ def simulate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> SimResult:
             ids.append(mid)
             attrs.append(msg.attrs or None)
             inst.emitted.append((e_idx, msg))
-            inst.started = True
-            inst.gap = 0
-            if not inst.pending:
-                remaining.discard(i)
-        emitted = set(emitters)
-        for i in remaining:
-            if live[i].started and i not in emitted:
-                live[i].gap += len(emitters)
+            if inst.pending:
+                marks[i] = sent
+            else:
+                marks.pop(i, None)
+                del remaining[bisect_left(remaining, i)]
 
     instances = tuple(
         InstanceTrace(inst.instance_id, inst.flow, inst.branch, tuple(inst.emitted))

@@ -42,6 +42,7 @@ from itertools import islice, product
 from typing import Iterable, Iterator
 
 from .causality import CausalityGraph, Edge
+from .trace import Message
 
 log = logging.getLogger(__name__)
 
@@ -120,21 +121,23 @@ def build_constraints(graph: CausalityGraph) -> ConstraintProblem:
     edges = tuple(sorted(graph.edges, key=lambda e: (graph.ordinal(e[0]), graph.ordinal(e[1]))))
     ordinals = tuple((graph.ordinal(h), graph.ordinal(t)) for h, t in edges)
     uppers = tuple(graph.edges[e] for e in edges)
-    index = {e: i for i, e in enumerate(edges)}
+    out_vars: dict[Message, list[int]] = {node: [] for node in order}
+    in_vars: dict[Message, list[int]] = {node: [] for node in order}
+    for i, (head, tail) in enumerate(edges):
+        out_vars[head].append(i)
+        in_vars[tail].append(i)
 
     balances = []
     skipped = []
     for node in order:
         stats = graph.nodes[node]
-        out_vars = tuple(index[e] for e in edges if e[0] == node)
-        in_vars = tuple(index[e] for e in edges if e[1] == node)
-        if out_vars:
-            balances.append(Balance(node.label(), "out", stats.support, out_vars))
+        if out_vars[node]:
+            balances.append(Balance(node.label(), "out", stats.support, tuple(out_vars[node])))
         elif not stats.terminal:
             log.warning("node %s has no outgoing edges; out-balance skipped", node.label())
             skipped.append((node.label(), "out"))
-        if in_vars:
-            balances.append(Balance(node.label(), "in", stats.support, in_vars))
+        if in_vars[node]:
+            balances.append(Balance(node.label(), "in", stats.support, tuple(in_vars[node])))
         elif not stats.initial:
             log.warning("node %s has no incoming edges; in-balance skipped", node.label())
             skipped.append((node.label(), "in"))

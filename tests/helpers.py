@@ -7,12 +7,14 @@ calling the production code, so agreement is meaningful.
 from __future__ import annotations
 
 import contextlib
+import random
 import re
 import sys
 from collections import Counter
+from dataclasses import dataclass, field
 from itertools import product
 
-from flowmine import Message, Trace, causal, trace_of
+from flowmine import GenConfig, InstanceTrace, Message, SimResult, Trace, causal, trace_of
 
 
 @contextlib.contextmanager
@@ -276,6 +278,83 @@ def instance_pair_counts(instances, edges) -> Counter:
             if n:
                 total[(head, tail)] += n
     return total
+
+
+@dataclass
+class _RefLive:
+    instance_id: int
+    flow: str
+    branch: int
+    pending: list
+    gap: int = 0
+    started: bool = False
+    emitted: list = field(default_factory=list)
+
+
+def reference_simulate(spec, cfg: GenConfig) -> SimResult:
+    """flows.simulate as first written: every round rescans every
+    unfinished instance and keeps a gap counter per instance, so it is
+    quadratic in the instance count.  Same rounds, same draws."""
+    rng = random.Random(cfg.seed)
+    alphabet: dict = {}
+    coded = [
+        [tuple((alphabet.setdefault(m.plain(), len(alphabet)), m) for m in branch) for branch in flow.branches]
+        for flow in spec.flows
+    ]
+    live = []
+    for flow, branches in zip(spec.flows, coded):
+        for _ in range(cfg.count_for(flow)):
+            branch = rng.randrange(len(flow.branches))
+            live.append(_RefLive(len(live), flow.name, branch, list(branches[branch])))
+    event_of, ids, attrs = [], [], []
+    e_idx = -1
+    remaining = set(range(len(live)))
+
+    def overrunners(size, members):
+        return [
+            i
+            for i in sorted(remaining - members)
+            if live[i].started and live[i].gap + size > cfg.max_gap
+        ]
+
+    while remaining:
+        must: set = set()
+        while True:
+            more = overrunners(max(1, len(must)), must)
+            if not more:
+                break
+            must.update(more)
+        if must:
+            emitters = sorted(must)
+        else:
+            pick = rng.choice(sorted(remaining))
+            emitters = [pick]
+            others = sorted(remaining - {pick})
+            if others and rng.random() < cfg.simul_prob:
+                partner = rng.choice(others)
+                if not overrunners(2, {pick, partner}):
+                    emitters = sorted((pick, partner))
+        e_idx += 1
+        for i in emitters:
+            inst = live[i]
+            mid, msg = inst.pending.pop(0)
+            if cfg.tag is not None:
+                msg = msg.with_attrs(**{cfg.tag: inst.instance_id})
+            event_of.append(e_idx)
+            ids.append(mid)
+            attrs.append(msg.attrs or None)
+            inst.emitted.append((e_idx, msg))
+            inst.started = True
+            inst.gap = 0
+            if not inst.pending:
+                remaining.discard(i)
+        for i in remaining:
+            if live[i].started and i not in emitters:
+                live[i].gap += len(emitters)
+    instances = tuple(
+        InstanceTrace(inst.instance_id, inst.flow, inst.branch, tuple(inst.emitted)) for inst in live
+    )
+    return SimResult(Trace(tuple(alphabet), tuple(event_of), tuple(ids), tuple(attrs)), instances)
 
 
 _DOT_EDGE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*->\s*"((?:[^"\\]|\\.)*)"\s*\[label="((?:[^"\\]|\\.)*)"\];$')

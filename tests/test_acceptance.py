@@ -14,7 +14,6 @@ from statistics import mean
 import pytest
 
 from flowmine import (
-    ExtractConfig,
     GenConfig,
     SlicePolicy,
     acceptance_ratio,
@@ -137,16 +136,15 @@ def test_criterion_10_windowing_helps(flowspec, table):
     with criterion(10, "auto-window scores at least unbounded, 0.02 slack"):
         started = time.perf_counter()
         auto_scores, unbounded_scores = [], []
-        cfg = ExtractConfig()
         for seed in range(10):
             trace = generate(
                 flowspec, GenConfig(instances=5, seed=seed, max_gap=10, simul_prob=0.2)
             )
-            _, graph, result = auto_window([trace], cfg, table=table)
+            _, graph, result = auto_window([trace], table=table)
             fsa = derive_fsa(result.best, graph)
             auto_scores.append(acceptance_ratio(fsa, trace, table=table).ratio)
             graph_u = annotated_graph([trace], table=table)
-            result_u = model_extract(build_constraints(graph_u), cfg)
+            result_u = model_extract(build_constraints(graph_u))
             assert result_u is not None
             fsa_u = derive_fsa(result_u.best, graph_u)
             unbounded_scores.append(acceptance_ratio(fsa_u, trace, table=table).ratio)

@@ -209,6 +209,22 @@ def test_mine_takes_no_sz_or_order(paths, tmp_path, capsys, flag):
     assert "config keys not recognized: %s" % flag[0][2:] in capsys.readouterr().err
 
 
+def test_mine_top_caps_the_report(paths, tmp_path, capsys):
+    # window off, mixed_trace has four minima: --top keeps the best two
+    # in report.json, and summary.json still counts all four
+    base = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"], "--window", "off"]
+    assert main(base + ["--out", str(tmp_path / "all")]) == EXIT_OK
+    assert main(base + ["--top", "2", "--out", str(tmp_path / "two")]) == EXIT_OK
+    full = json.loads((tmp_path / "all" / "report.json").read_text())
+    capped = json.loads((tmp_path / "two" / "report.json").read_text())
+    assert len(full) == 4 and capped == full[:2]
+    assert json.loads((tmp_path / "two" / "summary.json").read_text())["candidates"] == 4
+    capsys.readouterr()
+    assert main(base + ["--top", "0", "--out", str(tmp_path / "none")]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: top must be positive\n"
+    assert not (tmp_path / "none").exists()
+
+
 def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
     # These 1,932-message traces are feasible only from w = 52 and
     # w = 172 on.  The search probes w = 0, then bisects the supports'

@@ -1,11 +1,12 @@
 import logging
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flowmine.extract
 import flowmine.transport
 from flowmine import (
-    ExtractConfig,
     GenConfig,
     Message,
     NoFeasibleWindowError,
@@ -40,15 +41,6 @@ from helpers import (
 
 def mixed_problem(mixed_trace, table, window=None):
     return build_constraints(annotated_graph([mixed_trace], window=window, table=table))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExtractConfig(top=0)
-    with pytest.raises(TypeError):
-        ExtractConfig(sz=200)
-    with pytest.raises(TypeError):
-        ExtractConfig(reduction_order="ascending-support")
 
 
 def test_reduction_never_grows_and_stays_feasible(mixed_trace, table):
@@ -140,7 +132,32 @@ def test_auto_window_warns_once_per_run(mixed_trace, caplog):
         assert result.best.problem.skipped == (("b:c:out", "in"),)
 
 
-def linear_window_scan(traces, cfg, slice_policy=None):
+def test_auto_window_builds_the_constraints_once(mixed_trace, monkeypatch):
+    built = []
+
+    def counting(graph):
+        built.append(graph)
+        return build_constraints(graph)
+
+    monkeypatch.setattr(flowmine.extract, "build_constraints", counting)
+    w, _, result = auto_window([mixed_trace])
+    assert (w, result.windows_tried) == (2, 4)
+    assert len(built) == 1
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 8), st.integers(0, 10**6), st.booleans())
+def test_probe_problem_is_the_problem_built_at_its_window(flowspec, instances, seed, sliced):
+    cfg = GenConfig(instances=instances, seed=seed, simul_prob=0.2, tag="pid" if sliced else None)
+    trace = generate(flowspec, cfg)
+    prepared = prepare_annotation([trace], SlicePolicy("pid") if sliced else None)
+    skeleton = build_constraints(prepared.graph)
+    for w in [*range(trace.msg_count + 1), None]:
+        probe = replace(skeleton, uppers=prepared.uppers(skeleton.edges, w))
+        assert probe == build_constraints(prepared.at(w))
+
+
+def linear_window_scan(traces, slice_policy=None):
     """Reference for auto_window: try every w from 0 up, in order, to
     the longest trace's length, from where supports are those of no
     window."""
@@ -148,11 +165,10 @@ def linear_window_scan(traces, cfg, slice_policy=None):
         graph = annotated_graph(traces, window=w, slice_policy=slice_policy)
         problem = build_constraints(graph)
         if solve(problem) is not None:
-            return w, graph, model_extract(problem, cfg)
+            return w, graph, model_extract(problem)
     return None
 
 
-SEARCH_CFG = ExtractConfig(top=3)
 SMALL_MESSAGES = st.builds(
     Message, st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "b", "c"]), st.sampled_from(["x", "y"])
 )
@@ -162,17 +178,17 @@ SMALL_TRACES = st.lists(
 
 
 def assert_search_matches_scan(traces, slice_policy=None):
-    expected = linear_window_scan(traces, SEARCH_CFG, slice_policy)
+    expected = linear_window_scan(traces, slice_policy)
     if expected is None:
         with pytest.raises(NoFeasibleWindowError):
-            auto_window(traces, SEARCH_CFG, slice_policy=slice_policy)
+            auto_window(traces, slice_policy=slice_policy)
         return
-    w, graph, result = auto_window(traces, SEARCH_CFG, slice_policy=slice_policy)
+    w, graph, result = auto_window(traces, slice_policy=slice_policy)
     want_w, want_graph, want_result = expected
     assert w == want_w
     assert dump_graph(graph) == dump_graph(want_graph)
     assert result.best.values == want_result.best.values
-    assert [s.values for s in result.top] == [s.values for s in want_result.top]
+    assert [s.values for s in result.pool] == [s.values for s in want_result.pool]
 
 
 @settings(deadline=None, max_examples=150)

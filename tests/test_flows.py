@@ -16,6 +16,8 @@ from flowmine import (
     simulate,
 )
 
+from helpers import reference_simulate
+
 A = Message("a", "b", "p")
 B = Message("b", "c", "q")
 C = Message("c", "d", "r")
@@ -178,6 +180,29 @@ def test_gap_bound_holds(flowspec, seed, n, max_gap, simul):
         indices = [e for e, _ in inst.emissions]
         for e1, e2 in zip(indices, indices[1:]):
             assert sum(lengths[e1 + 1 : e2]) <= max_gap
+
+
+BRANCHED = FlowSpec((
+    Flow("f", ((A, B, C), (A, Message("b", "e", "s")))),
+    Flow("g", ((Message("x", "a", "t"), Message("a", "y", "u")),)),
+))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    spec=st.sampled_from(["cache_read", "chain", "branched"]),
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 25),
+    max_gap=st.sampled_from([1, 2, 3, 10]),
+    simul=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    tag=st.sampled_from([None, "pid"]),
+)
+def test_simulate_matches_the_quadratic_reference(flowspec, spec, seed, n, max_gap, simul, tag):
+    # same traces and instances, draw for draw, as the scheduler that
+    # rescans every unfinished instance each round
+    spec = {"cache_read": flowspec, "chain": FlowSpec((Flow("f", ((A, B, C),)),)), "branched": BRANCHED}[spec]
+    cfg = GenConfig(instances=n, seed=seed, max_gap=max_gap, simul_prob=simul, tag=tag)
+    assert simulate(spec, cfg) == reference_simulate(spec, cfg)
 
 
 def test_ground_truth_shape(flowspec, table):
