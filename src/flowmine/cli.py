@@ -230,6 +230,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.budget < 0:
+        raise ValueError("budget must be non-negative")
     fsa = fsa_from_json(_read(args.model))
     table = _load_table(args.table)
     trace = _load_traces([args.trace], table)[0]
@@ -333,6 +335,44 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, by_name
 
 
+def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
+    """The config object's values as the command's flag defaults, each
+    checked the way its flag checks an argument.  set_defaults skips
+    the flags' conversion for values that are not strings, so a value
+    of the wrong JSON type would otherwise reach the command as is."""
+    flags = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+    unknown = sorted(k for k in config if k not in flags)
+    if unknown:
+        raise ValueError("config keys not recognized: %s" % ", ".join(unknown))
+    defaults = {}
+    for key, value in config.items():
+        flag = flags[key]
+        if isinstance(flag, argparse._AppendAction):
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise ValueError("config key %r must be a list of strings, got %s" % (key, json.dumps(value)))
+            defaults[key] = value
+            continue
+        convert = flag.type or str
+        converted = None
+        try:
+            if isinstance(value, str):
+                converted = convert(value)
+            elif flag.type in (int, float) and type(value) in (int, float):  # not a bool
+                converted = convert(value)
+                if converted != value:  # a fraction for an integer flag
+                    converted = None
+        except (ValueError, OverflowError):
+            pass
+        if converted is None:
+            kind = {None: "a string", int: "an integer", float: "a number"}[flag.type]
+            raise ValueError("config key %r must be %s, got %s" % (key, kind, json.dumps(value)))
+        if flag.choices is not None and converted not in flag.choices:
+            raise ValueError("config key %r must be one of %s, got %s"
+                             % (key, ", ".join(map(str, flag.choices)), json.dumps(value)))
+        defaults[key] = converted
+    return defaults
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, by_name = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -342,11 +382,8 @@ def main(argv: list[str] | None = None) -> int:
             defaults = json.loads(_read(args.config))
             if not isinstance(defaults, dict):
                 raise ValueError("config file must hold a JSON object")
-            known = vars(args)
-            unknown = [k for k in defaults if k not in known]
-            if unknown:
-                raise ValueError("config keys not recognized: %s" % ", ".join(sorted(unknown)))
-            by_name[args.command].set_defaults(**defaults)
+            sub = by_name[args.command]
+            sub.set_defaults(**_config_defaults(sub, defaults))
             args = parser.parse_args(argv)
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:

@@ -120,7 +120,10 @@ class Trace:
     alphabet holds attribute-free messages, each once; an instance's
     message id indexes it.  event_of is the event index of each
     instance (0, 1, ... with every event non-empty), and attrs its
-    attribute mapping, None when it has none.  The alphabet may list
+    attribute mapping, None when it has none.  The mappings are
+    read-only: parse_trace gives instances with equal attribute text
+    one shared mapping, so nothing may mutate one in place
+    (Message.with_attrs copies).  The alphabet may list
     messages that no instance uses (the rest of a message table, or
     the parent's messages in a slice).
 
@@ -341,25 +344,32 @@ _GROUPING = str.maketrans("{},", "   ")
 def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
     """Parse trace text; one event per non-blank, non-comment line.
 
-    Each distinct token head (an index, or the triple before the
-    first ';') is parsed and checked once, and each distinct attribute
-    name is checked once; a repeat is a dict lookup.  With a table the
-    alphabet starts with the table's messages, so message ids follow
-    table order (id = index - 1) and an inline triple from the table
-    gets its index's id; other triples get the next ids in order of
-    first appearance.
+    The text is split into lines and tokens once, with the grouping
+    characters blanked first; only a line with no token, or one whose
+    first token starts with '#', is looked at again to tell a blank
+    line, a comment and a line of bare grouping apart.  Each distinct
+    token head (an index, or the triple before the first ';') is
+    parsed and checked once, and each distinct attribute text (what
+    follows the first ';') is decoded once, at its first line;
+    instances with equal attribute text share that one mapping.  With
+    a table the alphabet starts with the table's messages, so message
+    ids follow table order (id = index - 1) and an inline triple from
+    the table gets its index's id; other triples get the next ids in
+    order of first appearance.
     """
     alphabet: list[Message] = []
     by_triple: dict[tuple[str, str, str], int] = {}
     if table is not None:
         alphabet.extend(table.messages)
         by_triple.update((m.triple(), mid) for mid, m in enumerate(alphabet))
+    bare: dict[str, int] = {}  # tokens without attributes: indices and triple text
     heads: dict[str, int] = {}  # triple text, bare or before an attributed token's first ';'
-    indices: dict[str, int] = {}  # index tokens
+    decoded: dict[str, dict[str, object]] = {}  # attribute text after the first ';'
     checked: set[str] = set()
     event_of: list[int] = []
     ids: list[int] = []
     attrs: list[dict[str, object] | None] = []
+    raw_lines: list[str] | None = None
 
     def intern(msg: Message) -> int:
         mid = by_triple.get(msg.triple())
@@ -368,33 +378,43 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
             alphabet.append(msg)
         return mid
 
+    def head_id(head: str, lineno: int) -> int:
+        mid = heads.get(head)
+        if mid is None:
+            mid = heads[head] = intern(_parse_triple(head, lineno))
+        return mid
+
     events = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.translate(_GROUPING).split()
-        if not tokens:
-            raise ParseError("event line has no messages", lineno)
-        for token in tokens:
-            head, sep, rest = token.partition(";")
-            if not sep:
-                mid = heads.get(token)
-                if mid is None:
-                    if token.isdigit():
-                        mid = indices.get(token)
-                        if mid is None:
-                            mid = indices[token] = intern(_parse_index(token, table, lineno))
-                    else:
-                        mid = heads[token] = intern(_parse_triple(token, lineno))
-                ids.append(mid)
-                attrs.append(None)
+    for lineno, row in enumerate(text.translate(_GROUPING).splitlines(), start=1):
+        tokens = row.split()
+        if not tokens or tokens[0][0] == "#":
+            if raw_lines is None:
+                raw_lines = text.splitlines()
+            line = raw_lines[lineno - 1].strip()
+            if not line or line[0] == "#":
                 continue
-            mid = heads.get(head)
+            if not tokens:
+                raise ParseError("event line has no messages", lineno)
+        for token in tokens:
+            mid = bare.get(token)
             if mid is None:
-                mid = heads[head] = intern(_parse_triple(head, lineno))
+                head, sep, rest = token.partition(";")
+                if sep:
+                    mid = heads.get(head)
+                    if mid is None:
+                        mid = head_id(head, lineno)
+                    ids.append(mid)
+                    mapping = decoded.get(rest)
+                    if mapping is None:
+                        mapping = decoded[rest] = _parse_attrs(rest.split(";"), lineno, checked)
+                    attrs.append(mapping)
+                    continue
+                if token.isdigit():
+                    mid = bare[token] = intern(_parse_index(token, table, lineno))
+                else:
+                    mid = bare[token] = head_id(token, lineno)
             ids.append(mid)
-            attrs.append(_parse_attrs(rest.split(";"), lineno, checked))
+            attrs.append(None)
         event_of.extend([events] * len(tokens))
         events += 1
     if not events:

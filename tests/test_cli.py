@@ -209,6 +209,47 @@ def test_mine_takes_no_sz_or_order(paths, tmp_path, capsys, flag):
     assert "config keys not recognized: %s" % flag[0][2:] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, error",
+    [
+        ({"window": [1]}, "config key 'window' must be a string, got [1]"),
+        ({"trace": "t.trace"}, "config key 'trace' must be a list of strings, got \"t.trace\""),
+        ({"top": "two"}, "config key 'top' must be an integer, got \"two\""),
+        ({"top": 2.5}, "config key 'top' must be an integer, got 2.5"),
+        ({"top": True}, "config key 'top' must be an integer, got true"),
+        ({"top": None}, "config key 'top' must be an integer, got null"),
+        ({"func": 1}, "config keys not recognized: func"),
+    ],
+    ids=["list-for-string", "string-for-append", "bad-int-text", "fraction", "bool", "null", "parser-internal"],
+)
+def test_config_values_are_checked_like_flags(paths, tmp_path, capsys, config, error):
+    # set_defaults skips a flag's conversion for a value that is not a
+    # string, so each value is checked against its flag first
+    cfg = tmp_path / "mine.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"],
+            "--config", str(cfg), "--out", str(tmp_path / "x")]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: %s\n" % error
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_values_of_the_right_type_apply(paths, tmp_path, capsys):
+    # strings convert as on the command line, numbers of the flag's type
+    # pass, and a config trace list comes before the --trace flags
+    base = ["mine", "--table", paths["table"], "--window", "off"]
+    cfg = tmp_path / "mine.json"
+    for config in ({"top": "2"}, {"top": 2}, {"top": 2.0, "trace": [paths["mixed_trace"]]}):
+        cfg.write_text(json.dumps(config))
+        out_dir = tmp_path / str(len(list(tmp_path.iterdir())))
+        argv = base + ["--trace", paths["mixed_trace"], "--config", str(cfg), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        assert len(json.loads((out_dir / "report.json").read_text())) == 2
+        traces = json.loads((out_dir / "summary.json").read_text())["traces"]
+        assert traces == [paths["mixed_trace"]] * (1 + ("trace" in config))
+    capsys.readouterr()
+
+
 def test_mine_top_caps_the_report(paths, tmp_path, capsys):
     # window off, mixed_trace has four minima: --top keeps the best two
     # in report.json, and summary.json still counts all four
@@ -339,6 +380,14 @@ def test_eval_names_the_budget_fallback(paths, model_file, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert (obj["strategy"], obj["fallback"]) == ("exhaustive", "oldest-first")
     assert obj["accepted"] == 12
+
+
+def test_eval_rejects_a_negative_budget(paths, model_file, capsys):
+    argv = ["eval", "--model", model_file, "--trace", paths["simul_trace"],
+            "--table", paths["table"], "--strategy", "exhaustive", "--budget", "-5"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: budget must be non-negative\n")
 
 
 def test_eval_newest_first_rejects_one(paths, model_file, capsys):

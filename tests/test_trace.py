@@ -169,8 +169,14 @@ EVENT_LINES = st.builds(
     st.sampled_from([" ", ",", " , ", "\t"]),
     st.booleans(),
 )
-TRACE_TEXTS = st.lists(EVENT_LINES | st.sampled_from(["", "  ", "# a:b:c", "#1"]), min_size=1, max_size=8).map(
-    lambda lines: "\n".join(lines) + "\n"
+# lines the whole-text split must tell apart: blank and comment lines
+# are skipped, bare grouping is an empty event, and a '#' after
+# grouping or after a token is a token, not a comment
+ODD_LINES = st.sampled_from(["", "  ", "# a:b:c", "#1", " #1", "{#y}", ",#x", "a:b:c #x", "{}", " , ", "{,}"])
+# every line break str.splitlines knows, not only "\n"
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+TRACE_TEXTS = st.builds(
+    lambda lines, brk: brk.join(lines) + brk, st.lists(EVENT_LINES | ODD_LINES, min_size=1, max_size=8), BREAKS
 )
 
 
@@ -180,6 +186,16 @@ TRACE_TEXTS = st.lists(EVENT_LINES | st.sampled_from(["", "  ", "# a:b:c", "#1"]
 @example("b:c:a;pid=1 a:b:c 1\n", False)
 @example("{}\n", False)
 @example("# only\n", True)
+@example("{#y}\n", False)  # '#' after grouping is a token
+@example("a:b:c\n,#x\n", False)
+@example("a:b:c #x\n", False)  # '#' after a token is a token
+@example(" , \n", False)  # bare grouping is an empty event
+@example("{,}\n", True)
+@example("a:b:c\x0cb:c:a;p=1\n", False)  # form feed, NEL and LS break lines too
+@example("a:b:c\x85#x\n{,}\n", False)
+@example("a:b:c;p=1\u2028\u2028b:c:a;p=1\n", True)
+@example("a:b:c;p=1\nb:c:a;p=1;q\n", False)  # a repeated text, then a malformed pair
+@example("a:b:c;p=1;q b:c:a;p=1;q\n", False)  # a malformed text is reported at its first token
 def test_columnar_parse_matches_reference(text, with_table):
     table = SMALL_TABLE if with_table else None
     try:
@@ -220,6 +236,18 @@ def test_attributed_token_is_checked_once(monkeypatch):
     monkeypatch.setattr(flowmine.trace, "_check_atom", lambda text, what: checked.append(what) or real(text, what))
     parse_trace("cpu0:cache:rd_req;addr=0x40;pid=7\ncpu0:cache:rd_req;pid=8 cpu0:cache:rd_req;addr=0\n")
     assert checked == ["source", "destination", "command", "attribute name", "attribute name"]
+
+
+def test_each_attribute_text_is_decoded_once(monkeypatch):
+    calls = []
+    real = flowmine.trace._parse_attrs
+    monkeypatch.setattr(flowmine.trace, "_parse_attrs", lambda *args: calls.append(args[0]) or real(*args))
+    trace = parse_trace("a:b:c;p=1 b:c:a;p=1\nc:a:b;p=1;q=0x2\n{a:b:c;p=2}\nb:c:a;p=1;q=0x2\n")
+    assert calls == [["p=1"], ["p=1", "q=0x2"], ["p=2"]]
+    assert trace.attrs == ({"p": 1}, {"p": 1}, {"p": 1, "q": 2}, {"p": 2}, {"p": 1, "q": 2})
+    # instances with equal attribute text share one mapping
+    assert trace.attrs[0] is trace.attrs[1]
+    assert trace.attrs[2] is trace.attrs[4]
 
 
 def test_bad_attribute_name_reports_its_line():
