@@ -153,6 +153,7 @@ def build_graph(
 
 
 Positions = dict[int, list[tuple[int, int]]]
+Shape = tuple[int, ...]  # message ids in order, ~id where an event starts
 
 
 def node_numbers(graph: CausalityGraph, trace: Trace) -> list[int | None]:
@@ -161,30 +162,41 @@ def node_numbers(graph: CausalityGraph, trace: Trace) -> list[int | None]:
     return [graph._ordinals.get(m) for m in trace.alphabet]
 
 
-def positions_of(trace: Trace, numbers: list[int | None], members: Iterable[int]) -> Positions:
-    """(event index, position) of the member instances per node
-    ordinal, counted among the members: positions run 0, 1, ... and
-    events are renumbered from 0 in member order."""
-    event_of, ids = trace.event_of, trace.ids
-    positions: Positions = {}
-    event, last = -1, None
-    for pos, i in enumerate(members):
-        if event_of[i] != last:
-            event, last = event + 1, event_of[i]
-        node = numbers[ids[i]]
-        found = positions.get(node)
+def trace_shape(trace: Trace) -> Shape:
+    """The shape of a whole trace: its message ids in order, each one
+    that starts an event written as its complement ~id."""
+    shape, last = [], -1
+    for event, mid in zip(trace.event_of, trace.ids):
+        shape.append(mid if event == last else ~mid)
+        last = event
+    return tuple(shape)
+
+
+def positions_of(trace: Trace, numbers: list[int | None], shape: Shape) -> Positions:
+    """(event index, position) of the instances of a shape per node
+    ordinal: positions run 0, 1, ... and events are numbered from 0
+    in shape order.  trace and numbers resolve the shape's ids."""
+    by_id: Positions = {}
+    event = -1
+    for pos, mid in enumerate(shape):
+        if mid < 0:
+            event, mid = event + 1, ~mid
+        found = by_id.get(mid)
         if found is None:
-            if node is None:
-                raise ValueError("message %s is not a graph node" % trace.alphabet[ids[i]].label())
-            positions[node] = [(event, pos)]
+            by_id[mid] = [(event, pos)]
         else:
             found.append((event, pos))
+    positions: Positions = {}
+    for mid, found in by_id.items():
+        if numbers[mid] is None:
+            raise ValueError("message %s is not a graph node" % trace.alphabet[mid].label())
+        positions[numbers[mid]] = found
     return positions
 
 
 def instance_positions(graph: CausalityGraph, trace: Trace) -> Positions:
     """(event index, flattened position) of every instance, per node ordinal."""
-    return positions_of(trace, node_numbers(graph, trace), range(trace.msg_count))
+    return positions_of(trace, node_numbers(graph, trace), trace_shape(trace))
 
 
 def _by_message(graph: CausalityGraph, positions: Positions) -> Counter:
@@ -240,26 +252,33 @@ def _thresholds(heads: list[tuple[int, int]], tails: list[tuple[int, int]], out:
 Thresholds = dict[Edge, list[int]]
 
 
-def window_thresholds(graph: CausalityGraph, units: Iterable[Positions]) -> Thresholds:
+def window_thresholds(graph: CausalityGraph, units: Iterable[tuple[Positions, int]]) -> Thresholds:
     """Per edge, the sorted thresholds of its paired tail instances,
     over every unit: its support at window length w is the number of
     thresholds <= w, and without a window all of them.
 
-    A unit is the instance_positions of one trace, or of one slice of
-    a trace; matching never crosses units.  Each unit is visited
-    through the out-edges of the nodes it holds, so a small slice
-    costs little however large the graph.
+    A unit is (positions, count): the positions of one shape, the
+    whole of a trace or one slice of it, and how many times that
+    shape occurs; matching never crosses units.  The matching reads
+    only positions and event order, and a shape fixes both, since
+    positions count 0, 1, ... within it and its events are numbered
+    from 0.  So equal slices pair their tails at equal thresholds, and
+    each distinct shape is matched once, its thresholds repeated count
+    times.  Each unit is visited through the out-edges of the nodes it
+    holds, so a small slice costs little however large the graph.
     """
     found: Thresholds = {e: [] for e in graph.edges}
     succ: dict[int, list[tuple[int, list[int]]]] = {}
     for (head, tail), out in found.items():
         succ.setdefault(graph.ordinal(head), []).append((graph.ordinal(tail), out))
-    for positions in units:
+    for positions, count in units:
         for head, heads in positions.items():
             for tail, out in succ.get(head, ()):
                 tails = positions.get(tail)
                 if tails:
-                    _thresholds(heads, tails, out)
+                    paired: list[int] = []
+                    _thresholds(heads, tails, paired)
+                    out.extend(paired * count)
     for out in found.values():
         out.sort()
     return found
@@ -281,7 +300,7 @@ def support_deltas(
 ) -> tuple[Counter, Counter]:
     """Per-node and per-edge support contributions of one trace."""
     positions = instance_positions(graph, trace)
-    return _by_message(graph, positions), supports_at(window_thresholds(graph, [positions]), window)
+    return _by_message(graph, positions), supports_at(window_thresholds(graph, [(positions, 1)]), window)
 
 
 def annotate(graph: CausalityGraph, trace: Trace, window: int | None = None) -> CausalityGraph:

@@ -177,9 +177,11 @@ def cmd_mine(args) -> int:
         except NoFeasibleWindowError as exc:
             return _infeasible(args, traces, str(exc), exc.shortfall, exc.problem)
         window_desc = {"mode": "auto", "value": found}
+        annotating = result.annotate_s
     else:
         width = fixed if mode == "fixed" else None
         graph = annotated_graph(traces, window=width, slice_policy=policy, table=table)
+        annotating = time.perf_counter() - started
         problem = build_constraints(graph)
         result = model_extract(problem)
         if result is None:
@@ -200,7 +202,12 @@ def cmd_mine(args) -> int:
     (out_dir / "report.json").write_text(
         json.dumps(_report_rows(result, args.top), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    stages = {"parse": started - parsing, "search": elapsed, "write": time.perf_counter() - searched}
+    stages = {
+        "parse": started - parsing,
+        "annotate": annotating,
+        "search": elapsed - annotating,
+        "write": time.perf_counter() - searched,
+    }
     summary = {
         "traces": args.trace,
         "messages": sum(t.msg_count for t in traces),

@@ -11,15 +11,19 @@ numbers.  The counts of each model are the flow that found it.
 Annotation is prepared once per trace set: entry/exit detection,
 graph structure, node supports, and one matching pass that gives every
 paired tail instance the smallest window length at which it is paired.
-Any window length then reads its edge supports from those thresholds
-with one bisection per edge.  The constraints are built once per
-window search: a probe swaps in its edge supports as the upper
-bounds and runs one max flow.
+A sliced trace is matched once per distinct slice shape, its
+thresholds weighted by the number of slices of that shape: the
+matching reads only positions and event order within a slice, and
+the shape fixes both (see slicing).  Any window length then reads its
+edge supports from those thresholds with one bisection per edge.  The
+constraints are built once per window search: a probe swaps in its
+edge supports as the upper bounds and runs one max flow.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -39,11 +43,10 @@ from .causality import (  # noqa: F401
     detect_initials,
     detect_terminals,
     node_numbers,
-    positions_of,
     supports_at,
     window_thresholds,
 )
-from .slicing import SlicePolicy, annotate_sliced, slice_positions  # noqa: F401
+from .slicing import SlicePolicy, annotate_sliced, slice_units  # noqa: F401
 from .solver import (  # noqa: F401
     ConstraintProblem,
     Solution,
@@ -79,6 +82,7 @@ class ExtractResult:
     search: SearchStats
     windows_tried: int = 1  # window lengths probed to reach this result
     solves: int = 0  # max flows run: one per window probe, and the search's
+    annotate_s: float = 0.0  # seconds auto_window spent in prepare_annotation
 
 
 def _pin_order(sol: Solution, order: str) -> list[int]:
@@ -156,13 +160,15 @@ def prepare_annotation(
     slice_policy: SlicePolicy | None = None,
     table: MessageTable | None = None,
 ) -> PreparedAnnotation:
-    """Detection, structure, node supports and instance positions.
+    """Detection, structure, node supports and window thresholds.
 
     Entry/exit detection and node supports always come from the full,
     unsliced traces; the slicing policy shapes only the pair matching.
     Everything per instance works on message ids: each trace's ids
     map to graph nodes through one list of its alphabet's length, and
-    a node's support is the count of its ids.
+    a node's support is the count of its ids.  The matching units
+    are slicing.slice_units: the whole trace, or one per distinct
+    slice shape with its count.
     """
     initials, terminals = detect_entries_exits(traces)
     graph = build_graph(unique_messages(traces), initials, terminals, table)
@@ -172,10 +178,7 @@ def prepare_annotation(
         numbers = node_numbers(graph, t)
         for i, n in Counter(t.ids).items():
             graph.nodes[at[numbers[i]]].support += n
-        if slice_policy is None:
-            units.append(positions_of(t, numbers, range(t.msg_count)))
-        else:
-            units.extend(slice_positions(graph, t, slice_policy))
+        units.extend(slice_units(graph, t, slice_policy))
     return PreparedAnnotation(graph, window_thresholds(graph, units))
 
 
@@ -208,11 +211,14 @@ def auto_window(
     search probes w = 0, then bisects the rest.  The graph is
     annotated and models are extracted once, at the length found,
     and (w, graph, extraction) is returned; the extraction's
-    windows_tried counts the probes and its solves include them.
+    windows_tried counts the probes, its solves include them, and
+    annotate_s is the time taken by prepare_annotation.
     Raises NoFeasibleWindowError, with the unwindowed problem and its
     shortfall, when no length works.
     """
+    started = time.perf_counter()
     prepared = prepare_annotation(traces, slice_policy, table)
+    annotate_s = time.perf_counter() - started
     skeleton = build_constraints(prepared.graph)
     windows = sorted({0}.union(*prepared.thresholds.values()))
     probed: dict[int, tuple[ConstraintProblem, Shortfall | None]] = {}
@@ -229,4 +235,5 @@ def auto_window(
         raise NoFeasibleWindowError(reason, short, problem)
     w = windows[found]
     result = model_extract(probed[w][0])
-    return w, prepared.at(w), replace(result, windows_tried=len(probed), solves=len(probed) + result.solves)
+    result = replace(result, windows_tried=len(probed), solves=len(probed) + result.solves, annotate_s=annotate_s)
+    return w, prepared.at(w), result

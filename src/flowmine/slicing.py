@@ -7,15 +7,34 @@ cross-transaction pairings that a window can only approximate.
 
 Node supports keep coming from the whole trace; only edge supports
 are computed inside slices and summed.
+
+Mining never builds a slice.  One pass over the trace's columns keys
+each instance to its slice and records the slice's shape: its message
+ids in order, with a mark where each of its events starts.  The
+matching reads nothing else, because positions count from 0 inside a
+slice and its events are renumbered from 0, so slices of equal shape
+pair their tails at equal thresholds.  Equal shapes are counted, and
+each distinct one is matched once and weighted by its count (see
+causality.window_thresholds); transactions of one flow mostly share a
+handful of shapes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
 
-from .causality import CausalityGraph, Positions, apply_deltas, node_deltas, node_numbers, positions_of, support_deltas
+from .causality import (
+    CausalityGraph,
+    Positions,
+    Shape,
+    apply_deltas,
+    node_deltas,
+    node_numbers,
+    positions_of,
+    support_deltas,
+    trace_shape,
+)
 from .trace import Trace
 
 
@@ -53,27 +72,66 @@ def address_block(addr: int, line_size: int) -> int:
     return addr // line_size
 
 
-_UNKEYED = object()  # the key of a slice holding one instance without the attribute
+_UNKEYED = object()  # the key of an instance without the attribute
+
+
+def _slice_keys(trace: Trace, policy: SlicePolicy) -> list[object]:
+    """The slice key of each instance in trace order: its attribute
+    value, or that value's block, or _UNKEYED when it has none."""
+    name, block = policy.attribute, policy.block
+    keys: list[object] = []
+    for attrs in trace.attrs:
+        if not attrs or name not in attrs:
+            keys.append(_UNKEYED)
+        elif block is None:
+            keys.append(attrs[name])
+        else:
+            keys.append(address_block(attrs[name], block))
+    return keys
 
 
 def _buckets(trace: Trace, policy: SlicePolicy) -> list[tuple[object, list[int]]]:
     """(key, instance numbers in trace order) per slice, in order of
     first appearance."""
-    name, block = policy.attribute, policy.block
     isolate = policy.missing == "isolate"
     keyed: dict[object, list[int]] = {}
     buckets: list[tuple[object, list[int]]] = []
-    for i, attrs in enumerate(trace.attrs):
-        if attrs and name in attrs:
-            key = attrs[name] if block is None else address_block(attrs[name], block)
-            members = keyed.get(key)
-            if members is None:
-                members = keyed[key] = []
-                buckets.append((key, members))
-            members.append(i)
-        elif isolate:
-            buckets.append((_UNKEYED, [i]))
+    for i, key in enumerate(_slice_keys(trace, policy)):
+        if key is _UNKEYED:
+            if isolate:
+                buckets.append((_UNKEYED, [i]))
+            continue
+        members = keyed.get(key)
+        if members is None:
+            members = keyed[key] = []
+            buckets.append((key, members))
+        members.append(i)
     return buckets
+
+
+def slice_shapes(trace: Trace, policy: SlicePolicy) -> Counter:
+    """The number of slices of each shape, in one pass over the trace.
+
+    A shape is a slice's message ids in order, each one that starts an
+    event of the slice written as its complement ~id (as
+    causality.trace_shape writes a whole trace).  An isolated instance
+    is a slice of its own, so its shape is (~id,).
+    """
+    isolate = policy.missing == "isolate"
+    shapes: dict[object, list[int]] = {}
+    last: dict[object, int] = {}
+    counts: Counter = Counter()
+    for key, event, mid in zip(_slice_keys(trace, policy), trace.event_of, trace.ids):
+        if key is _UNKEYED:
+            if isolate:
+                counts[(~mid,)] += 1
+        elif last.get(key) == event:
+            shapes[key].append(mid)
+        else:
+            last[key] = event
+            shapes.setdefault(key, []).append(~mid)
+    counts.update(map(tuple, shapes.values()))
+    return counts
 
 
 def slice_trace(trace: Trace, policy: SlicePolicy) -> list[Trace]:
@@ -126,16 +184,13 @@ def parse_policy(spec: str) -> SlicePolicy:
     return SlicePolicy(attribute, block=block, missing=missing)
 
 
-def slice_positions(graph: CausalityGraph, trace: Trace, policy: SlicePolicy) -> Iterator[Positions]:
-    """instance_positions of each slice, in slice_trace order.
-
-    Positions count within the slice.  They are read off the trace's
-    columns through one id-to-node list, so no slice is built as a
-    trace.
-    """
+def slice_units(graph: CausalityGraph, trace: Trace, policy: SlicePolicy | None) -> list[tuple[Positions, int]]:
+    """The units causality.window_thresholds matches for one trace:
+    (positions, count) per distinct slice shape, or the whole trace
+    once without a policy.  Positions count within the shape."""
+    shapes: Counter[Shape] = Counter([trace_shape(trace)]) if policy is None else slice_shapes(trace, policy)
     numbers = node_numbers(graph, trace)
-    for _, members in _buckets(trace, policy):
-        yield positions_of(trace, numbers, members)
+    return [(positions_of(trace, numbers, shape), count) for shape, count in shapes.items()]
 
 
 def sliced_support_deltas(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -114,9 +115,10 @@ def test_mine_auto_window(paths, tmp_path, capsys):
     assert summary["best_size"] == 7
     assert summary["states"] == 5
     assert summary["messages"] == 12
-    assert set(summary["stage_s"]) == {"parse", "search", "write"}
+    assert set(summary["stage_s"]) == {"parse", "annotate", "search", "write"}
     assert all(seconds >= 0 for seconds in summary["stage_s"].values())
-    assert summary["stage_s"]["search"] == summary["wall_time_s"]
+    stages = summary["stage_s"]
+    assert stages["annotate"] + stages["search"] == pytest.approx(summary["wall_time_s"], abs=2e-6)
 
 
 def test_mine_window_off(paths, tmp_path, capsys):
@@ -291,6 +293,53 @@ def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
     assert capsys.readouterr().err == "note: --max-window is ignored; the window search needs no bound\n"
     for name in ("model.json", "graph.json", "report.json"):
         assert (bounded / name).read_text() == (out_dir / name).read_text()
+
+
+def test_mine_fixed_window_splits_annotate_from_search(paths, tmp_path):
+    out_dir = tmp_path / "mined"
+    argv = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"], "--window", "3",
+            "--out", str(out_dir)]
+    assert main(argv) == EXIT_OK
+    summary = json.loads((out_dir / "summary.json").read_text())
+    stages = summary["stage_s"]
+    assert set(stages) == {"parse", "annotate", "search", "write"}
+    assert stages["annotate"] > 0 and stages["search"] > 0
+    assert stages["annotate"] + stages["search"] == pytest.approx(summary["wall_time_s"], abs=2e-6)
+
+
+# sha256 of model.json, graph.json and report.json per mine, as the
+# per-slice matching wrote them before slices were matched per shape
+MINED_DIGESTS = {
+    (): (
+        "15e5ea3c940179c858b7ecec66864de66062f3f37784af8e8606a3cd506c8398",
+        "76ca4538ea3d23fdc77119c48e8aeecaca45ba389ce405c87be7a9e78f3fe223",
+        "9322465bae9fa598cc52d9fc66dce8649a2044b7cc750be8723cf4db2876be37",
+    ),
+    ("--slice", "pid"): (
+        "15e5ea3c940179c858b7ecec66864de66062f3f37784af8e8606a3cd506c8398",
+        "49f4103f94b1155eba6648382917ab6429984f2e321db6c9698e3de5f4446f9f",
+        "4ad9c2a6b67d1107e9ec6325af083b827b44e1f0e2cb646991dbda1f8446aee2",
+    ),
+    ("--slice", "pid", "--window", "3"): (
+        "15e5ea3c940179c858b7ecec66864de66062f3f37784af8e8606a3cd506c8398",
+        "2295a95f7996864d908386cd429632b00c72e6f1dcd0d0090cbf1e575e5d8c01",
+        "4ad9c2a6b67d1107e9ec6325af083b827b44e1f0e2cb646991dbda1f8446aee2",
+    ),
+}
+
+
+def test_mine_outputs_are_byte_identical(paths, tmp_path, capsys):
+    trace_file = tmp_path / "tagged.trace"
+    assert main(["gen", "--spec", paths["spec"], "--table", paths["table"], "--instances", "200",
+                 "--seed", "7", "--simul", "0.2", "--tag", "pid", "--out", str(trace_file)]) == EXIT_OK
+    for flags, digests in MINED_DIGESTS.items():
+        out_dir = tmp_path / ("mined%d" % len(flags))
+        assert main(["mine", "--trace", str(trace_file), "--table", paths["table"], *flags,
+                     "--out", str(out_dir)]) == EXIT_OK
+        got = tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                    for name in ("model.json", "graph.json", "report.json"))
+        assert got == digests, flags
+    assert capsys.readouterr().err == ""
 
 
 def test_mine_records_skipped_balances(mixed_trace, tmp_path):

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowmine import (
     Message,
@@ -13,8 +13,10 @@ from flowmine import (
     trace_of,
     unique_messages,
 )
+import flowmine.causality
+from flowmine.causality import _thresholds, window_thresholds
 from flowmine.extract import annotated_graph
-from flowmine.slicing import labeled_slices, slice_positions, sliced_support_deltas
+from flowmine.slicing import labeled_slices, slice_shapes, slice_units, sliced_support_deltas
 
 from helpers import naive_positions, naive_slices
 
@@ -183,29 +185,86 @@ def test_sliced_edge_support_never_exceeds_unbounded_unsliced(trace, window):
         assert s <= unbounded.edges[e]
 
 
+def keyed_traces(pids):
+    messages = st.builds(
+        Message,
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["x", "y"]),
+        st.just({}) | st.fixed_dictionaries({"pid": pids}),
+    )
+    events = st.lists(st.lists(messages, min_size=1, max_size=3), min_size=1, max_size=10)
+    return events.map(lambda evs: trace_of(*evs))
+
+
+def frozen(positions):
+    return tuple(sorted((node, tuple(ps)) for node, ps in positions.items()))
+
+
 @settings(deadline=None, max_examples=200)
 @given(
-    st.lists(
-        st.lists(
-            st.builds(
-                Message,
-                st.sampled_from(["a", "b", "c"]),
-                st.sampled_from(["a", "b", "c"]),
-                st.sampled_from(["x", "y"]),
-                st.just({}) | st.fixed_dictionaries({"pid": st.integers(0, 200)}),
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-        min_size=1,
-        max_size=10,
-    ).map(lambda evs: trace_of(*evs)),
+    keyed_traces(st.integers(0, 200)),
     st.sampled_from(["isolate", "drop"]),
     st.none() | st.sampled_from([1, 64]),
 )
 def test_slice_positions_match_naive_slices(trace, missing, block):
+    # one unit per distinct slice, counted as often as it occurs
     graph = build_graph(unique_messages([trace]), set(), set())
     policy = SlicePolicy("pid", block=block, missing=missing)
-    got = list(slice_positions(graph, trace, policy))
-    want = [naive_positions(part, graph.ordinal) for part in naive_slices(trace, "pid", missing, block)]
+    got = Counter()
+    for positions, count in slice_units(graph, trace, policy):
+        got[frozen(positions)] += count
+    parts = naive_slices(trace, "pid", missing, block)
+    want = Counter(frozen(naive_positions(part, graph.ordinal)) for part in parts)
     assert got == want
+    assert len(slice_units(graph, trace, policy)) == len(slice_shapes(trace, policy)) == len(want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    # few keys, in three blocks of 64, so that slices often share a shape
+    st.lists(keyed_traces(st.sampled_from([0, 1, 2, 64, 65, 130])), min_size=1, max_size=3),
+    st.sampled_from(["isolate", "drop"]),
+    st.none() | st.sampled_from([1, 64]),
+)
+@example([trace_of([Message("a", "b", "x")], [Message("b", "c", "y")])], "drop", None)
+@example(
+    [trace_of(*([Message("a", "b", "x", {"pid": p})] for p in (0, 1, 64)),
+              *([Message("b", "a", "y", {"pid": p})] for p in (0, 1, 64)))],
+    "isolate",
+    None,
+)
+def test_thresholds_from_counted_shapes_match_every_naive_slice(traces, missing, block):
+    # every causal pair is an edge, so every slice's pairings count
+    graph = build_graph(unique_messages(traces), set(), set())
+    policy = SlicePolicy("pid", block=block, missing=missing)
+    got = window_thresholds(graph, [u for t in traces for u in slice_units(graph, t, policy)])
+    want = {e: [] for e in graph.edges}
+    for t in traces:
+        for part in naive_slices(t, "pid", missing, block):
+            positions = naive_positions(part, graph.ordinal)
+            for (head, tail), out in want.items():
+                heads, tails = positions.get(graph.ordinal(head)), positions.get(graph.ordinal(tail))
+                if heads and tails:
+                    _thresholds(heads, tails, out)
+    assert got == {e: sorted(out) for e, out in want.items()}
+
+
+def test_each_slice_shape_is_matched_once(monkeypatch, table):
+    # five transactions interleaved, each a 1 then a 2 in later
+    # events: five slices of one shape
+    first, second = table.message_at(1), table.message_at(2)
+    trace = trace_of(*([first.with_attrs(pid=p)] for p in range(5)),
+                     *([second.with_attrs(pid=p)] for p in range(5)))
+    assert list(slice_shapes(trace, SlicePolicy("pid")).values()) == [5]
+    calls = []
+
+    def counting(heads, tails, out):
+        calls.append((heads, tails))
+        _thresholds(heads, tails, out)
+
+    monkeypatch.setattr(flowmine.causality, "_thresholds", counting)
+    g = annotated_graph([trace], slice_policy=SlicePolicy("pid"), table=table)
+    assert [e for e in g.edges if set(e) <= {first, second}] == [(first, second)]
+    assert g.edges[(first, second)] == 5
+    assert calls == [([(0, 0)], [(1, 1)])]  # once for the edge, not once per slice
