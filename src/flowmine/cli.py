@@ -29,7 +29,7 @@ from .extract import (
 from .flows import GenConfig, generate, parse_flowspec
 from .fsa import STRATEGIES, acceptance_ratio, derive_fsa, fsa_from_json, fsa_to_json, to_dot
 from .slicing import labeled_slices, parse_policy
-from .solver import ConstraintProblem, build_constraints, export_smtlib
+from .solver import build_constraints, export_smtlib
 from .trace import (
     MessageTable,
     ParseError,
@@ -38,7 +38,7 @@ from .trace import (
     parse_trace,
     serialize_trace,
 )
-from .transport import Shortfall, shortfall
+from .transport import shortfall
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -142,21 +142,35 @@ def _report_rows(result: ExtractResult, top: int) -> list[dict]:
     return rows
 
 
-def _infeasible(args, traces: list[Trace], reason: str, why: Shortfall, problem: ConstraintProblem) -> int:
-    """Report an infeasible mine, and its witness, on stderr and in
-    summary.json; problem is the one the witness is about."""
-    print("infeasible: %s; %s" % (reason, why.describe()), file=sys.stderr)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {
+def _summary(
+    args, traces: list[Trace], window: dict, windows_tried: int, solves: int, elapsed: float, stages: dict
+) -> dict:
+    """The summary.json fields that every mine writes, feasible or not."""
+    return {
         "traces": args.trace,
         "messages": sum(t.msg_count for t in traces),
         "slice": args.slice,
-        "infeasible": why.to_json(),
-        "reason": reason,
-        "skipped_balances": problem.skipped,
+        "window": window,
+        "windows_tried": windows_tried,
+        "solves": solves,
+        "wall_time_s": round(elapsed, 6),
+        "stage_s": {stage: round(seconds, 6) for stage, seconds in stages.items()},
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_summary(args, summary: dict) -> None:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    (out_dir / "summary.json").write_text(text, encoding="utf-8")
+
+
+def _infeasible(args, exc: NoFeasibleWindowError, summary: dict) -> int:
+    """Report an infeasible mine, and its witness, on stderr and in
+    summary.json; exc.problem is the one the witness is about."""
+    print("infeasible: %s; %s" % (exc, exc.shortfall.describe()), file=sys.stderr)
+    summary.update(infeasible=exc.shortfall.to_json(), reason=str(exc), skipped_balances=exc.problem.skipped)
+    _write_summary(args, summary)
     return EXIT_INFEASIBLE
 
 
@@ -168,26 +182,28 @@ def cmd_mine(args) -> int:
     if args.top < 1:
         raise ValueError("top must be positive")
     mode, fixed = _parse_window(args.window)
+    window_desc = {"mode": mode, "value": fixed}
     started = time.perf_counter()
     if args.max_window is not None:
         print("note: --max-window is ignored; the window search needs no bound", file=sys.stderr)
-    if mode == "auto":
-        try:
-            found, graph, result = auto_window(traces, slice_policy=policy, table=table)
-        except NoFeasibleWindowError as exc:
-            return _infeasible(args, traces, str(exc), exc.shortfall, exc.problem)
-        window_desc = {"mode": "auto", "value": found}
-        annotating = result.annotate_s
-    else:
-        width = fixed if mode == "fixed" else None
-        graph = annotated_graph(traces, window=width, slice_policy=policy, table=table)
-        annotating = time.perf_counter() - started
-        problem = build_constraints(graph)
-        result = model_extract(problem)
-        if result is None:
-            reason = "the consistency constraints admit no solution"
-            return _infeasible(args, traces, reason, shortfall(problem), problem)
-        window_desc = {"mode": mode, "value": width}
+    try:
+        if mode == "auto":
+            window_desc["value"], graph, result = auto_window(traces, slice_policy=policy, table=table)
+            annotating = result.annotate_s
+        else:
+            graph = annotated_graph(traces, window=fixed, slice_policy=policy, table=table)
+            annotating = time.perf_counter() - started
+            problem = build_constraints(graph)
+            result = model_extract(problem)
+            if result is None:
+                # two max flows: the search's root, and the witness's
+                reason = "the consistency constraints admit no solution"
+                raise NoFeasibleWindowError(reason, shortfall(problem), problem, 1, 2, annotating)
+    except NoFeasibleWindowError as exc:
+        elapsed = time.perf_counter() - started
+        stages = {"parse": started - parsing, "annotate": exc.annotate_s, "search": elapsed - exc.annotate_s}
+        summary = _summary(args, traces, window_desc, exc.windows_tried, exc.solves, elapsed, stages)
+        return _infeasible(args, exc, summary)
     searched = time.perf_counter()
     elapsed = searched - started
 
@@ -208,25 +224,16 @@ def cmd_mine(args) -> int:
         "search": elapsed - annotating,
         "write": time.perf_counter() - searched,
     }
-    summary = {
-        "traces": args.trace,
-        "messages": sum(t.msg_count for t in traces),
-        "window": window_desc,
-        "windows_tried": result.windows_tried,
-        "solves": result.solves,
-        "slice": args.slice,
-        "candidates": len(result.pool),
-        "search": result.search.to_json(),
-        "infeasible": None,
-        "skipped_balances": result.best.problem.skipped,
-        "best_size": result.best.size,
-        "states": len(fsa.states),
-        "wall_time_s": round(elapsed, 6),
-        "stage_s": {stage: round(seconds, 6) for stage, seconds in stages.items()},
-    }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    summary = _summary(args, traces, window_desc, result.windows_tried, result.solves, elapsed, stages)
+    summary.update(
+        candidates=len(result.pool),
+        search=result.search.to_json(),
+        infeasible=None,
+        skipped_balances=result.best.problem.skipped,
+        best_size=result.best.size,
+        states=len(fsa.states),
     )
+    _write_summary(args, summary)
     shown = "off" if window_desc["value"] is None else window_desc["value"]
     fallback = "" if result.search.fallback is None else " (fallback: %s)" % result.search.fallback
     print(
@@ -249,6 +256,7 @@ def cmd_eval(args) -> int:
         "ratio": report.ratio,
         "strategy": report.strategy,
         "fallback": report.fallback,
+        "nodes": report.nodes,
         "rejected_positions": [
             {"event": e_idx, "msg": _msg_obj(m)} for e_idx, m in report.rejected
         ],

@@ -67,12 +67,24 @@ class NoFeasibleWindowError(RuntimeError):
     """No window length admits a solution, not even no window at all.
 
     problem is the unwindowed one, and shortfall says why it has no
-    solution."""
+    solution.  windows_tried, solves and annotate_s count the search
+    as ExtractResult's fields of those names do."""
 
-    def __init__(self, message: str, shortfall: Shortfall, problem: ConstraintProblem):
+    def __init__(
+        self,
+        message: str,
+        shortfall: Shortfall,
+        problem: ConstraintProblem,
+        windows_tried: int,
+        solves: int,
+        annotate_s: float,
+    ):
         super().__init__(message)
         self.shortfall = shortfall
         self.problem = problem
+        self.windows_tried = windows_tried
+        self.solves = solves
+        self.annotate_s = annotate_s
 
 
 @dataclass(frozen=True)
@@ -213,8 +225,8 @@ def auto_window(
     and (w, graph, extraction) is returned; the extraction's
     windows_tried counts the probes, its solves include them, and
     annotate_s is the time taken by prepare_annotation.
-    Raises NoFeasibleWindowError, with the unwindowed problem and its
-    shortfall, when no length works.
+    Raises NoFeasibleWindowError, with the unwindowed problem, its
+    shortfall and the probes, when no length works.
     """
     started = time.perf_counter()
     prepared = prepare_annotation(traces, slice_policy, table)
@@ -232,7 +244,7 @@ def auto_window(
     if found == len(windows):
         problem, short = probed[windows[-1]]
         reason = "no window length admits a solution, not even no window (%d tried)" % len(probed)
-        raise NoFeasibleWindowError(reason, short, problem)
+        raise NoFeasibleWindowError(reason, short, problem, len(probed), len(probed), annotate_s)
     w = windows[found]
     result = model_extract(probed[w][0])
     result = replace(result, windows_tried=len(probed), solves=len(probed) + result.solves, annotate_s=annotate_s)

@@ -11,19 +11,21 @@ over all messages, says how much of the trace the model explains.
 Which active instance absorbs a message is ambiguous, so strategies
 differ: oldest-first and newest-first resolve greedily, exhaustive
 searches instance choices and same-event orderings for the maximum
-number of accepted messages under a node budget.
+number of accepted messages under a node budget.  The exhaustive
+search keeps its own stack, so a trace of any length is searched; its
+one fallback, past the budget, is the oldest-first result, and its
+report counts the nodes it visited.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import sys
 from bisect import insort
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import count, groupby
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .causality import CausalityGraph
 from .solver import Solution
@@ -113,6 +115,7 @@ class AcceptanceReport:
     rejected: tuple[tuple[int, Message], ...]  # (event index, message)
     strategy: str  # the strategy requested
     fallback: str | None = None  # the strategy that produced the result, when not the requested one
+    nodes: int = 0  # search nodes the exhaustive strategy visited; 0 for the greedy ones
 
     @property
     def ratio(self) -> float:
@@ -207,23 +210,6 @@ def _greedy(fsa: FSA, trace: Trace, newest: bool, table: MessageTable | None, na
     return AcceptanceReport(accepted, trace.msg_count, tuple(rejected), name)
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _fits(calls: int) -> bool:
-    """Whether calls nested Python calls, this one the first, fit
-    under the recursion limit.  Probed rather than computed from the
-    frames on the stack, because the interpreter also counts C-level
-    calls that no frame shows (a test runner adds several)."""
-    if calls <= 1:
-        return True
-    try:
-        return _fits(calls - 1)
-    except RecursionError:
-        return False
-
-
 def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None) -> AcceptanceReport:
     """Maximize accepted messages over instance choices, same-event
     orderings, and deliberate rejections.
@@ -231,18 +217,17 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
     Maximizing acceptance is minimizing rejections, so the search
     deepens iteratively on the reject count: a depth-first pass asks
     "does a completion with at most R rejects exist?" for R = 0, 1,
-    2, ...  Dead (position, remaining message ids, active states)
-    keys remember the largest reject allowance they failed under,
-    which carries pruning across rounds.  The node budget spans all
-    rounds; beyond it the oldest-first result is returned, marked as
-    a fallback.
-
-    The search recurses once per message: a successful pass nests one
-    dfs call per message, plus one for the end of the trace, on top
-    of this function's frame, and that last call returns without
-    calling anything.  When that many nested calls do not fit under
-    the recursion limit, no pass can succeed, so the search is not
-    started and the result falls back the same way.
+    2, ...  At R = the message count, rejecting every message is a
+    completion, so some round succeeds.  The pass keeps its own
+    stack, one frame per open node: its (position, remaining message
+    ids, active states) key, its reject allowance, its untried
+    choices, and the reject, if any, that led to it; so its depth is
+    bounded by the trace length, not by the interpreter's recursion
+    limit.  Dead keys remember the largest reject allowance they
+    failed under, which carries pruning across rounds.  The node
+    budget spans all rounds; beyond it the oldest-first result is
+    returned, marked as a fallback, and either way the report counts
+    the nodes visited.
     """
     events = [
         tuple(mid for _, mid in group)
@@ -250,23 +235,13 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
     ]
     opens, moves = _id_tables(fsa, trace)
     initial = fsa.initial
-    failed: dict[tuple, int] = {}
-    nodes = 0
-    path: list[tuple[int, int, str, str | None]] = []
     last_event = len(events) - 1
 
-    def dfs(e_idx: int, rest: tuple[int, ...], states: tuple[str, ...], r_left: int) -> bool:
-        nonlocal nodes
-        if not rest:
-            if e_idx == last_event:
-                return True
-            e_idx, rest = e_idx + 1, events[e_idx + 1]
-        key = (e_idx, rest, states)
-        if failed.get(key, -1) >= r_left:
-            return False
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetExceeded
+    def choices(e_idx: int, rest: tuple[int, ...], states: tuple[str, ...], r_left: int):
+        """A node's children in search order: each distinct message id
+        in rest, opened, then advanced from each distinct state, then
+        rejected.  A child is (e_idx, rest, states, r_left, dropped),
+        dropped being the (event index, message id) a reject drops."""
         tried: set[int] = set()
         for k, m in enumerate(rest):
             if m in tried:
@@ -276,10 +251,7 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
             opened = opens[m]
             if opened is not None:
                 ns = states if opened == initial else tuple(sorted(states + (opened,)))
-                path.append((e_idx, m, "open", None))
-                if dfs(e_idx, tail, ns, r_left):
-                    return True
-                path.pop()
+                yield e_idx, tail, ns, r_left, None
             for st in dict.fromkeys(states):
                 moved = moves[m].get(st)
                 if moved is None:
@@ -288,37 +260,38 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
                 pool.remove(st)
                 if moved != initial:
                     pool.append(moved)
-                path.append((e_idx, m, "advance", st))
-                if dfs(e_idx, tail, tuple(sorted(pool)), r_left):
-                    return True
-                path.pop()
+                yield e_idx, tail, tuple(sorted(pool)), r_left, None
             if r_left > 0:
-                path.append((e_idx, m, "reject", None))
-                if dfs(e_idx, tail, states, r_left - 1):
-                    return True
-                path.pop()
-        failed[key] = max(failed.get(key, -1), r_left)
-        return False
+                yield e_idx, tail, states, r_left - 1, (e_idx, m)
 
     total = trace.msg_count
-    try:
-        if not _fits(total + 1):
-            raise RecursionError  # no pass can succeed, so none is started
-        for allowance in range(total + 1):
-            path.clear()
-            if dfs(0, events[0], (), allowance):
-                rejected = tuple((e, trace.alphabet[m]) for e, m, action, _ in path if action == "reject")
-                return AcceptanceReport(total - len(rejected), total, rejected, "exhaustive")
-    except _BudgetExceeded:
-        log.warning("exhaustive evaluation hit the %d node budget; using oldest-first", budget)
-    except RecursionError:
-        log.warning(
-            "exhaustive evaluation of %d messages hit the recursion limit (%d); using oldest-first",
-            total,
-            sys.getrecursionlimit(),
-        )
-    report = _greedy(fsa, trace, newest=False, table=table, name="exhaustive")
-    return replace(report, fallback="oldest-first")
+    failed: dict[tuple, int] = {}
+    nodes = 0
+    for allowance in count():
+        stack: list[tuple[tuple, int, Iterator, tuple[int, int] | None]] = []
+        child = (0, events[0], (), allowance, None)
+        while child is not None:
+            e_idx, rest, states, r_left, dropped = child
+            if not rest:
+                if e_idx == last_event:
+                    drops = [frame[3] for frame in stack] + [dropped]
+                    rejected = tuple((e, trace.alphabet[m]) for e, m in filter(None, drops))
+                    return AcceptanceReport(total - len(rejected), total, rejected, "exhaustive", nodes=nodes)
+                e_idx, rest = e_idx + 1, events[e_idx + 1]
+            key = (e_idx, rest, states)
+            if failed.get(key, -1) < r_left:
+                nodes += 1
+                if nodes > budget:
+                    log.warning("exhaustive evaluation hit the %d node budget; using oldest-first", budget)
+                    report = _greedy(fsa, trace, newest=False, table=table, name="exhaustive")
+                    return replace(report, fallback="oldest-first", nodes=nodes)
+                stack.append((key, r_left, choices(e_idx, rest, states, r_left), dropped))
+            child = None
+            while stack and child is None:
+                child = next(stack[-1][2], None)
+                if child is None:
+                    key, r_left, _, _ = stack.pop()
+                    failed[key] = r_left
 
 
 def acceptance_ratio(

@@ -7,6 +7,7 @@ calling the production code, so agreement is meaningful.
 from __future__ import annotations
 
 import contextlib
+import functools
 import random
 import re
 import sys
@@ -264,6 +265,39 @@ def reference_greedy(fsa, trace: Trace, newest: bool, table=None) -> tuple[int, 
             else:
                 active[i] = (active[i][0], nxt)
     return accepted, rejected
+
+
+def reference_exhaustive(fsa, trace: Trace) -> int:
+    """The largest accepted count over every order of each event's
+    messages and every choice per message: open a fresh instance (a
+    transition from the initial state exists), advance any one active
+    instance, or reject.  Active instances are kept as a sorted tuple
+    of their states, and results are cached by (event index, messages
+    left in it, active states); exponential without the cache, so for
+    traces of a few messages."""
+    events = [tuple(event) for event in trace.events]
+
+    @functools.cache
+    def best(e_idx: int, pending: tuple, active: tuple) -> int:
+        if not pending:
+            return best(e_idx + 1, events[e_idx + 1], active) if e_idx + 1 < len(events) else 0
+        results = []
+        for i, m in enumerate(pending):
+            left = pending[:i] + pending[i + 1 :]
+            results.append(best(e_idx, left, active))  # rejected
+            opened = fsa.step(fsa.initial, m)
+            if opened is not None:
+                grown = active if opened == fsa.initial else tuple(sorted(active + (opened,)))
+                results.append(1 + best(e_idx, left, grown))
+            for j, state in enumerate(active):
+                nxt = fsa.step(state, m)
+                if nxt is not None:
+                    others = active[:j] + active[j + 1 :]
+                    moved = others if nxt == fsa.initial else tuple(sorted(others + (nxt,)))
+                    results.append(1 + best(e_idx, left, moved))
+        return max(results)
+
+    return best(0, events[0], ())
 
 
 def instance_pair_counts(instances, edges) -> Counter:

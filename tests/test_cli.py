@@ -152,7 +152,17 @@ def test_mine_fixed_window_infeasible(paths, tmp_path, capsys):
     witness = summary["infeasible"]
     assert set(witness) == {"out_balances", "need", "in_balances", "capacity"}
     assert witness["need"] > witness["capacity"]
+    assert summary["window"] == {"mode": "fixed", "value": 0}
+    assert (summary["windows_tried"], summary["solves"]) == (1, 2)  # the search's root flow, the witness's
+    assert_infeasible_timing(summary)
     assert not (tmp_path / "x" / "model.json").exists()
+
+
+def assert_infeasible_timing(summary):
+    stages = summary["stage_s"]
+    assert set(stages) == {"parse", "annotate", "search"}
+    assert all(seconds >= 0 for seconds in stages.values())
+    assert stages["annotate"] + stages["search"] == pytest.approx(summary["wall_time_s"], abs=2e-6)
 
 
 def test_mine_names_a_search_that_proves_the_size_but_lists_no_more(paths, tmp_path, capsys, monkeypatch):
@@ -187,6 +197,13 @@ def test_mine_infeasible_with_any_window(tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["infeasible"] == shortfall(off).to_json()
     assert summary["skipped_balances"] == []
+    assert summary["window"] == {"mode": "auto", "value": None}
+    assert (summary["windows_tried"], summary["solves"]) == (1, 1)
+    assert_infeasible_timing(summary)
+    assert set(summary) == {
+        "traces", "messages", "slice", "window", "windows_tried", "solves", "wall_time_s", "stage_s",
+        "infeasible", "reason", "skipped_balances",
+    }
     assert not (out_dir / "model.json").exists()
 
 
@@ -400,6 +417,7 @@ def test_eval_reports_json(paths, model_file, capsys):
     assert obj["ratio"] == 1.0
     assert obj["strategy"] == "oldest-first"
     assert obj["fallback"] is None
+    assert obj["nodes"] == 0  # greedy strategies search nothing
     assert obj["rejected_positions"] == []
 
 
@@ -424,10 +442,12 @@ def test_eval_names_the_budget_fallback(paths, model_file, capsys):
     argv = ["eval", "--model", model_file, "--trace", paths["simul_trace"],
             "--table", paths["table"], "--strategy", "exhaustive"]
     assert main(argv) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["fallback"] is None
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["fallback"], obj["nodes"]) == (None, 12)  # one node per message, no backtracking
     assert main(argv + ["--budget", "1"]) == EXIT_OK
     obj = json.loads(capsys.readouterr().out)
     assert (obj["strategy"], obj["fallback"]) == ("exhaustive", "oldest-first")
+    assert obj["nodes"] == 2  # the second node passes the budget
     assert obj["accepted"] == 12
 
 

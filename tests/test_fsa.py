@@ -21,10 +21,9 @@ from flowmine import (
     to_dot,
     trace_of,
 )
-import flowmine.fsa
 from flowmine.extract import annotated_graph
 
-from helpers import check_dot, recursion_headroom, reference_greedy
+from helpers import check_dot, recursion_headroom, reference_exhaustive, reference_greedy
 
 
 def loop_fsa(*msgs: Message) -> FSA:
@@ -197,64 +196,28 @@ def test_exhausted_budget_falls_back_to_greedy(flowspec, simul_trace, table, cap
     assert any("budget" in r.message for r in caplog.records)
 
 
-def test_trace_deeper_than_the_recursion_limit_falls_back(flowspec, table, caplog):
-    # the search recurses once per message; the limit is lowered only
-    # to keep the trace, and the run time, small
+def test_exhaustive_search_goes_deeper_than_the_recursion_limit(flowspec, table, caplog):
+    # the search keeps its own stack, one frame per message on the
+    # path; the limit is lowered only to keep the trace, and the run
+    # time, small
     fsa = ground_truth_fsa(flowspec)
     trace = generate(flowspec, GenConfig(instances=40, seed=3, simul_prob=0.2))
     assert trace.msg_count > 100
-    with recursion_headroom(100) as limit, caplog.at_level(logging.WARNING, logger="flowmine.fsa"):
+    with recursion_headroom(100), caplog.at_level(logging.WARNING, logger="flowmine.fsa"):
         report = acceptance_ratio(fsa, trace, strategy="exhaustive", table=table)
-    assert (report.strategy, report.fallback) == ("exhaustive", "oldest-first")
-    greedy = acceptance_ratio(fsa, trace, table=table)
-    assert (report.accepted, report.rejected) == (greedy.accepted, greedy.rejected)
-    assert [r.getMessage() for r in caplog.records] == [
-        "exhaustive evaluation of %d messages hit the recursion limit (%d); using oldest-first"
-        % (trace.msg_count, limit)
-    ]
-
-
-def test_exhaustive_search_starts_only_when_it_can_fit(flowspec, table, monkeypatch, caplog):
-    # A successful search nests one call per message, plus one for the
-    # end of the trace.  Under a lowered limit, find the longest trace
-    # that still gets the exhaustive result.  With a budget of 0, any
-    # node visited reports the budget, so the warnings show whether
-    # the search was started.
-    fsa = ground_truth_fsa(flowspec)
-    flow = [table.message_at(1), table.message_at(2)]  # one cpu0 read, hit
-
-    def run(n, **kw):
-        trace = trace_of(*[[flow[i % 2]] for i in range(n)])
-        caplog.clear()
-        with recursion_headroom(60), caplog.at_level(logging.WARNING, logger="flowmine.fsa"):
-            report = acceptance_ratio(fsa, trace, strategy="exhaustive", table=table, **kw)
-        return report, [r.getMessage() for r in caplog.records]
-
-    longest = 1
-    while run(longest + 1)[0].fallback is None:
-        longest += 1
-    assert 40 < longest < 60
-    fits, warnings = run(longest)
-    assert (fits.fallback, fits.accepted, fits.total, warnings) == (None, longest, longest, [])
-    _, warnings = run(longest, budget=0)
-    assert ["budget" in w for w in warnings] == [True]  # started
-    deeper, warnings = run(longest + 1, budget=0)
-    assert (deeper.strategy, deeper.fallback) == ("exhaustive", "oldest-first")
-    assert ["recursion limit" in w for w in warnings] == [True]  # not started
-    # and it could not have succeeded: searched anyway, it overflows
-    monkeypatch.setattr(flowmine.fsa, "_fits", lambda calls: True)
-    searched, warnings = run(longest + 1)
-    assert searched.fallback == "oldest-first"
-    assert ["recursion limit" in w for w in warnings] == [True]
+    assert (report.strategy, report.fallback) == ("exhaustive", None)
+    assert (report.accepted, report.total, report.rejected) == (trace.msg_count, trace.msg_count, ())
+    assert caplog.records == []
 
 
 @st.composite
-def replays(draw):
-    """A random deterministic FSA and a trace to replay on it.  Two
-    messages open instances from q0; two others only advance them,
-    from random states, so several active instances in several states
-    often compete for one message.  A fifth message is unknown to the
-    FSA.  Some instances carry attributes."""
+def replays(draw, max_events=30):
+    """A random deterministic FSA and a trace of up to max_events
+    events to replay on it.  Two messages open instances from q0; two
+    others only advance them, from random states, so several active
+    instances in several states often compete for one message.  A
+    fifth message is unknown to the FSA.  Some instances carry
+    attributes."""
     msgs = [Message(s, d, "x") for s, d in ("ab", "bc", "ca", "bb", "cc")]
     states = tuple("q%d" % i for i in range(draw(st.integers(2, 4))))
     transitions = {(states[0], m): draw(st.sampled_from(states)) for m in msgs[:2]}
@@ -269,7 +232,7 @@ def replays(draw):
         st.sampled_from(msgs),
         st.none() | st.integers(0, 3),
     )
-    events = draw(st.lists(st.lists(instance, min_size=1, max_size=3), min_size=1, max_size=30))
+    events = draw(st.lists(st.lists(instance, min_size=1, max_size=3), min_size=1, max_size=max_events))
     table = MessageTable(draw(st.permutations(msgs))) if draw(st.booleans()) else None
     return fsa, trace_of(*events), table
 
@@ -305,6 +268,19 @@ def test_greedy_queues_match_the_list_scan(replay):
         accepted, rejected = reference_greedy(fsa, trace, newest, table)
         assert (report.accepted, report.total) == (accepted, trace.msg_count)
         assert [(e, m.triple()) for e, m in report.rejected] == [(e, m.triple()) for e, m in rejected]
+
+
+@settings(deadline=None, max_examples=300)
+@given(replays(max_events=4))
+# both greedy strategies lose a message here (see the test above)
+@example(competing_replay("o1", "o2", "o1", "m", "n1", "p"))
+@example(competing_replay("o1", "o2", "o1", "m", "m", "k", "n2", "p"))
+def test_exhaustive_accepts_the_brute_force_maximum(replay):
+    fsa, trace, table = replay
+    report = acceptance_ratio(fsa, trace, strategy="exhaustive", table=table)
+    assert report.fallback is None
+    assert report.accepted == reference_exhaustive(fsa, trace)
+    assert report.accepted + len(report.rejected) == report.total == trace.msg_count
 
 
 @st.composite

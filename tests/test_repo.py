@@ -1,30 +1,54 @@
 """Checks on files outside the package that run against it: the
-benchmark's tracer probes and the README's Python example."""
+benchmark's tracer probes and fallback counter, and the README's
+Python example."""
 
 import contextlib
 import importlib
 import importlib.util
 import io
+import logging
 import re
 import sys
 from pathlib import Path
 
+from flowmine import acceptance_ratio, ground_truth_fsa
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_tracer_probes_resolve(monkeypatch):
     # perfbench/tracing.py swaps each (module, attribute) pair for a
     # wrapper; a missing name makes a traced benchmark run raise
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing(monkeypatch)
     missing = [
         "%s.%s" % (module, attr)
         for module, attr, *_ in tracing.PROBES
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_tracer_counts_every_exhaustive_fallback(monkeypatch, flowspec, simul_trace, table):
+    # fsa.exhaustive.fallback_share counts the warnings that name the
+    # budget; the node budget is the exhaustive search's only fallback
+    budget_warnings = _load_tracing(monkeypatch).Recorder().budget_warnings
+    fsa_log = logging.getLogger("flowmine.fsa")
+    fsa_log.addHandler(budget_warnings)
+    try:
+        fsa = ground_truth_fsa(flowspec)
+        report = acceptance_ratio(fsa, simul_trace, strategy="exhaustive", budget=1, table=table)
+    finally:
+        fsa_log.removeHandler(budget_warnings)
+    assert report.fallback == "oldest-first"
+    assert budget_warnings.fallbacks == 1
 
 
 def test_readme_python_example(monkeypatch):
