@@ -38,7 +38,7 @@ from .trace import (
     parse_trace,
     serialize_trace,
 )
-from .transport import shortfall
+from .transport import Shortfall
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -195,10 +195,10 @@ def cmd_mine(args) -> int:
             annotating = time.perf_counter() - started
             problem = build_constraints(graph)
             result = model_extract(problem)
-            if result is None:
-                # two max flows: the search's root, and the witness's
+            if isinstance(result, Shortfall):
+                # the search's root max flow is the witness
                 reason = "the consistency constraints admit no solution"
-                raise NoFeasibleWindowError(reason, shortfall(problem), problem, 1, 2, annotating)
+                raise NoFeasibleWindowError(reason, result, problem, 1, result.flows, annotating)
     except NoFeasibleWindowError as exc:
         elapsed = time.perf_counter() - started
         stages = {"parse": started - parsing, "annotate": exc.annotate_s, "search": elapsed - exc.annotate_s}

@@ -93,7 +93,7 @@ class ExtractResult:
     pool: tuple[Solution, ...]  # every smallest model found, ranked
     search: SearchStats
     windows_tried: int = 1  # window lengths probed to reach this result
-    solves: int = 0  # max flows run: one per window probe, and the search's
+    solves: int = 0  # max flows run: the window probes', and the search's
     annotate_s: float = 0.0  # seconds auto_window spent in prepare_annotation
 
 
@@ -134,11 +134,12 @@ def reduce_model(problem: ConstraintProblem, sol: Solution, order: str = "ascend
     return current_s
 
 
-def model_extract(problem: ConstraintProblem) -> ExtractResult | None:
-    """Every smallest model, ranked.  None when the problem is infeasible."""
+def model_extract(problem: ConstraintProblem) -> ExtractResult | Shortfall:
+    """Every smallest model, ranked.  When the problem is infeasible,
+    why not: the Shortfall of the search's root max flow."""
     found = minimum_models(problem)
-    if found is None:
-        return None
+    if isinstance(found, Shortfall):
+        return found
     ranked, stats = found
     return ExtractResult(best=ranked[0], pool=tuple(ranked), search=stats, solves=stats.flows)
 
@@ -223,7 +224,8 @@ def auto_window(
     search probes w = 0, then bisects the rest.  The graph is
     annotated and models are extracted once, at the length found,
     and (w, graph, extraction) is returned; the extraction's
-    windows_tried counts the probes, its solves include them, and
+    windows_tried counts the probes, its solves include their max
+    flows (none for a probe whose balance totals differ), and
     annotate_s is the time taken by prepare_annotation.
     Raises NoFeasibleWindowError, with the unwindowed problem, its
     shortfall and the probes, when no length works.
@@ -241,11 +243,12 @@ def auto_window(
         return probed[w][1] is None
 
     found = 0 if feasible(0) else bisect_left(windows, True, lo=1, key=feasible)
+    flows = sum(1 if short is None else short.flows for _, short in probed.values())
     if found == len(windows):
         problem, short = probed[windows[-1]]
         reason = "no window length admits a solution, not even no window (%d tried)" % len(probed)
-        raise NoFeasibleWindowError(reason, short, problem, len(probed), len(probed), annotate_s)
+        raise NoFeasibleWindowError(reason, short, problem, len(probed), flows, annotate_s)
     w = windows[found]
     result = model_extract(probed[w][0])
-    result = replace(result, windows_tried=len(probed), solves=len(probed) + result.solves, annotate_s=annotate_s)
+    result = replace(result, windows_tried=len(probed), solves=flows + result.solves, annotate_s=annotate_s)
     return w, prepared.at(w), result

@@ -9,7 +9,9 @@ two consecutive messages of an instance at most ``max_gap`` foreign
 messages may pass.  With ``simul_prob`` zero every event carries a
 single message; once paired events exist, several instances can hit
 the gap bound at the same time and are then emitted together, so
-events can grow beyond two messages.
+events can grow beyond two messages.  The scheduler works on message
+ids; generate turns its columns into a Trace directly, and only
+simulate builds Message objects, for its per-instance record.
 
 Flow description text::
 
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Collection, Mapping, NamedTuple
 
 from .causality import causal
 from .fsa import FSA, START
@@ -61,6 +63,9 @@ class Flow:
         if len(firsts) != 1:
             raise ValueError("flow %r branches do not share a first message" % self.name)
         for branch in self.branches:
+            for m in branch:
+                if m.attrs:
+                    raise ValueError("flow %r: %r carries attributes; the tag adds them" % (self.name, m))
             for m1, m2 in zip(branch, branch[1:]):
                 if not causal(m1, m2):
                     raise ValueError(
@@ -186,22 +191,26 @@ class SimResult:
     instances: tuple[InstanceTrace, ...]
 
 
-@dataclass
-class _Live:
-    instance_id: int
-    flow: str
-    branch: int
-    pending: list[tuple[int, Message]]  # (message id, message) still to emit
-    emitted: list[tuple[int, Message]] = field(default_factory=list)
+class _Schedule(NamedTuple):
+    """What _interleave decided: the alphabet, each instance's
+    (flow name, branch), and three columns with one entry per emitted
+    message, in trace order: its event index, its message id and the
+    instance that emitted it."""
+
+    alphabet: tuple[Message, ...]
+    picks: list[tuple[str, int]]
+    event_of: list[int]
+    ids: list[int]
+    owner: list[int]
 
 
-def simulate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> SimResult:
-    """Interleave flow instances into one trace.
+def _interleave(spec: FlowSpec, cfg: GenConfig) -> _Schedule:
+    """The scheduler behind simulate and generate; it works on ints only.
 
-    Every instance picks a branch uniformly up front.  Each round one
-    instance emits its next message; instances whose gap budget would
-    otherwise overrun are forced out first, together when necessary.
-    Identical seeds give identical results.
+    Every instance picks a branch uniformly up front and keeps the ids
+    it has still to emit.  Each round one instance emits its next
+    message; instances whose gap budget would otherwise overrun are
+    forced out first, together when necessary.
 
     An instance's gap is the number of messages sent since its last
     emission.  Only started, unfinished instances have one, and the
@@ -214,75 +223,109 @@ def simulate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> SimResult:
             raise ValueError("unknown flow names: %s" % ", ".join(sorted(unknown)))
     rng = random.Random(cfg.seed)
     alphabet: dict[Message, int] = {}  # message ids, in flow description order
-    coded = [
-        [tuple((alphabet.setdefault(m.plain(), len(alphabet)), m) for m in branch) for branch in flow.branches]
+    backwards = [  # each branch's ids, last first, so that emitting pops
+        [tuple(alphabet.setdefault(m, len(alphabet)) for m in branch)[::-1] for branch in flow.branches]
         for flow in spec.flows
     ]
-    live: list[_Live] = []
-    for flow, branches in zip(spec.flows, coded):
+    picks: list[tuple[str, int]] = []
+    pending: list[list[int]] = []  # per instance, the ids still to emit, last first
+    for flow, branches in zip(spec.flows, backwards):
         for _ in range(cfg.count_for(flow)):
-            branch = rng.randrange(len(flow.branches))
-            live.append(_Live(len(live), flow.name, branch, list(branches[branch])))
-    if not live:
+            branch = rng.randrange(len(branches))
+            picks.append((flow.name, branch))
+            pending.append(list(branches[branch]))
+    if not pending:
         raise ValueError("no instances configured")
 
+    max_gap, simul_prob = cfg.max_gap, cfg.simul_prob
     event_of: list[int] = []
     ids: list[int] = []
-    attrs: list[Mapping[str, object] | None] = []
-    e_idx = -1
-    remaining = list(range(len(live)))  # unfinished instances, sorted
-    marks: dict[int, int] = {}  # started, unfinished instance -> messages sent at its last emission
+    owner: list[int] = []
+    remaining = list(range(len(pending)))  # unfinished instances, sorted
+    # started, unfinished instance -> messages sent at its last emission;
+    # an emission reinserts its instance with the largest mark yet, so
+    # the marks ascend in insertion order
+    marks: dict[int, int] = {}
     sent = 0
 
-    def overrunners(size: int, members: set[int]) -> list[int]:
-        return sorted(i for i, mark in marks.items() if i not in members and sent - mark + size > cfg.max_gap)
+    def overrunners(size: int, members: Collection[int]) -> list[int]:
+        """The instances outside members whose gap size more messages
+        would push past max_gap: those with the smallest marks."""
+        limit = sent + size - max_gap
+        late = []
+        for i, mark in marks.items():
+            if mark >= limit:
+                break
+            if i not in members:
+                late.append(i)
+        return late
 
+    e_idx = 0
     while remaining:
         must: set[int] = set()
-        while True:
-            more = overrunners(max(1, len(must)), must)
-            if not more:
-                break
+        more = overrunners(1, must)
+        while more:
             must.update(more)
+            more = overrunners(len(must), must)
         if must:
             emitters = sorted(must)
         else:
             at = rng.choice(range(len(remaining)))
             pick = remaining[at]
             emitters = [pick]
-            if len(remaining) > 1 and rng.random() < cfg.simul_prob:
+            if len(remaining) > 1 and rng.random() < simul_prob:
                 other = rng.choice(range(len(remaining) - 1))  # among the others: skip the pick
                 partner = remaining[other + (other >= at)]
-                if not overrunners(2, {pick, partner}):
+                if not overrunners(2, (pick, partner)):
                     emitters = sorted((pick, partner))
 
-        e_idx += 1
         sent += len(emitters)
         for i in emitters:
-            inst = live[i]
-            mid, msg = inst.pending.pop(0)
-            if cfg.tag is not None:
-                msg = msg.with_attrs(**{cfg.tag: inst.instance_id})
+            queue = pending[i]
             event_of.append(e_idx)
-            ids.append(mid)
-            attrs.append(msg.attrs or None)
-            inst.emitted.append((e_idx, msg))
-            if inst.pending:
+            ids.append(queue.pop())
+            owner.append(i)
+            marks.pop(i, None)
+            if queue:
                 marks[i] = sent
             else:
-                marks.pop(i, None)
                 del remaining[bisect_left(remaining, i)]
+        e_idx += 1
+    return _Schedule(tuple(alphabet), picks, event_of, ids, owner)
 
+
+def _trace(schedule: _Schedule, tag: str | None) -> Trace:
+    """The schedule's trace.  With a tag, each instance has one
+    {tag: instance id} mapping, shared by all of its messages."""
+    if tag is None:
+        attrs: tuple[Mapping[str, object] | None, ...] = (None,) * len(schedule.ids)
+    else:
+        mappings = [{tag: i} for i in range(len(schedule.picks))]
+        attrs = tuple(map(mappings.__getitem__, schedule.owner))
+    return Trace(schedule.alphabet, tuple(schedule.event_of), tuple(schedule.ids), attrs)
+
+
+def simulate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> SimResult:
+    """Interleave flow instances into one trace, and say which instance
+    emitted what.  Identical seeds give identical results.  The trace
+    is generate's; the instances' messages carry its attributes."""
+    schedule = _interleave(spec, cfg)
+    trace = _trace(schedule, cfg.tag)
+    emissions: list[list[tuple[int, Message]]] = [[] for _ in schedule.picks]
+    for e_idx, mid, i, attrs in zip(trace.event_of, trace.ids, schedule.owner, trace.attrs):
+        m = trace.alphabet[mid]
+        emissions[i].append((e_idx, Message(m.src, m.dest, m.cmd, attrs) if attrs else m))
     instances = tuple(
-        InstanceTrace(inst.instance_id, inst.flow, inst.branch, tuple(inst.emitted))
-        for inst in live
+        InstanceTrace(i, flow, branch, tuple(emitted))
+        for i, ((flow, branch), emitted) in enumerate(zip(schedule.picks, emissions))
     )
-    trace = Trace(tuple(alphabet), tuple(event_of), tuple(ids), tuple(attrs))
     return SimResult(trace, instances)
 
 
 def generate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> Trace:
-    return simulate(spec, cfg).trace
+    """The trace of simulate(spec, cfg), without building a Message or
+    an InstanceTrace per emission."""
+    return _trace(_interleave(spec, cfg), cfg.tag)
 
 
 def ground_truth_fsa(spec: FlowSpec) -> FSA:

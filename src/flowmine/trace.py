@@ -122,7 +122,8 @@ class Trace:
     instance (0, 1, ... with every event non-empty), and attrs its
     attribute mapping, None when it has none.  The mappings are
     read-only: parse_trace gives instances with equal attribute text
-    one shared mapping, so nothing may mutate one in place
+    one shared mapping, and flows.generate gives all the messages of
+    one instance one, so nothing may mutate one in place
     (Message.with_attrs copies).  The alphabet may list
     messages that no instance uses (the rest of a message table, or
     the parent's messages in a slice).
@@ -424,12 +425,15 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
 
 def serialize_trace(trace: Trace, table: MessageTable | None = None) -> str:
     """Trace text, one line per event.  An instance without attributes
-    is written as its table index when the table has its message."""
+    is written as its table index when the table has its message.
+    Each attribute mapping is formatted once, however many instances
+    share it (the trace holds every mapping, so their ids are stable)."""
     labels = [m.label() for m in trace.alphabet]
     bare = [
         str(table.index_of(m)) if table is not None and m in table else label
         for m, label in zip(trace.alphabet, labels)
     ]
+    suffixes: dict[int, str] = {}  # id of a mapping -> its ';k=v' text
     lines: list[str] = []
     tokens: list[str] = []
     current = 0
@@ -438,7 +442,10 @@ def serialize_trace(trace: Trace, table: MessageTable | None = None) -> str:
             lines.append(" ".join(tokens))
             tokens, current = [], e_idx
         if attrs:
-            tokens.append(labels[mid] + "".join(";%s=%s" % kv for kv in sorted(attrs.items())))
+            suffix = suffixes.get(id(attrs))
+            if suffix is None:
+                suffix = suffixes[id(attrs)] = "".join(";%s=%s" % kv for kv in sorted(attrs.items()))
+            tokens.append(labels[mid] + suffix)
         else:
             tokens.append(bare[mid])
     if tokens:

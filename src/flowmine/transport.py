@@ -65,6 +65,12 @@ class Shortfall:
     out_nodes: tuple[str, ...] = ()
     in_nodes: tuple[str, ...] = ()
 
+    @property
+    def flows(self) -> int:
+        """Max flows run to find it: none for "totals", which is
+        checked before any flow."""
+        return 0 if self.kind == "totals" else 1
+
     def describe(self) -> str:
         if self.kind == "totals":
             return "the out-balances total %d but the in-balances total %d" % (self.need, self.capacity)
@@ -180,7 +186,8 @@ class _Network:
 
 
 def shortfall(problem: ConstraintProblem) -> Shortfall | None:
-    """None when the problem is feasible, else why not.  One max flow."""
+    """None when the problem is feasible, else why not.  One max flow,
+    or none when the balance totals differ."""
     return _Network(problem).max_flow()[1]
 
 
@@ -429,15 +436,16 @@ class _BranchAndBound:
         return included.bit_count() + math.ceil(spent - 1e-6), flow
 
 
-def minimum_models(problem: ConstraintProblem) -> tuple[list[Solution], SearchStats] | None:
+def minimum_models(problem: ConstraintProblem) -> tuple[list[Solution], SearchStats] | Shortfall:
     """Every smallest model, each as the saturating flow that found it,
-    ranked by Solution.rank_key; None when the problem is infeasible.
-    When the search passes SEARCH_NODE_BUDGET nodes, the smallest
-    models found so far, with stats naming the fallback."""
+    ranked by Solution.rank_key.  When the search passes
+    SEARCH_NODE_BUDGET nodes, the smallest models found so far, with
+    stats naming the fallback.  When the problem is infeasible, the
+    root max flow's Shortfall instead."""
     net = _Network(problem)
-    flow, _ = net.max_flow()
+    flow, short = net.max_flow()
     if flow is None:
-        return None
+        return short
     search = _BranchAndBound(net)
     stats = search.run(flow, SEARCH_NODE_BUDGET)
     ranked = sorted((Solution(problem, values) for values in search.found.values()), key=Solution.rank_key)

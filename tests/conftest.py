@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import flowmine.transport
 from flowmine import GenConfig, generate, parse_flowspec, parse_message_table, parse_trace
 
 DATA = Path(__file__).parent / "data"
@@ -40,6 +41,15 @@ def hits_trace(table):
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA
+
+
+@pytest.fixture
+def routed(monkeypatch):
+    """One entry per max flow that the test runs."""
+    calls = []
+    real = flowmine.transport._Network.route
+    monkeypatch.setattr(flowmine.transport._Network, "route", lambda *a: calls.append(a) or real(*a))
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -142,10 +142,11 @@ def test_mine_window_off(paths, tmp_path, capsys):
     assert all(edge["count"] >= 1 for row in report for edge in row["edges"])
 
 
-def test_mine_fixed_window_infeasible(paths, tmp_path, capsys):
+def test_mine_fixed_window_infeasible(paths, tmp_path, capsys, routed):
     argv = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"],
             "--window", "0", "--out", str(tmp_path / "x")]
     assert main(argv) == EXIT_INFEASIBLE
+    assert len(routed) == 1  # the search's root flow is the witness's
     err = capsys.readouterr().err
     assert err.startswith("infeasible: the consistency constraints admit no solution; the out-balances of ")
     summary = json.loads((tmp_path / "x" / "summary.json").read_text())
@@ -153,7 +154,7 @@ def test_mine_fixed_window_infeasible(paths, tmp_path, capsys):
     assert set(witness) == {"out_balances", "need", "in_balances", "capacity"}
     assert witness["need"] > witness["capacity"]
     assert summary["window"] == {"mode": "fixed", "value": 0}
-    assert (summary["windows_tried"], summary["solves"]) == (1, 2)  # the search's root flow, the witness's
+    assert (summary["windows_tried"], summary["solves"]) == (1, 1)
     assert_infeasible_timing(summary)
     assert not (tmp_path / "x" / "model.json").exists()
 
@@ -183,12 +184,13 @@ def test_mine_names_a_search_that_proves_the_size_but_lists_no_more(paths, tmp_p
     assert summary["best_size"] == 4
 
 
-def test_mine_infeasible_with_any_window(tmp_path, capsys):
+def test_mine_infeasible_with_any_window(tmp_path, capsys, routed):
     # one x reaches b, but two y leave it, however wide the window
     trace_file = tmp_path / "short.trace"
     trace_file.write_text("a:b:x\nb:c:y\nb:c:y\n")
     out_dir = tmp_path / "x"
     assert main(["mine", "--trace", str(trace_file), "--out", str(out_dir)]) == EXIT_INFEASIBLE
+    assert routed == []  # the balance totals differ, so no max flow runs
     off = build_constraints(annotated_graph([parse_trace(trace_file.read_text())]))
     assert capsys.readouterr().err == (
         "infeasible: no window length admits a solution, not even no window (1 tried); %s\n"
@@ -198,7 +200,7 @@ def test_mine_infeasible_with_any_window(tmp_path, capsys):
     assert summary["infeasible"] == shortfall(off).to_json()
     assert summary["skipped_balances"] == []
     assert summary["window"] == {"mode": "auto", "value": None}
-    assert (summary["windows_tried"], summary["solves"]) == (1, 1)
+    assert (summary["windows_tried"], summary["solves"]) == (1, 0)
     assert_infeasible_timing(summary)
     assert set(summary) == {
         "traces", "messages", "slice", "window", "windows_tried", "solves", "wall_time_s", "stage_s",

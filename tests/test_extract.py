@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowmine.extract
-import flowmine.transport
 from flowmine import (
     GenConfig,
     Message,
     NoFeasibleWindowError,
+    Shortfall,
     SlicePolicy,
     auto_window,
     brute_force_solutions,
@@ -78,9 +78,11 @@ def test_extract_is_deterministic_and_ranked(mixed_trace, table):
     assert a.search.size_proved and a.search.all_listed and a.search.minima == len(a.pool)
 
 
-def test_extract_infeasible_returns_none(mixed_trace, table):
+def test_extract_infeasible_returns_the_shortfall(mixed_trace, table):
     p = mixed_problem(mixed_trace, table, window=0)
-    assert model_extract(p) is None
+    found = model_extract(p)
+    assert isinstance(found, Shortfall) and found.kind == "hall"
+    assert found == shortfall(p)
 
 
 def test_multi_trace_discovers_direct_reply(mixed_trace, hits_trace, table):
@@ -234,7 +236,7 @@ def test_extract_best_bounded_by_brute_minimum(seed):
     p = random_problem(seed, max_edges=6)
     result = model_extract(p)
     floor = brute_minimum_size(p)
-    if result is None:
+    if isinstance(result, Shortfall):
         assert floor is None
     else:
         assert floor == result.best.size
@@ -242,10 +244,7 @@ def test_extract_best_bounded_by_brute_minimum(seed):
             assert check_solution(p, s.values)
 
 
-def test_solves_counts_every_max_flow(mixed_trace, table, monkeypatch):
-    routed = []
-    real = flowmine.transport._Network.route
-    monkeypatch.setattr(flowmine.transport._Network, "route", lambda *a: routed.append(a) or real(*a))
+def test_solves_counts_every_max_flow(mixed_trace, table, routed):
     _, _, result = auto_window([mixed_trace], table=table)
     # one max flow per window probe, then the search's: its root flow
     # and one per reroute around an excluded edge

@@ -12,8 +12,10 @@ from flowmine import (
     generate,
     ground_truth_fsa,
     parse_flowspec,
+    parse_trace,
     serialize_trace,
     simulate,
+    trace_of,
 )
 
 from helpers import reference_simulate
@@ -49,6 +51,8 @@ def test_flow_validation():
         Flow("f", ((A, C),))
     with pytest.raises(ValueError, match="duplicate flow names"):
         FlowSpec((Flow("f", ((A, B),)), Flow("f", ((A, B),))))
+    with pytest.raises(ValueError, match="carries attributes"):
+        Flow("f", ((A, B.with_attrs(pid=1)),))
 
 
 @pytest.mark.parametrize(
@@ -202,7 +206,37 @@ def test_simulate_matches_the_quadratic_reference(flowspec, spec, seed, n, max_g
     # rescans every unfinished instance each round
     spec = {"cache_read": flowspec, "chain": FlowSpec((Flow("f", ((A, B, C),)),)), "branched": BRANCHED}[spec]
     cfg = GenConfig(instances=n, seed=seed, max_gap=max_gap, simul_prob=simul, tag=tag)
-    assert simulate(spec, cfg) == reference_simulate(spec, cfg)
+    result, reference = simulate(spec, cfg), reference_simulate(spec, cfg)
+    assert result == reference
+    # Message equality ignores attributes: compare them, and the text
+    assert result.trace.attrs == reference.trace.attrs
+    text = serialize_trace(reference.trace)
+    assert serialize_trace(result.trace) == text
+    assert serialize_trace(generate(spec, cfg)) == text
+    for got, want in zip(result.instances, reference.instances):
+        assert [m.attrs for _, m in got.emissions] == [m.attrs for _, m in want.emissions]
+
+
+def test_generate_builds_no_message_per_emission(flowspec, table, monkeypatch):
+    built = []
+    real = Message.__post_init__
+    monkeypatch.setattr(Message, "__post_init__", lambda self: built.append(self) or real(self))
+    trace = generate(flowspec, GenConfig(instances=300, seed=3, simul_prob=0.2, tag="pid"))
+    assert trace.msg_count > 1000
+    assert len(built) <= len(table)
+    # one mapping per instance, shared by all of its messages
+    assert len({id(a) for a in trace.attrs}) == 600
+
+
+def test_serialize_formats_shared_and_separate_mappings_alike():
+    text = "a:b:x;pid=1 b:c:y;pid=2\nb:c:y;pid=1;addr=0x10\nc:d:z;pid=2\na:b:x;addr=16;pid=1\n"
+    shared = parse_trace(text)
+    separate = trace_of(*([m.with_attrs() for m in event] for event in shared.events))
+    assert len({id(a) for a in shared.attrs}) == 4  # one per distinct attribute text
+    assert len({id(a) for a in separate.attrs}) == 5
+    assert serialize_trace(shared) == serialize_trace(separate) == (
+        "a:b:x;pid=1 b:c:y;pid=2\nb:c:y;addr=16;pid=1\nc:d:z;pid=2\na:b:x;addr=16;pid=1\n"
+    )
 
 
 def test_ground_truth_shape(flowspec, table):
