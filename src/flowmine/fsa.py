@@ -359,6 +359,8 @@ def fsa_from_json(text: str) -> FSA:
             src, dst = row["from"], row["to"]
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed transition row: %s" % (row,)) from None
+        if not isinstance(src, str) or not isinstance(dst, str):
+            raise ValueError("malformed transition row: %s" % (row,))
         if (src, msg) in transitions:
             raise ValueError("nondeterministic on %s from %s" % (msg.label(), src))
         transitions[(src, msg)] = dst

@@ -21,30 +21,25 @@ ascending-upper order, each edge the flow can do without.  A search
 node branches on the first edge in ascending-upper order that its
 flow uses and that is still undecided, excluding it first; the
 excluded child reroutes the parent's flow around the edge, and the
-included child keeps the flow as it is.  Two lower bounds prune: the
-count bound (per balance, the included edges plus the fewest others
+included child keeps the flow as it is.  One lower bound prunes, the
+count bound: per balance, the included edges plus the fewest others
 whose uppers reach its total, summed over the out-balances, which
-partition the edges, and likewise over the in-balances) and, where
-that does not prune, the LP relaxation of fixed-charge flow, a
-min-cost flow at cost 1/upper(e) per unit.  The LP is skipped where
-the node's own flow, at those costs, already shows that it cannot
-prune, and the LP's cheapest flow, which is integral, replaces the
-node's flow.  A first pass prunes ties to prove the smallest size
-quickly; a second keeps them (it prunes only on ">") and so lists
-every minimum.  The search stops after SEARCH_NODE_BUDGET nodes and
-then returns the smallest models found so far, named as a fallback.
+partition the edges, and likewise over the in-balances.  A first
+pass prunes ties to prove the smallest size quickly; a second keeps
+them (it prunes only on ">") and so lists every minimum.  The search
+stops after SEARCH_NODE_BUDGET nodes and then returns the smallest
+models found so far, named as a fallback.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
 
 from .solver import Balance, ConstraintProblem, Solution
 
-SEARCH_NODE_BUDGET = 10_000  # branch-and-bound nodes before minimum_models falls back
+SEARCH_NODE_BUDGET = 20_000  # branch-and-bound nodes before minimum_models falls back
 _INFEASIBLE = math.inf
 
 
@@ -196,7 +191,7 @@ class SearchStats:
     """What one minimum_models call did."""
 
     nodes: int  # branch-and-bound nodes visited
-    bound_prunes: int  # nodes cut off by a lower bound
+    bound_prunes: int  # nodes cut off by the count bound
     minima: int  # smallest supports found
     size_proved: bool  # the tie-pruning pass finished: no smaller support exists
     all_listed: bool  # the tie-keeping pass finished too: these are all the minima
@@ -218,7 +213,7 @@ class _BranchAndBound:
     in order that its flow uses; when there is none, the flow uses
     included edges only and no completion is smaller.  Every minimum
     support T is reached: the node that decides each branching edge
-    as T does allows T, so no bound exceeds |T|."""
+    as T does allows T, so its count bound does not exceed |T|."""
 
     def __init__(self, net: _Network):
         self.net = net
@@ -246,8 +241,8 @@ class _BranchAndBound:
                            None if all_listed else "node-budget", self.flows)
 
     def _search(self, root: list[int], budget: int, ties: int) -> bool:
-        """One depth-first pass, pruning nodes whose bound exceeds the
-        best size less ties.  False when the budget ran out first."""
+        """One depth-first pass, pruning nodes whose count bound exceeds
+        the best size less ties.  False when the budget ran out first."""
         stack = [(0, 0, root, -1)]
         while stack:
             if self.nodes == budget:
@@ -265,15 +260,6 @@ class _BranchAndBound:
             branch = self._branch(included | excluded, flow)
             if branch < 0:
                 continue
-            if self._flow_cost(included, flow) > self.best - ties:
-                bound, flow = self._lp_bound(included, excluded)
-                if bound > self.best - ties:
-                    self.prunes += 1
-                    continue
-                self._record(flow)
-                branch = self._branch(included | excluded, flow)
-                if branch < 0:
-                    continue
             bit = 1 << branch
             stack.append((included | bit, excluded, flow, -1))
             stack.append((included, excluded | bit, flow, self.order[branch]))
@@ -343,97 +329,6 @@ class _BranchAndBound:
                     edges += 1
             bound = max(bound, edges)
         return bound
-
-    def _flow_cost(self, included: int, flow: list[int]) -> int:
-        """_lp_bound's objective at this flow, rounded up: an upper
-        bound on _lp_bound, so the LP cannot prune where this does not."""
-        cap = self.net.cap
-        spent = sum(flow[e] / cap[e] for p, e in enumerate(self.order) if flow[e] and not included >> p & 1)
-        return included.bit_count() + math.ceil(spent - 1e-6)
-
-    def _lp_bound(self, included: int, excluded: int) -> tuple[float, list[int]]:
-        """The included edges plus the cheapest saturating flow when a
-        unit on an undecided edge costs 1/upper(e): an undecided edge
-        that a model uses costs it 1 >= flow/upper.  Successive
-        shortest paths, Dijkstra with potentials, augmenting along every
-        shortest path a Dijkstra pass finds; the cheapest flow, which
-        is integral, comes back with the bound."""
-        net = self.net
-        n_out = len(net.outs)
-        to: list[int] = []
-        room: list[int] = []
-        cost: list[float] = []
-        adj: list[list[int]] = [[] for _ in range(2 + n_out + len(net.ins))]
-
-        def arc(u: int, v: int, c: int, w: float) -> None:
-            adj[u].append(len(to))
-            to.append(v), room.append(c), cost.append(w)
-            adj[v].append(len(to))
-            to.append(u), room.append(0), cost.append(-w)
-
-        for k, b in enumerate(net.outs):
-            arc(0, 2 + k, b.total, 0.0)
-        middle = []
-        for p, e in enumerate(self.order):
-            if not excluded >> p & 1:
-                w = 0.0 if included >> p & 1 else 1.0 / net.cap[e]
-                middle.append((len(to), e))
-                arc(2 + net.head[e], 2 + n_out + net.tail[e], net.cap[e], w)
-        for j, b in enumerate(net.ins):
-            arc(2 + n_out + j, 1, b.total, 0.0)
-        need = sum(b.total for b in net.outs)
-        potential = [0.0] * len(adj)
-        while need:
-            # Dijkstra on reduced costs, then augment along every path
-            # of arcs whose reduced cost is now 0 before the next one
-            dist = [math.inf] * len(adj)
-            dist[0] = 0.0
-            heap = [(0.0, 0)]
-            while heap:
-                du, u = heapq.heappop(heap)
-                if du > dist[u]:
-                    continue
-                for a in adj[u]:
-                    if room[a]:
-                        v = to[a]
-                        dv = du + cost[a] + potential[u] - potential[v]
-                        if dv < dist[v] - 1e-12:
-                            dist[v] = dv
-                            heapq.heappush(heap, (dv, v))
-            if dist[1] == math.inf:
-                return _INFEASIBLE, []
-            for v, dv in enumerate(dist):
-                if dv < math.inf:
-                    potential[v] += dv
-            while need:
-                via = {0: -1}
-                stack = [0]
-                while stack and 1 not in via:
-                    u = stack.pop()
-                    for a in adj[u]:
-                        v = to[a]
-                        if room[a] and v not in via and cost[a] + potential[u] - potential[v] < 1e-12:
-                            via[v] = a
-                            stack.append(v)
-                if 1 not in via:
-                    break
-                amount, v = need, 1
-                while v:
-                    a = via[v]
-                    amount = min(amount, room[a])
-                    v = to[a ^ 1]
-                v = 1
-                while v:
-                    a = via[v]
-                    room[a] -= amount
-                    room[a ^ 1] += amount
-                    v = to[a ^ 1]
-                need -= amount
-        spent = sum((net.cap[e] - room[a]) * cost[a] for a, e in middle)
-        flow = [0] * len(net.cap)
-        for a, e in middle:
-            flow[e] = net.cap[e] - room[a]
-        return included.bit_count() + math.ceil(spent - 1e-6), flow
 
 
 def minimum_models(problem: ConstraintProblem) -> tuple[list[Solution], SearchStats] | Shortfall:

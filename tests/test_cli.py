@@ -130,9 +130,9 @@ def test_mine_window_off(paths, tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "off", "value": None}
     assert summary["windows_tried"] == 1
-    assert summary["solves"] == 15  # the search's max flows only: no window was probed
+    assert summary["solves"] == 19  # the search's max flows only: no window was probed
     assert summary["search"] == {
-        "nodes": 32, "bound_prunes": 12, "minima": 4, "size_proved": True, "all_listed": True, "fallback": None,
+        "nodes": 46, "bound_prunes": 17, "minima": 4, "size_proved": True, "all_listed": True, "fallback": None,
     }
     assert summary["best_size"] == 4
     # every minimum is reported, ranked, with its flow's counts
@@ -302,7 +302,7 @@ def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["window"] == {"mode": "auto", "value": width}
         assert summary["windows_tried"] == 9
-        assert summary["solves"] == 9 + 25  # the probes, then the search's root flow and 24 reroutes
+        assert summary["solves"] == 9 + 31  # the probes, then the search's root flow and 30 reroutes
         assert summary["search"]["all_listed"] and summary["search"]["minima"] == summary["candidates"] == 6
         assert summary["best_size"] == 7
     # --max-window is still accepted, and ignored with a note: gen seed
@@ -312,6 +312,21 @@ def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
     assert capsys.readouterr().err == "note: --max-window is ignored; the window search needs no bound\n"
     for name in ("model.json", "graph.json", "report.json"):
         assert (bounded / name).read_text() == (out_dir / name).read_text()
+
+
+def test_mine_proves_the_k4_minimum_within_the_node_budget(data_dir, tmp_path, capsys):
+    # the tie-pruning pass proves this 4-CPU problem's minimum, 24
+    # edges, after 16,211 nodes, which SEARCH_NODE_BUDGET must cover;
+    # at 10,000 nodes the search stopped at 25 edges, unproved
+    trace_file = tmp_path / "k4.trace"
+    assert main(["gen", "--spec", str(data_dir / "multi_agent_k4.flow"), "--instances", "5",
+                 "--simul", "0.2", "--seed", "1005", "--out", str(trace_file)]) == EXIT_OK
+    out_dir = tmp_path / "mined"
+    assert main(["mine", "--trace", str(trace_file), "--out", str(out_dir)]) == EXIT_OK
+    capsys.readouterr()
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["best_size"] == 24
+    assert summary["search"]["size_proved"] is True
 
 
 def test_mine_fixed_window_splits_annotate_from_search(paths, tmp_path):
@@ -327,22 +342,28 @@ def test_mine_fixed_window_splits_annotate_from_search(paths, tmp_path):
 
 
 # sha256 of model.json, graph.json and report.json per mine, as the
-# per-slice matching wrote them before slices were matched per shape
+# per-slice matching wrote them before slices were matched per shape,
+# and of report.json with every edge's count removed.  A minimum's
+# counts are the flow that found it, so they move with the search
+# order; the fourth digest pins ranks, sizes and edges without them.
 MINED_DIGESTS = {
     (): (
         "15e5ea3c940179c858b7ecec66864de66062f3f37784af8e8606a3cd506c8398",
         "76ca4538ea3d23fdc77119c48e8aeecaca45ba389ce405c87be7a9e78f3fe223",
-        "9322465bae9fa598cc52d9fc66dce8649a2044b7cc750be8723cf4db2876be37",
+        "d5ae80e5d6478619d85d248da292e48e1887e2feffd0a9daf5885d498918ba44",
+        "5dfc8d90fd750a9f316bfec22869468b3cca429782bbc14be3c34c9c339903ae",
     ),
     ("--slice", "pid"): (
         "15e5ea3c940179c858b7ecec66864de66062f3f37784af8e8606a3cd506c8398",
         "49f4103f94b1155eba6648382917ab6429984f2e321db6c9698e3de5f4446f9f",
         "4ad9c2a6b67d1107e9ec6325af083b827b44e1f0e2cb646991dbda1f8446aee2",
+        "ac7ddfba5e8c962f92a956060acf4f65620c370880e997dd15dcc1d7bab1b5a1",
     ),
     ("--slice", "pid", "--window", "3"): (
         "15e5ea3c940179c858b7ecec66864de66062f3f37784af8e8606a3cd506c8398",
         "2295a95f7996864d908386cd429632b00c72e6f1dcd0d0090cbf1e575e5d8c01",
         "4ad9c2a6b67d1107e9ec6325af083b827b44e1f0e2cb646991dbda1f8446aee2",
+        "ac7ddfba5e8c962f92a956060acf4f65620c370880e997dd15dcc1d7bab1b5a1",
     ),
 }
 
@@ -357,6 +378,11 @@ def test_mine_outputs_are_byte_identical(paths, tmp_path, capsys):
                      "--out", str(out_dir)]) == EXIT_OK
         got = tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                     for name in ("model.json", "graph.json", "report.json"))
+        report = json.loads((out_dir / "report.json").read_text())
+        for row in report:
+            for edge in row["edges"]:
+                del edge["count"]
+        got += (hashlib.sha256(json.dumps(report).encode()).hexdigest(),)
         assert got == digests, flags
     assert capsys.readouterr().err == ""
 
@@ -499,6 +525,21 @@ def test_dot_command(paths, model_file, tmp_path, capsys):
     out = tmp_path / "m.dot"
     assert main(["dot", "--model", model_file, "--out", str(out)]) == EXIT_OK
     check_dot(out.read_text())
+
+
+@pytest.mark.parametrize("command", ["eval", "dot"])
+def test_model_with_a_list_for_a_state_is_an_input_error(paths, tmp_path, command):
+    # an unhashable "from" once reached the transition dict and ended
+    # the command in a TypeError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"states": ["q0"], "initial": "q0", "transitions": [
+        {"from": ["q0"], "msg": {"src": "a", "dest": "b", "cmd": "x"}, "to": "q0"}]}))
+    argv = [command, "--model", str(bad)] + (["--trace", paths["mixed_trace"]] if command == "eval" else [])
+    env = dict(os.environ, PYTHONPATH=str(Path(flowmine.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "flowmine.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr.startswith("error: malformed transition row: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 def test_config_file_supplies_defaults(paths, tmp_path):

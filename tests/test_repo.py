@@ -1,6 +1,6 @@
 """Checks on files outside the package that run against it: the
 benchmark's tracer probes and fallback counter, and the README's
-Python example."""
+Python example and search budget."""
 
 import contextlib
 import importlib
@@ -11,6 +11,7 @@ import re
 import sys
 from pathlib import Path
 
+import flowmine.transport
 from flowmine import acceptance_ratio, ground_truth_fsa
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,3 +61,9 @@ def test_readme_python_example(monkeypatch):
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue() == "2 7 5 1.0\n"
+
+
+def test_readme_states_the_search_node_budget():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`flowmine\.transport\.SEARCH_NODE_BUDGET`,\s+([\d,]+)\s+nodes", text)
+    assert [int(n.replace(",", "")) for n in stated] == [flowmine.transport.SEARCH_NODE_BUDGET]
