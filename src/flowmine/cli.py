@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -115,15 +116,32 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _slice_file_names(labels: list[str]) -> list[str]:
+    """The file of each slice, checked before anything is written: two
+    slices with one label would share a file, and a key such as a/b,
+    or one too long for a 255-byte file name, names no file in the
+    output directory."""
+    names, seen = [], set()
+    for label in labels:
+        if label in seen:
+            raise ValueError("slice label %r names two slices" % label)
+        seen.add(label)
+        name = "slice_%s.trace" % label
+        if any(c and c in label for c in ("\0", os.sep, os.altsep)) or len(name.encode("utf-8")) > 255:
+            raise ValueError("slice label %r cannot be a file name" % label)
+        names.append(name)
+    return names
+
+
 def cmd_slice(args) -> int:
     table = _load_table(args.table)
     trace = _load_traces([args.trace], table)[0]
-    policy = parse_policy(args.slice)
+    slices = labeled_slices(trace, parse_policy(args.slice))
+    names = _slice_file_names([label for label, _ in slices])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     index = {}
-    for label, part in labeled_slices(trace, policy):
-        name = "slice_%s.trace" % label
+    for (label, part), name in zip(slices, names):
         (out_dir / name).write_text(serialize_trace(part, table), encoding="utf-8")
         index[label] = {"file": name, "messages": part.msg_count}
     (out_dir / "slices.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -292,19 +310,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = _Parser(prog="flowmine", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    by_name: dict[str, argparse.ArgumentParser] = {}
-
-    def sub(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = subs.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        p.add_argument("--config", help="JSON file with flag defaults")
-        by_name[name] = p
-        return p
-
-    p = sub("gen", cmd_gen, "synthesize a trace from flow descriptions")
+def _gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, help="flow description file")
     p.add_argument("--table", help="message table file")
     p.add_argument("--instances", default="1", help="count, or name=count[,name=count...]")
@@ -314,13 +320,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--tag", help="stamp messages with <tag>=<instance id>")
     p.add_argument("--out", help="output trace file (default stdout)")
 
-    p = sub("slice", cmd_slice, "split a trace by a message attribute")
+
+def _slice_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", required=True)
     p.add_argument("--table", help="message table file")
     p.add_argument("--slice", required=True, help="attr, attr:block=N, attr:missing=drop")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub("mine", cmd_mine, "mine a model from trace files")
+
+def _mine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", action="append", required=True, help="trace file (repeatable)")
     p.add_argument("--table", help="message table file")
     p.add_argument("--window", default="auto", help="auto, off, or a length")
@@ -329,25 +337,62 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--top", type=int, default=20, help="smallest models kept in the report")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub("eval", cmd_eval, "score a model against a trace")
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--trace", required=True)
     p.add_argument("--table", help="message table file")
     p.add_argument("--strategy", default="oldest-first", choices=STRATEGIES)
     p.add_argument("--budget", type=int, default=100_000, help="exhaustive search node budget")
 
-    p = sub("export-smt", cmd_export_smt, "emit consistency constraints as SMT-LIB2")
+
+def _export_smt_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", action="append", required=True, help="trace file (repeatable)")
     p.add_argument("--table", help="message table file")
     p.add_argument("--window", default="off", help="off or a length")
     p.add_argument("--out", help="output file (default stdout)")
 
-    p = sub("dot", cmd_dot, "render a model JSON file as DOT")
+
+def _dot_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--table", help="message table file")
     p.add_argument("--out", help="output file (default stdout)")
 
-    return parser, by_name
+
+# name -> (handler, help text, adds the command's own flags), in the
+# order that `flowmine --help` lists them
+COMMANDS = {
+    "gen": (cmd_gen, "synthesize a trace from flow descriptions", _gen_flags),
+    "slice": (cmd_slice, "split a trace by a message attribute", _slice_flags),
+    "mine": (cmd_mine, "mine a model from trace files", _mine_flags),
+    "eval": (cmd_eval, "score a model against a trace", _eval_flags),
+    "export-smt": (cmd_export_smt, "emit consistency constraints as SMT-LIB2", _export_smt_flags),
+    "dot": (cmd_dot, "render a model JSON file as DOT", _dot_flags),
+}
+
+
+def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by name: only the named
+    command's, or all of them when command is None.  A subparser's help
+    and usage do not depend on which others are built."""
+    parser = _Parser(prog="flowmine", description=__doc__.splitlines()[0])
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name in COMMANDS if command is None else [command]:
+        _, help_text, add_flags = COMMANDS[name]
+        p = subs.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file with flag defaults")
+        add_flags(p)
+    return parser, subs.choices
+
+
+def _read_config(path: str) -> dict:
+    try:
+        config = json.loads(_read(path))
+    except RecursionError:  # the decoder's own depth limit, not a fault of ours
+        raise ValueError("config file is not valid JSON: nested too deeply") from None
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object")
+    return config
 
 
 def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
@@ -389,18 +434,18 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, by_name = build_parser()
+    """Run one command and return its exit code.  Only the invoked
+    command's parser is built; --help, a missing or an unknown command
+    gets all of them, for the full usage and choices."""
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser, by_name = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.config:
-            defaults = json.loads(_read(args.config))
-            if not isinstance(defaults, dict):
-                raise ValueError("config file must hold a JSON object")
             sub = by_name[args.command]
-            sub.set_defaults(**_config_defaults(sub, defaults))
+            sub.set_defaults(**_config_defaults(sub, _read_config(args.config)))
             args = parser.parse_args(argv)
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except (ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

@@ -339,6 +339,8 @@ def fsa_from_json(text: str) -> FSA:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError("model is not valid JSON: %s" % exc) from None
+    except RecursionError:  # the decoder's own depth limit, not a fault of ours
+        raise ValueError("model is not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("model JSON must be an object")
     states = obj.get("states")

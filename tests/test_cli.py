@@ -20,7 +20,8 @@ from flowmine import (
     serialize_trace,
     shortfall,
 )
-from flowmine.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
+import flowmine.cli
+from flowmine.cli import COMMANDS, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, build_parser, main
 
 from helpers import check_dot, check_smtlib
 
@@ -84,6 +85,20 @@ def test_slice_partitions_tagged_trace(paths, tmp_path, table):
         assert part.msg_count == entry["messages"]
         total += part.msg_count
     assert total == whole.msg_count
+
+
+@pytest.mark.parametrize("lines, error", [
+    # a keyed slice whose key reads like the label of an unkeyed one
+    (["a:b:c;pid=unkeyed0", "b:c:d", "a:b:c;pid=1", "b:c:d;pid=01"], "error: slice label 'unkeyed0' names two slices\n"),
+    (["a:b:c;pid=a/b", "b:c:d;pid=2"], "error: slice label 'a/b' cannot be a file name\n"),
+])
+def test_slice_rejects_a_label_that_names_no_file_of_its_own(tmp_path, capsys, lines, error):
+    trace_file = tmp_path / "t.trace"
+    trace_file.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "slices"
+    assert main(["slice", "--trace", str(trace_file), "--slice", "pid", "--out", str(out_dir)]) == EXIT_INPUT
+    assert capsys.readouterr().err == error
+    assert not out_dir.exists()
 
 
 def test_mine_auto_window(paths, tmp_path, capsys):
@@ -542,6 +557,26 @@ def test_model_with_a_list_for_a_state_is_an_input_error(paths, tmp_path, comman
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("command, error", [
+    ("eval", "model is not valid JSON: nested too deeply"),
+    ("dot", "model is not valid JSON: nested too deeply"),
+    ("config", "config file is not valid JSON: nested too deeply"),
+])
+def test_deeply_nested_json_is_an_input_error(paths, model_file, tmp_path, command, error):
+    # the decoder's RecursionError once ended the command in a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "eval": ["eval", "--model", str(deep), "--trace", paths["mixed_trace"]],
+        "dot": ["dot", "--model", str(deep)],
+        "config": ["dot", "--model", model_file, "--config", str(deep)],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(flowmine.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "flowmine.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr == "error: %s\n" % error
+
+
 def test_config_file_supplies_defaults(paths, tmp_path):
     cfg = tmp_path / "mine.json"
     cfg.write_text(json.dumps({"window": "2", "top": 5}))
@@ -571,6 +606,78 @@ def test_config_rejects_unknown_keys(paths, tmp_path, capsys):
             "--config", str(cfg), "--out", str(tmp_path / "x")]
     assert main(argv) == EXIT_INPUT
     assert "not recognized" in capsys.readouterr().err
+
+
+# one argv per command that sets every flag it has but --config
+FULL_ARGVS = {
+    "gen": ["gen", "--spec", "s.flow", "--table", "m.msg", "--instances", "a=2,b=1",
+            "--seed", "3", "--gap", "4", "--simul", "0.5", "--tag", "pid", "--out", "o.trace"],
+    "slice": ["slice", "--trace", "t.trace", "--table", "m.msg", "--slice", "pid:missing=drop", "--out", "d"],
+    "mine": ["mine", "--trace", "a.trace", "--trace", "b.trace", "--table", "m.msg", "--window", "2",
+             "--max-window", "9", "--slice", "pid", "--top", "3", "--out", "d"],
+    "eval": ["eval", "--model", "m.json", "--trace", "t.trace", "--table", "m.msg",
+             "--strategy", "exhaustive", "--budget", "5"],
+    "export-smt": ["export-smt", "--trace", "t.trace", "--table", "m.msg", "--window", "3", "--out", "o.smt2"],
+    "dot": ["dot", "--model", "m.json", "--table", "m.msg", "--out", "o.dot"],
+}
+
+
+def test_every_command_has_a_full_argv():
+    assert list(FULL_ARGVS) == list(COMMANDS)
+    for name, argv in FULL_ARGVS.items():
+        _, by_name = build_parser(name)
+        flags = {s for a in by_name[name]._actions for s in a.option_strings if s.startswith("--")}
+        assert flags - set(argv) == {"--help", "--config"}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_command_parser_matches_the_full_one(name):
+    parser, by_name = build_parser(name)
+    full, full_by_name = build_parser()
+    assert list(by_name) == [name]
+    assert list(full_by_name) == list(COMMANDS)
+    assert by_name[name].format_help() == full_by_name[name].format_help()
+    argv = FULL_ARGVS[name]
+    assert parser.parse_args(argv) == full.parse_args(argv)
+
+
+def test_main_builds_only_the_invoked_commands_parser(model_file, monkeypatch):
+    built = []
+
+    class Counted(flowmine.cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(flowmine.cli, "_Parser", Counted)
+    assert main(["dot", "--model", model_file]) == EXIT_OK
+    assert built == ["flowmine", "flowmine dot"]
+
+
+def test_main_without_a_known_command_builds_every_parser(capsys):
+    assert main([]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+    for argv in (["nosuch"], ["mi"]):  # no prefix of a command name matches it
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: argument command: invalid choice: %r (choose from 'gen', 'slice', 'mine', 'eval', "
+            "'export-smt', 'dot')\n" % argv[0])
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: flowmine [-h] {gen,slice,mine,eval,export-smt,dot} ...\n")
+    assert all(help_text in out for _, help_text, _ in COMMANDS.values())
+
+
+def test_config_defaults_last_one_call(model_file, tmp_path, capsys):
+    cfg = tmp_path / "dot.json"
+    out = tmp_path / "m.dot"
+    cfg.write_text(json.dumps({"out": str(out)}))
+    assert main(["dot", "--model", model_file, "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main(["dot", "--model", model_file]) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_cli_imports_only_the_standard_library():
