@@ -179,23 +179,29 @@ def _greedy(fsa: FSA, trace: Trace, newest: bool, table: MessageTable | None, na
     pick is the one a scan of every active instance in spawn order
     would make.  A fresh instance's spawn number is the largest yet
     and is appended; an advanced one is inserted into its new queue.
+    Per message id, the queue a fresh instance joins and the (source
+    queue, target queue) pairs of its other transitions are resolved
+    once, before the replay.
     """
     opens, moves = _id_tables(fsa, trace)
     queues: dict[str, list[int]] = {s: [] for s in fsa.states}
+    closed: list[int] = []  # stands for the initial state, which keeps no queue
+    queues[fsa.initial] = closed
+    joins = [None if state is None else queues[state] for state in opens]
+    steps = [tuple((queues[state], queues[target]) for state, target in by_state.items()) for by_state in moves]
     seq = 0
     accepted = 0
     rejected: list[tuple[int, Message]] = []
     for e_idx, mid in zip(trace.event_of, _canonical_ids(trace, table)):
-        opened = opens[mid]
-        if opened is not None:
+        join = joins[mid]
+        if join is not None:
             accepted += 1
-            if opened != fsa.initial:
-                queues[opened].append(seq)
+            if join is not closed:
+                join.append(seq)
                 seq += 1
             continue
         source = None
-        for state, target in moves[mid].items():
-            queue = queues[state]
+        for queue, target in steps[mid]:
             if queue:
                 spawn = queue[-1] if newest else queue[0]
                 if source is None or (spawn > pick if newest else spawn < pick):
@@ -205,8 +211,8 @@ def _greedy(fsa: FSA, trace: Trace, newest: bool, table: MessageTable | None, na
             continue
         accepted += 1
         source.pop(-1 if newest else 0)
-        if nxt != fsa.initial:
-            insort(queues[nxt], pick)
+        if nxt is not closed:
+            insort(nxt, pick)
     return AcceptanceReport(accepted, trace.msg_count, tuple(rejected), name)
 
 

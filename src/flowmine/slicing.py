@@ -78,16 +78,10 @@ _UNKEYED = object()  # the key of an instance without the attribute
 def _slice_keys(trace: Trace, policy: SlicePolicy) -> list[object]:
     """The slice key of each instance in trace order: its attribute
     value, or that value's block, or _UNKEYED when it has none."""
-    name, block = policy.attribute, policy.block
-    keys: list[object] = []
-    for attrs in trace.attrs:
-        if not attrs or name not in attrs:
-            keys.append(_UNKEYED)
-        elif block is None:
-            keys.append(attrs[name])
-        else:
-            keys.append(address_block(attrs[name], block))
-    return keys
+    values = trace.attr_values(policy.attribute, _UNKEYED)
+    if policy.block is None:
+        return values
+    return [v if v is _UNKEYED else address_block(v, policy.block) for v in values]
 
 
 def _buckets(trace: Trace, policy: SlicePolicy) -> list[tuple[object, list[int]]]:
@@ -118,19 +112,22 @@ def slice_shapes(trace: Trace, policy: SlicePolicy) -> Counter:
     is a slice of its own, so its shape is (~id,).
     """
     isolate = policy.missing == "isolate"
-    shapes: dict[object, list[int]] = {}
-    last: dict[object, int] = {}
+    shapes: dict[object, list[int]] = {}  # key -> [event of its last instance, *shape]
     counts: Counter = Counter()
     for key, event, mid in zip(_slice_keys(trace, policy), trace.event_of, trace.ids):
         if key is _UNKEYED:
             if isolate:
                 counts[(~mid,)] += 1
-        elif last.get(key) == event:
-            shapes[key].append(mid)
+            continue
+        shape = shapes.get(key)
+        if shape is None:
+            shapes[key] = [event, ~mid]
+        elif shape[0] == event:
+            shape.append(mid)
         else:
-            last[key] = event
-            shapes.setdefault(key, []).append(~mid)
-    counts.update(map(tuple, shapes.values()))
+            shape[0] = event
+            shape.append(~mid)
+    counts.update(tuple(shape[1:]) for shape in shapes.values())
     return counts
 
 

@@ -11,8 +11,11 @@ A Trace is held as integer columns, one entry per instance: its event
 index, its message id and its attributes.  The ids index the trace's
 alphabet of distinct attribute-free messages, so parsing builds one
 Message per distinct triple, not one per instance, and detection,
-slicing, annotation and replay work on ints.  Event and Message views
-are rebuilt on demand for readers that want objects.
+slicing, annotation and replay work on ints.  Parsing checks the
+attributes but decodes none: a parsed trace keeps each instance's
+attribute text, and decodes each distinct text once, when first
+read.  Event and Message views are rebuilt on demand for
+readers that want objects.
 
 Text formats
 ------------
@@ -34,8 +37,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class ParseError(ValueError):
@@ -119,14 +122,20 @@ class Trace:
 
     alphabet holds attribute-free messages, each once; an instance's
     message id indexes it.  event_of is the event index of each
-    instance (0, 1, ... with every event non-empty), and attrs its
-    attribute mapping, None when it has none.  The mappings are
-    read-only: parse_trace gives instances with equal attribute text
-    one shared mapping, and flows.generate gives all the messages of
-    one instance one, so nothing may mutate one in place
-    (Message.with_attrs copies).  The alphabet may list
-    messages that no instance uses (the rest of a message table, or
-    the parent's messages in a slice).
+    instance (0, 1, ... with every event non-empty).  The alphabet may
+    list messages that no instance uses (the rest of a message table,
+    or the parent's messages in a slice).
+
+    attr_source gives the attributes: per instance its mapping or
+    None, or a callable that returns per instance its attribute text
+    ('' for none), as parse_trace gives.  attrs, per instance its
+    mapping or None, is built on first read, and a text source decodes
+    each distinct text once then; instances with equal text share one
+    mapping.  attr_values reads one key once per distinct text and
+    decodes none, so a reader of neither pays for no decoding.  The
+    mappings are read-only: flows.generate also gives all the messages
+    of one instance one, so nothing may mutate one in place
+    (Message.with_attrs copies).
 
     events, iteration and flattened() rebuild Message objects; they
     are views for readers that want them, and the mining and
@@ -136,7 +145,30 @@ class Trace:
     alphabet: tuple[Message, ...]
     event_of: tuple[int, ...]
     ids: tuple[int, ...]
-    attrs: tuple[Mapping[str, object] | None, ...]
+    attr_source: Sequence[Mapping[str, object] | None] | Callable[[], Sequence[str]] = field(repr=False)
+
+    def _texts(self) -> Sequence[str] | None:
+        """Per instance its attribute text, from a text source."""
+        source = self.attr_source
+        return source() if callable(source) else None
+
+    @cached_property
+    def attrs(self) -> tuple[Mapping[str, object] | None, ...]:
+        texts = self._texts()
+        if texts is None:
+            return tuple(self.attr_source)
+        decoded = {text: _decode_attrs(text) if text else None for text in dict.fromkeys(texts)}
+        return tuple(map(decoded.__getitem__, texts))
+
+    def attr_values(self, name: str, default: object) -> list[object]:
+        """Per instance the value of attribute name, or default when it
+        has none.  With a text source, each distinct text is read for
+        the name once, and none is decoded."""
+        texts = self._texts()
+        if texts is None:
+            return [attrs[name] if attrs and name in attrs else default for attrs in self.attrs]
+        by_text = {text: _attr_value(text, name, default) for text in dict.fromkeys(texts)}
+        return list(map(by_text.__getitem__, texts))
 
     @property
     def msg_count(self) -> int:
@@ -309,23 +341,45 @@ def _parse_attr_value(text: str) -> object:
     return text
 
 
-def _parse_attrs(pairs: list[str], lineno: int, checked: set[str]) -> dict[str, object]:
-    """key=value pairs, in order.  A malformed pair is reported before
-    a bad attribute name; names already in checked are not checked
-    again, and names that pass are added to it."""
+def _decode_attrs(text: str) -> dict[str, object]:
+    """The mapping of an attribute text that _parse_attrs accepts: its
+    ';'-separated key=value pairs in order, a repeated key keeping its
+    last value."""
     attrs: dict[str, object] = {}
-    for pair in pairs:
+    for pair in text.split(";"):
+        key, _, value = pair.partition("=")
+        attrs[key] = _parse_attr_value(value)
+    return attrs
+
+
+def _attr_value(text: str, name: str, default: object) -> object:
+    """The value of attribute name in a text that _parse_attrs accepts,
+    as _decode_attrs(text).get(name, default) gives it; '' has none."""
+    key, _, raw = text.partition("=")
+    if ";" in raw:  # several pairs; a repeated key keeps its last value
+        raw = None
+        for pair in text.split(";"):
+            key, _, value = pair.partition("=")
+            if key == name:
+                raw = value
+        return default if raw is None else _parse_attr_value(raw)
+    return _parse_attr_value(raw) if raw and key == name else default
+
+
+def _parse_attrs(text: str, lineno: int) -> dict[str, object]:
+    """The mapping of the attribute text after a token's first ';',
+    checked: a malformed pair is reported before a bad attribute
+    name."""
+    for pair in text.split(";"):
         key, sep, value = pair.partition("=")
         if not (sep and key and value):
             raise ParseError("attribute %r is not key=value" % pair, lineno)
-        attrs[key] = _parse_attr_value(value)
+    attrs = _decode_attrs(text)
     for key in attrs:
-        if key not in checked:
-            try:
-                _check_atom(key, "attribute name")
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            checked.add(key)
+        try:
+            _check_atom(key, "attribute name")
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
     return attrs
 
 
@@ -333,44 +387,92 @@ def _parse_token(token: str, table: MessageTable | None, lineno: int) -> Message
     """One token as one Message, for the flow description parser."""
     if token.isdigit():
         return _parse_index(token, table, lineno)
-    head, *pairs = token.split(";")
+    head, sep, rest = token.partition(";")
     msg = _parse_triple(head, lineno)  # a fault in the triple is reported first
-    attrs = _parse_attrs(pairs, lineno, set())
-    return Message(msg.src, msg.dest, msg.cmd, attrs) if attrs else msg
+    if not sep:
+        return msg
+    return Message(msg.src, msg.dest, msg.cmd, _parse_attrs(rest, lineno))
 
 
 _GROUPING = str.maketrans("{},", "   ")
+# A ';' that does not start a pair _parse_attrs accepts: key=value
+# with a non-empty key of atom characters and a non-empty value that
+# runs to the next ';' or whitespace.  \s is what str.split splits on.
+_BAD_PAIR = re.compile(r";(?![^\s:;,={}()#]+=[^\s;])")
+_ATTR_TEXT = re.compile(r";(\S*)")  # a token's attribute text, after its first ';'
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")  # as str.splitlines breaks
+
+
+def _fault_lines(text: str) -> Iterator[int]:
+    """The numbers of the lines of text that hold a ';' _BAD_PAIR
+    flags, ascending, each once."""
+    lineno, pos, last = 1, 0, 0
+    for match in _BAD_PAIR.finditer(text):
+        lineno += len(_LINE_BREAK.findall(text, pos, match.start()))
+        pos = match.start()
+        if lineno != last:
+            last = lineno
+            yield lineno
+
+
+def _cut_attr_texts(text: str) -> tuple[str, list[str]]:
+    """text with each token's attribute text cut down to its first
+    ';', and those texts in order."""
+    pieces = _ATTR_TEXT.split(text)
+    return ";".join(pieces[::2]), pieces[1::2]
+
+
+def _instance_texts(cut: str, texts: list[str], skipped: tuple[int, ...], count: int) -> list[str]:
+    """Per instance its attribute text, '' for none, for a trace of
+    count instances that parse_trace accepted: cut and texts are what
+    _cut_attr_texts gave for its text, and skipped numbers the comment
+    lines that hold tokens."""
+    if not skipped and len(texts) == count:
+        return texts
+    dropped = set(skipped)
+    rest = iter(texts)
+    out: list[str] = []
+    for lineno, row in enumerate(cut.splitlines(), start=1):
+        if lineno in dropped:
+            for _ in range(row.count(";")):  # a comment's texts
+                next(rest)
+            continue
+        out.extend(next(rest) if token[-1] == ";" else "" for token in row.split())
+    return out
 
 
 def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
     """Parse trace text; one event per non-blank, non-comment line.
 
-    The text is split into lines and tokens once, with the grouping
-    characters blanked first; only a line with no token, or one whose
-    first token starts with '#', is looked at again to tell a blank
-    line, a comment and a line of bare grouping apart.  Each distinct
-    token head (an index, or the triple before the first ';') is
-    parsed and checked once, and each distinct attribute text (what
-    follows the first ';') is decoded once, at its first line;
-    instances with equal attribute text share that one mapping.  With
-    a table the alphabet starts with the table's messages, so message
-    ids follow table order (id = index - 1) and an inline triple from
-    the table gets its index's id; other triples get the next ids in
-    order of first appearance.
+    Attributes are checked here but decoded only when read.  With the
+    grouping characters blanked, one regex scan finds the lines that
+    hold a malformed attribute pair, and one regex split cuts each
+    token's attribute text down to its first ';' and keeps the texts
+    for the trace (see Trace).  The lines are then split into tokens
+    once, so each token is an index, a triple, or a triple and ';',
+    and each distinct one is parsed and checked once; only a line with
+    no token, a line whose first token starts with '#', or a line the
+    scan flagged is looked at again, to tell a blank line, a comment
+    and a line of bare grouping apart, or to name the first fault of a
+    flagged line, token by token, with the same precedence as the flow
+    parser.  With a table the
+    alphabet starts with the table's messages, so message ids follow
+    table order (id = index - 1) and an inline triple from the table
+    gets its index's id; other triples get the next ids in order of
+    first appearance.
     """
     alphabet: list[Message] = []
     by_triple: dict[tuple[str, str, str], int] = {}
     if table is not None:
         alphabet.extend(table.messages)
         by_triple.update((m.triple(), mid) for mid, m in enumerate(alphabet))
-    bare: dict[str, int] = {}  # tokens without attributes: indices and triple text
-    heads: dict[str, int] = {}  # triple text, bare or before an attributed token's first ';'
-    decoded: dict[str, dict[str, object]] = {}  # attribute text after the first ';'
-    checked: set[str] = set()
+    known: dict[str, int] = {}  # token cut at its first ';' -> message id
+    heads: dict[str, int] = {}  # triple text, bare or before an attributed token's ';'
     event_of: list[int] = []
     ids: list[int] = []
-    attrs: list[dict[str, object] | None] = []
+    skipped: list[int] = []  # comment lines that hold tokens
     raw_lines: list[str] | None = None
+    blanked_lines: list[str] | None = None
 
     def intern(msg: Message) -> int:
         mid = by_triple.get(msg.triple())
@@ -379,48 +481,62 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
             alphabet.append(msg)
         return mid
 
-    def head_id(head: str, lineno: int) -> int:
+    def resolve(token: str, lineno: int) -> int:
+        """The message id of a token cut at its first ';'."""
+        if token.isdigit():
+            return intern(_parse_index(token, table, lineno))
+        head = token[:-1] if token[-1] == ";" else token
         mid = heads.get(head)
         if mid is None:
             mid = heads[head] = intern(_parse_triple(head, lineno))
         return mid
 
+    blanked = text.translate(_GROUPING)
+    faults = _fault_lines(blanked)
+    fault = next(faults, 0)
+    append, lookup = ids.append, known.__getitem__
     events = 0
-    for lineno, row in enumerate(text.translate(_GROUPING).splitlines(), start=1):
+    cut, texts = _cut_attr_texts(blanked)
+    for lineno, row in enumerate(cut.splitlines(), start=1):
         tokens = row.split()
-        if not tokens or tokens[0][0] == "#":
+        if not tokens or tokens[0][0] == "#" or lineno == fault:
             if raw_lines is None:
                 raw_lines = text.splitlines()
             line = raw_lines[lineno - 1].strip()
             if not line or line[0] == "#":
+                if tokens:
+                    skipped.append(lineno)
+                if lineno == fault:
+                    fault = next(faults, 0)
                 continue
             if not tokens:
                 raise ParseError("event line has no messages", lineno)
-        for token in tokens:
-            mid = bare.get(token)
-            if mid is None:
-                head, sep, rest = token.partition(";")
-                if sep:
-                    mid = heads.get(head)
-                    if mid is None:
-                        mid = head_id(head, lineno)
-                    ids.append(mid)
-                    mapping = decoded.get(rest)
-                    if mapping is None:
-                        mapping = decoded[rest] = _parse_attrs(rest.split(";"), lineno, checked)
-                    attrs.append(mapping)
-                    continue
-                if token.isdigit():
-                    mid = bare[token] = intern(_parse_index(token, table, lineno))
-                else:
-                    mid = bare[token] = head_id(token, lineno)
-            ids.append(mid)
-            attrs.append(None)
-        event_of.extend([events] * len(tokens))
+            if lineno == fault:
+                if blanked_lines is None:
+                    blanked_lines = blanked.splitlines()
+                # the scan flagged a pair here, so one of these raises
+                for token in blanked_lines[lineno - 1].split():
+                    head, sep, rest = token.partition(";")
+                    resolve(head + sep, lineno)
+                    if sep:
+                        _parse_attrs(rest, lineno)
+                fault = next(faults, 0)
+        try:
+            for token in tokens:
+                append(lookup(token))
+        except KeyError:
+            del ids[len(event_of) :]
+            for token in tokens:
+                mid = known.get(token)
+                if mid is None:
+                    mid = known[token] = resolve(token, lineno)
+                append(mid)
+        event_of += [events] * len(tokens)
         events += 1
     if not events:
         raise ParseError("trace has no events")
-    return Trace(tuple(alphabet), tuple(event_of), tuple(ids), tuple(attrs))
+    source = partial(_instance_texts, cut, texts, tuple(skipped), len(ids)) if texts else (None,) * len(ids)
+    return Trace(tuple(alphabet), tuple(event_of), tuple(ids), source)
 
 
 def serialize_trace(trace: Trace, table: MessageTable | None = None) -> str:

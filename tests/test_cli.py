@@ -481,6 +481,37 @@ def test_eval_builds_no_message_per_instance(
     assert len(built) <= transitions + len(table) + len(long_tagged_trace.alphabet) + 2
 
 
+@pytest.fixture
+def decoded(monkeypatch):
+    """The attribute text of each call that decodes one, a whole
+    mapping or one key of it."""
+    texts = []
+    for name in ("_decode_attrs", "_attr_value"):
+        real = getattr(flowmine.trace, name)
+        monkeypatch.setattr(flowmine.trace, name, lambda text, *rest, real=real: texts.append(text) or real(text, *rest))
+    return texts
+
+
+def test_eval_decodes_no_attribute(paths, model_file, long_tagged_trace, table, tmp_path, capsys, decoded):
+    trace_file = tmp_path / "long.trace"
+    trace_file.write_text(serialize_trace(long_tagged_trace, table))
+    argv = ["eval", "--model", model_file, "--trace", str(trace_file), "--table", paths["table"]]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["total"] == long_tagged_trace.msg_count > 9_000
+    assert decoded == []
+
+
+def test_sliced_mine_decodes_each_attribute_text_at_most_once(paths, long_tagged_trace, table, tmp_path, decoded):
+    text = serialize_trace(long_tagged_trace, table)
+    trace_file = tmp_path / "long.trace"
+    trace_file.write_text(text)
+    argv = ["mine", "--trace", str(trace_file), "--table", paths["table"], "--slice", "pid", "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    distinct = {token.partition(";")[2] for token in text.split()}
+    assert len(distinct) == 3300  # 1650 instances of each of two flows
+    assert sorted(decoded) == sorted(distinct)
+
+
 def test_eval_names_the_budget_fallback(paths, model_file, capsys):
     argv = ["eval", "--model", model_file, "--trace", paths["simul_trace"],
             "--table", paths["table"], "--strategy", "exhaustive"]

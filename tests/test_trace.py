@@ -170,9 +170,12 @@ EVENT_LINES = st.builds(
     st.booleans(),
 )
 # lines the whole-text split must tell apart: blank and comment lines
-# are skipped, bare grouping is an empty event, and a '#' after
-# grouping or after a token is a token, not a comment
-ODD_LINES = st.sampled_from(["", "  ", "# a:b:c", "#1", " #1", "{#y}", ",#x", "a:b:c #x", "{}", " , ", "{,}"])
+# are skipped, bare grouping is an empty event, a '#' after grouping
+# or after a token is a token, not a comment, and a comment's ';' and
+# bad pairs are no fault
+ODD_LINES = st.sampled_from(
+    ["", "  ", "# a:b:c", "#1", " #1", "{#y}", ",#x", "a:b:c #x", "{}", " , ", "{,}", "# a;b", "#1;x="]
+)
 # every line break str.splitlines knows, not only "\n"
 BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
 TRACE_TEXTS = st.builds(
@@ -220,6 +223,34 @@ def test_columnar_parse_matches_reference(text, with_table):
     assert got.attrs == tuple(dict(m.attrs) or None for m in flat)
 
 
+# Attribute texts over the characters that decide a pair: reserved
+# characters in keys, '=' in values, the grouping characters, and
+# whitespace that str.split knows beyond ASCII ("\x85" and "\u2028"
+# break lines too).
+SCANNED_TEXTS = st.text(alphabet="pq1=;:(#{,x \t\n\x1f\x85\u2028", max_size=16)
+
+
+@settings(max_examples=500)
+@given(SCANNED_TEXTS)
+@example("p=1;q=a=b")  # '=' inside a value
+@example("p(=1;q=2")  # a reserved character in a key
+@example("p=1\x1fq;r=1")  # "\x1f" ends a token
+@example("p=;q=1\x85r")
+def test_scan_flags_exactly_the_attribute_texts_parse_attrs_rejects(text):
+    blanked = ("a:b:c;" + text).translate(flowmine.trace._GROUPING)
+    rejected = []
+    for lineno, line in enumerate(blanked.splitlines(), start=1):
+        for token in line.split():
+            head, sep, rest = token.partition(";")
+            try:
+                if sep:
+                    flowmine.trace._parse_attrs(rest, lineno)
+            except ParseError:
+                rejected.append(lineno)
+                break
+    assert list(flowmine.trace._fault_lines(blanked)) == rejected
+
+
 def test_parse_builds_no_message_per_instance(long_tagged_trace, table, monkeypatch):
     text = serialize_trace(long_tagged_trace, table)
     built = []
@@ -234,17 +265,23 @@ def test_attributed_token_is_checked_once(monkeypatch):
     checked = []
     real = flowmine.trace._check_atom
     monkeypatch.setattr(flowmine.trace, "_check_atom", lambda text, what: checked.append(what) or real(text, what))
-    parse_trace("cpu0:cache:rd_req;addr=0x40;pid=7\ncpu0:cache:rd_req;pid=8 cpu0:cache:rd_req;addr=0\n")
-    assert checked == ["source", "destination", "command", "attribute name", "attribute name"]
+    trace = parse_trace("cpu0:cache:rd_req;addr=0x40;pid=7\ncpu0:cache:rd_req;pid=8 cpu0:cache:rd_req;addr=0\n")
+    # the head once: the scan checks the attribute names, so decoding them checks nothing
+    assert checked == ["source", "destination", "command"]
+    assert trace.attrs == ({"addr": 64, "pid": 7}, {"pid": 8}, {"addr": 0})
+    assert checked == ["source", "destination", "command"]
 
 
 def test_each_attribute_text_is_decoded_once(monkeypatch):
     calls = []
-    real = flowmine.trace._parse_attrs
-    monkeypatch.setattr(flowmine.trace, "_parse_attrs", lambda *args: calls.append(args[0]) or real(*args))
+    real = flowmine.trace._decode_attrs
+    monkeypatch.setattr(flowmine.trace, "_decode_attrs", lambda text: calls.append(text) or real(text))
     trace = parse_trace("a:b:c;p=1 b:c:a;p=1\nc:a:b;p=1;q=0x2\n{a:b:c;p=2}\nb:c:a;p=1;q=0x2\n")
-    assert calls == [["p=1"], ["p=1", "q=0x2"], ["p=2"]]
+    assert calls == []  # parsing decodes nothing
     assert trace.attrs == ({"p": 1}, {"p": 1}, {"p": 1, "q": 2}, {"p": 2}, {"p": 1, "q": 2})
+    assert calls == ["p=1", "p=1;q=0x2", "p=2"]  # on first read, once each, in order of first appearance
+    assert [dict(m.attrs) for e in trace.events for m in e][3] == {"p": 2}
+    assert len(calls) == 3  # later readers reuse the mappings
     # instances with equal attribute text share one mapping
     assert trace.attrs[0] is trace.attrs[1]
     assert trace.attrs[2] is trace.attrs[4]
