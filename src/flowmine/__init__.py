@@ -34,12 +34,9 @@ from .flows import (
     Flow,
     FlowSpec,
     GenConfig,
-    InstanceTrace,
-    SimResult,
     generate,
     ground_truth_fsa,
     parse_flowspec,
-    simulate,
 )
 from .fsa import (
     FSA,
@@ -56,7 +53,6 @@ from .slicing import SlicePolicy, address_block, labeled_slices, parse_policy, s
 from .solver import (
     ConstraintProblem,
     Solution,
-    brute_force_solutions,
     build_constraints,
     check_solution,
     enumerate_solutions,

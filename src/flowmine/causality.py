@@ -204,11 +204,6 @@ def _by_message(graph: CausalityGraph, positions: Positions) -> Counter:
     return Counter({at[o]: len(ps) for o, ps in positions.items()})
 
 
-def node_deltas(graph: CausalityGraph, trace: Trace) -> Counter:
-    """Per-node support contributions of one trace (no matching)."""
-    return _by_message(graph, instance_positions(graph, trace))
-
-
 def _thresholds(heads: list[tuple[int, int]], tails: list[tuple[int, int]], out: list[int]) -> None:
     """Append to out, per tail that the matching pairs without a
     window, the smallest window length at which it is paired.

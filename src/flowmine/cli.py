@@ -28,7 +28,7 @@ from .extract import (
     model_extract,
 )
 from .flows import GenConfig, generate, parse_flowspec
-from .fsa import STRATEGIES, acceptance_ratio, derive_fsa, fsa_from_json, fsa_to_json, to_dot
+from .fsa import EXHAUSTIVE_BUDGET, STRATEGIES, acceptance_ratio, derive_fsa, fsa_from_json, fsa_to_json, to_dot
 from .slicing import labeled_slices, parse_policy
 from .solver import build_constraints, export_smtlib
 from .trace import (
@@ -343,7 +343,7 @@ def _eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", required=True)
     p.add_argument("--table", help="message table file")
     p.add_argument("--strategy", default="oldest-first", choices=STRATEGIES)
-    p.add_argument("--budget", type=int, default=100_000, help="exhaustive search node budget")
+    p.add_argument("--budget", type=int, default=EXHAUSTIVE_BUDGET, help="exhaustive search node budget")
 
 
 def _export_smt_flags(p: argparse.ArgumentParser) -> None:

@@ -2,7 +2,7 @@
 
 A flow is a set of alternative message branches sharing a first
 message; one branch, executed start to finish, is one flow instance.
-The simulator interleaves a configured number of instances into a
+The generator interleaves a configured number of instances into a
 single trace, so mining quality can be judged against a known ground
 truth.  The interleaving keeps every active instance warm: between
 two consecutive messages of an instance at most ``max_gap`` foreign
@@ -10,8 +10,8 @@ messages may pass.  With ``simul_prob`` zero every event carries a
 single message; once paired events exist, several instances can hit
 the gap bound at the same time and are then emitted together, so
 events can grow beyond two messages.  The scheduler works on message
-ids; generate turns its columns into a Trace directly, and only
-simulate builds Message objects, for its per-instance record.
+ids, and generate turns its columns into a Trace directly, building
+no Message per emission.
 
 Flow description text::
 
@@ -19,9 +19,10 @@ Flow description text::
       branch: 1 2 5
       branch: 1 3
 
-Branch tokens are message-table indices or inline triples.  Within a
-branch, consecutive messages must be chained (each destination is the
-next source), and all branches of a flow open with the same message.
+Branch tokens are message-table indices or inline triples, without
+attributes (a tag adds them).  Within a branch, consecutive messages
+must be chained (each destination is the next source), and all
+branches of a flow open with the same message.
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ __all__ = [
     "Flow",
     "FlowSpec",
     "GenConfig",
-    "InstanceTrace",
-    "SimResult",
     "parse_flowspec",
-    "simulate",
     "generate",
     "ground_truth_fsa",
 ]
@@ -126,7 +124,7 @@ def parse_flowspec(text: str, table: MessageTable | None = None) -> FlowSpec:
             tokens = line[len("branch:") :].split()
             if not tokens:
                 raise ParseError("branch has no messages", lineno)
-            branches.append(tuple(_parse_token(t, table, lineno).plain() for t in tokens))
+            branches.append(tuple(_parse_token(t, table, lineno) for t in tokens))
         else:
             raise ParseError("expected 'flow <name>:' or 'branch: ...'", lineno)
     close(len(text.splitlines()))
@@ -138,7 +136,7 @@ def parse_flowspec(text: str, table: MessageTable | None = None) -> FlowSpec:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Knobs for the simulator.
+    """Knobs for the generator.
 
     instances counts flow instances, either one number for every flow
     or a per-flow-name mapping.  max_gap bounds the foreign messages
@@ -175,22 +173,6 @@ class GenConfig:
         return self.instances.get(flow.name, 0)
 
 
-@dataclass(frozen=True)
-class InstanceTrace:
-    """What one flow instance emitted, in order."""
-
-    instance_id: int
-    flow: str
-    branch: int
-    emissions: tuple[tuple[int, Message], ...]  # (event index, message)
-
-
-@dataclass(frozen=True)
-class SimResult:
-    trace: Trace
-    instances: tuple[InstanceTrace, ...]
-
-
 class _Schedule(NamedTuple):
     """What _interleave decided: the alphabet, each instance's
     (flow name, branch), and three columns with one entry per emitted
@@ -205,7 +187,7 @@ class _Schedule(NamedTuple):
 
 
 def _interleave(spec: FlowSpec, cfg: GenConfig) -> _Schedule:
-    """The scheduler behind simulate and generate; it works on ints only.
+    """The scheduler behind generate; it works on ints only.
 
     Every instance picks a branch uniformly up front and keeps the ids
     it has still to emit.  Each round one instance emits its next
@@ -305,26 +287,9 @@ def _trace(schedule: _Schedule, tag: str | None) -> Trace:
     return Trace(schedule.alphabet, tuple(schedule.event_of), tuple(schedule.ids), attrs)
 
 
-def simulate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> SimResult:
-    """Interleave flow instances into one trace, and say which instance
-    emitted what.  Identical seeds give identical results.  The trace
-    is generate's; the instances' messages carry its attributes."""
-    schedule = _interleave(spec, cfg)
-    trace = _trace(schedule, cfg.tag)
-    emissions: list[list[tuple[int, Message]]] = [[] for _ in schedule.picks]
-    for e_idx, mid, i, attrs in zip(trace.event_of, trace.ids, schedule.owner, trace.attrs):
-        m = trace.alphabet[mid]
-        emissions[i].append((e_idx, Message(m.src, m.dest, m.cmd, attrs) if attrs else m))
-    instances = tuple(
-        InstanceTrace(i, flow, branch, tuple(emitted))
-        for i, ((flow, branch), emitted) in enumerate(zip(schedule.picks, emissions))
-    )
-    return SimResult(trace, instances)
-
-
 def generate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> Trace:
-    """The trace of simulate(spec, cfg), without building a Message or
-    an InstanceTrace per emission."""
+    """Interleave flow instances into one trace.  Identical seeds give
+    identical traces."""
     return _trace(_interleave(spec, cfg), cfg.tag)
 
 

@@ -35,6 +35,7 @@ log = logging.getLogger(__name__)
 
 START = "q0"
 STRATEGIES = ("oldest-first", "newest-first", "exhaustive")
+EXHAUSTIVE_BUDGET = 100_000  # search nodes before the exhaustive strategy falls back
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,7 @@ def acceptance_ratio(
     fsa: FSA,
     trace: Trace,
     strategy: str = "oldest-first",
-    budget: int = 100_000,
+    budget: int = EXHAUSTIVE_BUDGET,
     table: MessageTable | None = None,
 ) -> AcceptanceReport:
     """Replay a trace against a model. See the module docstring for

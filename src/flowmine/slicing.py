@@ -24,16 +24,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .causality import (
+# support_deltas is not called here; it stays importable from this
+# module because perfbench/tracing.py wraps it under this name.
+from .causality import (  # noqa: F401
     CausalityGraph,
     Positions,
     Shape,
+    _by_message,
     apply_deltas,
-    node_deltas,
+    instance_positions,
     node_numbers,
     positions_of,
     support_deltas,
+    supports_at,
     trace_shape,
+    window_thresholds,
 )
 from .trace import Trace
 
@@ -84,25 +89,6 @@ def _slice_keys(trace: Trace, policy: SlicePolicy) -> list[object]:
     return [v if v is _UNKEYED else address_block(v, policy.block) for v in values]
 
 
-def _buckets(trace: Trace, policy: SlicePolicy) -> list[tuple[object, list[int]]]:
-    """(key, instance numbers in trace order) per slice, in order of
-    first appearance."""
-    isolate = policy.missing == "isolate"
-    keyed: dict[object, list[int]] = {}
-    buckets: list[tuple[object, list[int]]] = []
-    for i, key in enumerate(_slice_keys(trace, policy)):
-        if key is _UNKEYED:
-            if isolate:
-                buckets.append((_UNKEYED, [i]))
-            continue
-        members = keyed.get(key)
-        if members is None:
-            members = keyed[key] = []
-            buckets.append((key, members))
-        members.append(i)
-    return buckets
-
-
 def slice_shapes(trace: Trace, policy: SlicePolicy) -> Counter:
     """The number of slices of each shape, in one pass over the trace.
 
@@ -131,30 +117,36 @@ def slice_shapes(trace: Trace, policy: SlicePolicy) -> Counter:
     return counts
 
 
-def slice_trace(trace: Trace, policy: SlicePolicy) -> list[Trace]:
-    """Partition a trace by attribute key.
+def labeled_slices(trace: Trace, policy: SlicePolicy) -> list[tuple[str, Trace]]:
+    """Partition a trace by attribute key, with a printable label per
+    slice.
 
     Every slice preserves the event structure and relative order of
     its messages.  Slices come back in order of first appearance.
-    """
-    return [trace.select(members) for _, members in _buckets(trace, policy)]
-
-
-def labeled_slices(trace: Trace, policy: SlicePolicy) -> list[tuple[str, Trace]]:
-    """Like slice_trace, with a printable label per slice.
-
     Keyed slices are labeled by their key value; messages isolated
     for lacking the attribute get running unkeyed<N> labels.
     """
-    out = []
+    isolate = policy.missing == "isolate"
+    keyed: dict[object, list[int]] = {}
+    slices: list[tuple[str, list[int]]] = []  # (label, instance numbers in trace order)
     unkeyed = 0
-    for key, members in _buckets(trace, policy):
+    for i, key in enumerate(_slice_keys(trace, policy)):
         if key is _UNKEYED:
-            label, unkeyed = "unkeyed%d" % unkeyed, unkeyed + 1
-        else:
-            label = str(key)
-        out.append((label, trace.select(members)))
-    return out
+            if isolate:
+                slices.append(("unkeyed%d" % unkeyed, [i]))
+                unkeyed += 1
+            continue
+        members = keyed.get(key)
+        if members is None:
+            members = keyed[key] = []
+            slices.append((str(key), members))
+        members.append(i)
+    return [(label, trace.select(members)) for label, members in slices]
+
+
+def slice_trace(trace: Trace, policy: SlicePolicy) -> list[Trace]:
+    """The slices of labeled_slices, without their labels."""
+    return [part for _, part in labeled_slices(trace, policy)]
 
 
 def parse_policy(spec: str) -> SlicePolicy:
@@ -190,22 +182,13 @@ def slice_units(graph: CausalityGraph, trace: Trace, policy: SlicePolicy | None)
     return [(positions_of(trace, numbers, shape), count) for shape, count in shapes.items()]
 
 
-def sliced_support_deltas(
-    graph: CausalityGraph, trace: Trace, policy: SlicePolicy, window: int | None = None
-) -> tuple[Counter, Counter]:
-    """Node deltas from the unsliced trace, edge deltas summed over slices."""
-    node_delta = node_deltas(graph, trace)
-    edge_delta: Counter = Counter()
-    for part in slice_trace(trace, policy):
-        _, part_edges = support_deltas(graph, part, window)
-        edge_delta.update(part_edges)
-    return node_delta, edge_delta
-
-
 def annotate_sliced(
     graph: CausalityGraph, trace: Trace, policy: SlicePolicy, window: int | None = None
 ) -> CausalityGraph:
-    """Accumulate one trace's supports, pairing only inside slices."""
-    node_delta, edge_delta = sliced_support_deltas(graph, trace, policy, window)
+    """Accumulate one trace's supports, pairing only inside slices:
+    node supports count the whole trace, and edge supports are matched
+    over slice_units, the units prepare_annotation matches."""
+    node_delta = _by_message(graph, instance_positions(graph, trace))
+    edge_delta = supports_at(window_thresholds(graph, slice_units(graph, trace, policy)), window)
     apply_deltas(graph, node_delta, edge_delta)
     return graph

@@ -25,9 +25,9 @@ supports admit no explanation, e.g. because a window is too tight.
 Oracles
 -------
 solve, solutions and enumerate_solutions are an interval-propagation
-depth-first search over values, and brute_force_solutions checks
-every point of the bound box.  They accept any balances, and tests
-check the transport search against them.  The interval search
+depth-first search over values.  They accept any balances, and tests
+check the transport search against them; the brute-force walk of the
+bound box that checks them in turn lives with the tests.  The search
 branches on the variable with the smallest remaining domain
 (lowest edge index on ties), values tried from the upper end downward,
 so its solution stream is deterministic and distinct by construction.
@@ -36,9 +36,8 @@ so its solution stream is deterministic and distinct by construction.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, replace
-from itertools import islice, product
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .causality import CausalityGraph, Edge
@@ -219,26 +218,6 @@ def enumerate_solutions(problem: ConstraintProblem, limit: int | None = None) ->
     """Up to limit distinct solutions (all of them when limit is None)."""
     stream = solutions(problem)
     return list(stream if limit is None else islice(stream, limit))
-
-
-BRUTE_FORCE_CAP = 10_000_000
-
-
-def brute_force_solutions(problem: ConstraintProblem, cap: int = BRUTE_FORCE_CAP) -> list[Assignment]:
-    """Check every assignment in the bound box, in lexicographic
-    order; the independent oracle.
-
-    Refuses to run when the box holds more than cap points.
-    """
-    ranges = [range(problem.effective_upper(i) + 1) for i in range(len(problem.edges))]
-    total = math.prod(map(len, ranges))
-    if total > cap:
-        raise ValueError("assignment space %d exceeds cap %d" % (total, cap))
-    return [
-        values
-        for values in product(*ranges)
-        if all(sum(values[v] for v in b.vars) == b.total for b in problem.balances)
-    ]
 
 
 def export_smtlib(problem: ConstraintProblem) -> str:

@@ -384,14 +384,14 @@ def _parse_attrs(text: str, lineno: int) -> dict[str, object]:
 
 
 def _parse_token(token: str, table: MessageTable | None, lineno: int) -> Message:
-    """One token as one Message, for the flow description parser."""
-    if token.isdigit():
-        return _parse_index(token, table, lineno)
-    head, sep, rest = token.partition(";")
-    msg = _parse_triple(head, lineno)  # a fault in the triple is reported first
-    if not sep:
-        return msg
-    return Message(msg.src, msg.dest, msg.cmd, _parse_attrs(rest, lineno))
+    """One token as one Message, for the flow description parser: an
+    index or a triple, which may carry no attributes."""
+    head, sep, _ = token.partition(";")
+    # a fault in the index or triple is reported first
+    msg = _parse_index(head, table, lineno) if head.isdigit() else _parse_triple(head, lineno)
+    if sep:
+        raise ParseError("%r carries attributes; the tag adds them" % token, lineno)
+    return msg
 
 
 _GROUPING = str.maketrans("{},", "   ")
@@ -454,8 +454,8 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
     no token, a line whose first token starts with '#', or a line the
     scan flagged is looked at again, to tell a blank line, a comment
     and a line of bare grouping apart, or to name the first fault of a
-    flagged line, token by token, with the same precedence as the flow
-    parser.  With a table the
+    flagged line, token by token, its index or triple before its
+    attributes.  With a table the
     alphabet starts with the table's messages, so message ids follow
     table order (id = index - 1) and an inline triple from the table
     gets its index's id; other triples get the next ids in order of

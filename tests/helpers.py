@@ -1,13 +1,16 @@
 """Independent oracles used by the tests.
 
 Everything here is deliberately written from the definitions, not by
-calling the production code, so agreement is meaningful.
+calling the production code, so agreement is meaningful.  The one
+exception is simulate, which records the generator's own schedule per
+instance, so that tests can check a generated trace against it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import random
 import re
 import sys
@@ -15,7 +18,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
-from flowmine import GenConfig, InstanceTrace, Message, SimResult, Trace, causal, trace_of
+from flowmine import GenConfig, Message, ParseError, Trace, build_constraints, causal, solve, trace_of
+from flowmine.extract import annotated_graph
+from flowmine.flows import _interleave, _trace
 
 
 @contextlib.contextmanager
@@ -90,26 +95,36 @@ def naive_terminals(traces) -> set:
     return {m for m, ok in verdict.items() if ok}
 
 
+BRUTE_FORCE_CAP = 10_000_000
+
+
+def brute_force_solutions(problem, cap: int = BRUTE_FORCE_CAP) -> list[tuple[int, ...]]:
+    """Check every assignment in the bound box, in lexicographic
+    order.
+
+    Refuses to run when the box holds more than cap points.
+    """
+    ranges = [range(problem.effective_upper(i) + 1) for i in range(len(problem.edges))]
+    total = math.prod(map(len, ranges))
+    if total > cap:
+        raise ValueError("assignment space %d exceeds cap %d" % (total, cap))
+    return [
+        values
+        for values in product(*ranges)
+        if all(sum(values[v] for v in b.vars) == b.total for b in problem.balances)
+    ]
+
+
 def brute_minimum_size(problem) -> int | None:
     """Smallest non-zero count over every assignment within bounds
     satisfying all balances.  None when infeasible."""
-    ranges = [range(problem.effective_upper(i) + 1) for i in range(len(problem.edges))]
-    best = None
-    for values in product(*ranges):
-        if any(sum(values[i] for i in b.vars) != b.total for b in problem.balances):
-            continue
-        size = sum(1 for v in values if v)
-        if best is None or size < best:
-            best = size
-    return best
+    return min((sum(1 for v in values if v) for values in brute_force_solutions(problem)), default=None)
 
 
 def admits_single_zeroing(problem, solution) -> bool:
     """True if some feasible assignment uses a proper subset of the
     solution's non-zero edges: an edge could have been dropped without
     recruiting any new edge.  Checked by brute force."""
-    from flowmine import brute_force_solutions
-
     support = {i for i, v in enumerate(solution.values) if v}
     for values in brute_force_solutions(problem):
         if {i for i, v in enumerate(values) if v} < support:
@@ -122,11 +137,6 @@ def random_problem(seed: int, max_edges: int = 8, max_support: int = 4, feasible
     and with a solution when feasible is set.
 
     Draws traces until one fits, so callers never see a rejection."""
-    import random
-
-    from flowmine import build_constraints, solve
-    from flowmine.extract import annotated_graph
-
     rng = random.Random(seed)
     msgs = [Message(s, d, c) for s in "abc" for d in "abc" for c in "xy"]
     while True:
@@ -175,8 +185,6 @@ def reference_parse_token(token: str, lineno: int) -> Message:
     """One trace token without a table, parsed as the grammar reads:
     the triple first, then its key=value attributes in order, then
     the attribute names (a bad name raises a ValueError, no line)."""
-    from flowmine import ParseError
-
     if token.isdigit():
         raise ParseError("index token %r needs a message table" % token, lineno)
     head, *pairs = token.split(";")
@@ -208,8 +216,6 @@ def reference_parse_trace(text: str, table=None) -> list[list[Message]]:
     index tokens through the table, the rest through
     reference_parse_token, with the line added to a bad attribute
     name's error."""
-    from flowmine import ParseError
-
     events = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -314,6 +320,38 @@ def instance_pair_counts(instances, edges) -> Counter:
     return total
 
 
+@dataclass(frozen=True)
+class InstanceTrace:
+    """What one flow instance emitted, in order."""
+
+    instance_id: int
+    flow: str
+    branch: int
+    emissions: tuple[tuple[int, Message], ...]  # (event index, message)
+
+
+@dataclass(frozen=True)
+class SimResult:
+    trace: Trace
+    instances: tuple[InstanceTrace, ...]
+
+
+def simulate(spec, cfg: GenConfig = GenConfig()) -> SimResult:
+    """generate(spec, cfg)'s trace, and which instance emitted what:
+    the instances' messages carry the trace's attributes."""
+    schedule = _interleave(spec, cfg)
+    trace = _trace(schedule, cfg.tag)
+    emissions: list[list[tuple[int, Message]]] = [[] for _ in schedule.picks]
+    for e_idx, mid, i, attrs in zip(trace.event_of, trace.ids, schedule.owner, trace.attrs):
+        m = trace.alphabet[mid]
+        emissions[i].append((e_idx, Message(m.src, m.dest, m.cmd, attrs) if attrs else m))
+    instances = tuple(
+        InstanceTrace(i, flow, branch, tuple(emitted))
+        for i, ((flow, branch), emitted) in enumerate(zip(schedule.picks, emissions))
+    )
+    return SimResult(trace, instances)
+
+
 @dataclass
 class _RefLive:
     instance_id: int
@@ -326,7 +364,7 @@ class _RefLive:
 
 
 def reference_simulate(spec, cfg: GenConfig) -> SimResult:
-    """flows.simulate as first written: every round rescans every
+    """simulate as first written: every round rescans every
     unfinished instance and keeps a gap counter per instance, so it is
     quadratic in the instance count.  Same rounds, same draws."""
     rng = random.Random(cfg.seed)

@@ -19,7 +19,6 @@ from flowmine import (
     SlicePolicy,
     acceptance_ratio,
     auto_window,
-    brute_force_solutions,
     build_constraints,
     causal,
     derive_fsa,
@@ -30,12 +29,11 @@ from flowmine import (
     generate,
     ground_truth_fsa,
     model_extract,
-    simulate,
     solve,
 )
 from flowmine.extract import annotated_graph
 
-from helpers import admits_single_zeroing, instance_pair_counts, random_problem
+from helpers import admits_single_zeroing, brute_force_solutions, instance_pair_counts, random_problem, simulate
 
 
 @contextmanager

@@ -12,7 +12,6 @@ from flowmine import (
     Shortfall,
     SlicePolicy,
     auto_window,
-    brute_force_solutions,
     build_constraints,
     check_solution,
     dump_graph,

@@ -14,11 +14,10 @@ from flowmine import (
     parse_flowspec,
     parse_trace,
     serialize_trace,
-    simulate,
     trace_of,
 )
 
-from helpers import reference_simulate
+from helpers import reference_simulate, simulate
 
 A = Message("a", "b", "p")
 B = Message("b", "c", "q")
@@ -67,6 +66,11 @@ def test_flow_validation():
         ("what is this\n", "expected"),
         ("", "no flows"),
         ("flow f:\n", "no branches"),
+        # branch tokens carry no attributes; the index or triple is checked first
+        ("flow f:\n  branch: a:b:x;pid=1 b:a:y\n", "line 2: 'a:b:x;pid=1' carries attributes"),
+        ("flow f:\n  branch: 1 2;\n", "line 2: '2;' carries attributes"),
+        ("flow f:\n  branch: a:b;pid=1\n", "line 2: expected 'src:dest:cmd'"),
+        ("flow f:\n  branch: 99;pid=1\n", "line 2: message index 99 is not in the table"),
     ],
 )
 def test_parse_flowspec_errors(table, text, match):

@@ -1,7 +1,8 @@
 """Checks on files outside the package that run against it: the
-benchmark's tracer probes and fallback counter, and the README's
-Python example and search budget."""
+benchmark's tracer probes, the imports kept for them and its fallback
+counter, and the README's Python example and stated budgets."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ import re
 import sys
 from pathlib import Path
 
+import flowmine.fsa
 import flowmine.transport
 from flowmine import acceptance_ratio, ground_truth_fsa
 
@@ -35,6 +37,25 @@ def test_tracer_probes_resolve(monkeypatch):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_unused_imports_are_tracer_probes(monkeypatch):
+    # a module keeps an import it never reads only so that
+    # perfbench/tracing.py can wrap the name where it is looked up;
+    # once no probe names it, the import can go
+    probed = {(module, attr) for module, attr, *_ in _load_tracing(monkeypatch).PROBES}
+    unprobed = []
+    for path in sorted(Path(flowmine.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":  # its imports are the package's exports
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        read = {node.id for node in nodes if isinstance(node, ast.Name)}
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for name in {(alias.asname or alias.name).partition(".")[0] for alias in node.names} - read:
+                    if ("flowmine." + path.stem, name) not in probed:
+                        unprobed.append("flowmine.%s.%s" % (path.stem, name))
+    assert unprobed == []
 
 
 def test_tracer_counts_every_exhaustive_fallback(monkeypatch, flowspec, simul_trace, table):
@@ -67,3 +88,9 @@ def test_readme_states_the_search_node_budget():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     stated = re.findall(r"`flowmine\.transport\.SEARCH_NODE_BUDGET`,\s+([\d,]+)\s+nodes", text)
     assert [int(n.replace(",", "")) for n in stated] == [flowmine.transport.SEARCH_NODE_BUDGET]
+
+
+def test_readme_states_the_eval_budget_default():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`flowmine\.fsa\.EXHAUSTIVE_BUDGET`,\s+([\d,]+)\s+nodes", text)
+    assert [int(n.replace(",", "")) for n in stated] == [flowmine.fsa.EXHAUSTIVE_BUDGET]

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flowmine import (
+    GenConfig,
     Message,
     SlicePolicy,
     address_block,
     build_graph,
+    detect_entries_exits,
+    generate,
     parse_policy,
     slice_trace,
     trace_of,
@@ -16,7 +19,7 @@ from flowmine import (
 import flowmine.causality
 from flowmine.causality import _thresholds, window_thresholds
 from flowmine.extract import annotated_graph
-from flowmine.slicing import labeled_slices, slice_shapes, slice_units, sliced_support_deltas
+from flowmine.slicing import annotate_sliced, labeled_slices, slice_shapes, slice_units
 
 from helpers import naive_positions, naive_slices
 
@@ -178,11 +181,21 @@ def test_sliced_edge_support_never_exceeds_unbounded_unsliced(trace, window):
     # foreign messages shortens distances inside a slice, which is the
     # point of slicing.
     unbounded = annotated_graph([trace])
-    _, sliced_edges = sliced_support_deltas(
-        annotated_graph([trace]), trace, SlicePolicy("pid"), window
-    )
-    for e, s in sliced_edges.items():
+    sliced = annotated_graph([trace], window, slice_policy=SlicePolicy("pid"))
+    for e, s in sliced.edges.items():
         assert s <= unbounded.edges[e]
+
+
+@pytest.mark.parametrize("window", [0, 1, 3, 10, None])
+def test_annotate_sliced_gives_the_supports_mine_reads(flowspec, table, window):
+    trace = generate(flowspec, GenConfig(instances=6, seed=3, simul_prob=0.3, tag="pid"))
+    policy = SlicePolicy("pid")
+    graph = build_graph(unique_messages([trace]), *detect_entries_exits([trace]), table)
+    annotate_sliced(graph, trace, policy, window)
+    want = annotated_graph([trace], window, policy, table)
+    assert {m: s.support for m, s in graph.nodes.items()} == {m: s.support for m, s in want.nodes.items()}
+    assert graph.edges == want.edges
+    assert any(graph.edges.values())
 
 
 def keyed_traces(pids):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from flowmine import (
     Message,
-    brute_force_solutions,
     build_constraints,
     check_solution,
     enumerate_solutions,
@@ -17,7 +16,7 @@ from flowmine import (
 from flowmine.extract import annotated_graph
 from flowmine.solver import Balance, ConstraintProblem
 
-from helpers import check_smtlib, random_problem, recursion_headroom
+from helpers import brute_force_solutions, check_smtlib, random_problem, recursion_headroom
 
 
 def mixed_problem(mixed_trace, table, window=None):

@@ -10,7 +10,6 @@ from flowmine import (
     GenConfig,
     Message,
     Shortfall,
-    brute_force_solutions,
     build_constraints,
     check_solution,
     generate,
@@ -22,7 +21,7 @@ from flowmine import (
 from flowmine.extract import annotated_graph, prepare_annotation
 from flowmine.solver import Balance, ConstraintProblem
 
-from helpers import brute_minimum_size, random_problem
+from helpers import brute_force_solutions, brute_minimum_size, random_problem
 
 
 def support(values) -> frozenset:
