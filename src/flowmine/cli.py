@@ -20,7 +20,9 @@ import time
 from pathlib import Path
 
 from .causality import dump_graph
-from .extract import (
+# model_extract is not called here; it stays importable from this
+# module because perfbench/tracing.py wraps it under this name.
+from .extract import (  # noqa: F401
     ExtractResult,
     NoFeasibleWindowError,
     annotated_graph,
@@ -39,7 +41,6 @@ from .trace import (
     parse_trace,
     serialize_trace,
 )
-from .transport import Shortfall
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -205,18 +206,9 @@ def cmd_mine(args) -> int:
     if args.max_window is not None:
         print("note: --max-window is ignored; the window search needs no bound", file=sys.stderr)
     try:
-        if mode == "auto":
-            window_desc["value"], graph, result = auto_window(traces, slice_policy=policy, table=table)
-            annotating = result.annotate_s
-        else:
-            graph = annotated_graph(traces, window=fixed, slice_policy=policy, table=table)
-            annotating = time.perf_counter() - started
-            problem = build_constraints(graph)
-            result = model_extract(problem)
-            if isinstance(result, Shortfall):
-                # the search's root max flow is the witness
-                reason = "the consistency constraints admit no solution"
-                raise NoFeasibleWindowError(reason, result, problem, 1, result.flows, annotating)
+        window_desc["value"], graph, result = auto_window(
+            traces, slice_policy=policy, table=table, window="auto" if mode == "auto" else fixed
+        )
     except NoFeasibleWindowError as exc:
         elapsed = time.perf_counter() - started
         stages = {"parse": started - parsing, "annotate": exc.annotate_s, "search": elapsed - exc.annotate_s}
@@ -238,8 +230,8 @@ def cmd_mine(args) -> int:
     )
     stages = {
         "parse": started - parsing,
-        "annotate": annotating,
-        "search": elapsed - annotating,
+        "annotate": result.annotate_s,
+        "search": elapsed - result.annotate_s,
         "write": time.perf_counter() - searched,
     }
     summary = _summary(args, traces, window_desc, result.windows_tried, result.solves, elapsed, stages)

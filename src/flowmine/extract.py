@@ -6,7 +6,8 @@ candidates generalize better, so model_extract asks the solver for
 every smallest support (transport.minimum_models: max-flow feasibility
 and an exact branch and bound) and ranks them by Solution.rank_key:
 size, then the largest total edge support, then the sorted edge
-numbers.  The counts of each model are the flow that found it.
+numbers.  The counts of each model are one max flow over just its
+edges, a function of the model alone.
 
 Annotation is prepared once per trace set: entry/exit detection,
 graph structure, node supports, and one matching pass that gives every
@@ -56,7 +57,7 @@ from .solver import (  # noqa: F401
     solve,
 )
 from .trace import MessageTable, Trace, unique_messages
-from .transport import SearchStats, Shortfall, minimum_models, shortfall
+from .transport import SearchStats, Shortfall, max_flow, minimum_models
 
 log = logging.getLogger(__name__)
 
@@ -64,11 +65,13 @@ REDUCTION_ORDERS = ("ascending-support", "descending-support", "index")
 
 
 class NoFeasibleWindowError(RuntimeError):
-    """No window length admits a solution, not even no window at all.
+    """No window length among auto_window's candidates admits a
+    solution: for "auto", not even no window at all.
 
-    problem is the unwindowed one, and shortfall says why it has no
-    solution.  windows_tried, solves and annotate_s count the search
-    as ExtractResult's fields of those names do."""
+    problem is the one at the last candidate (for "auto", the
+    unwindowed one), and shortfall says why it has no solution.
+    windows_tried, solves and annotate_s count the search as
+    ExtractResult's fields of those names do."""
 
     def __init__(
         self,
@@ -134,10 +137,11 @@ def reduce_model(problem: ConstraintProblem, sol: Solution, order: str = "ascend
     return current_s
 
 
-def model_extract(problem: ConstraintProblem) -> ExtractResult | Shortfall:
-    """Every smallest model, ranked.  When the problem is infeasible,
-    why not: the Shortfall of the search's root max flow."""
-    found = minimum_models(problem)
+def model_extract(problem: ConstraintProblem, flow: list[int] | None = None) -> ExtractResult | Shortfall:
+    """Every smallest model, ranked, the search starting from flow
+    when the caller has a saturating one.  When the problem is
+    infeasible, why not: the Shortfall of the search's root max flow."""
+    found = minimum_models(problem, flow)
     if isinstance(found, Shortfall):
         return found
     ranked, stats = found
@@ -209,8 +213,11 @@ def auto_window(
     traces: Sequence[Trace],
     slice_policy: SlicePolicy | None = None,
     table: MessageTable | None = None,
-) -> tuple[int, CausalityGraph, ExtractResult]:
-    """Smallest window length that admits a model.
+    window: int | str | None = "auto",
+) -> tuple[int | None, CausalityGraph, ExtractResult]:
+    """Smallest window length that admits a model, among the
+    candidates window names: "auto" for every length, or one length
+    (None: no window).
 
     Edge supports never decrease as the window grows (see
     causality._thresholds), while node supports and the graph
@@ -221,34 +228,39 @@ def auto_window(
     The constraints are built once, from the window-independent
     graph, so each construction warning is logged once per search; a
     probe replaces only the upper bounds and runs one max flow.  The
-    search probes w = 0, then bisects the rest.  The graph is
-    annotated and models are extracted once, at the length found,
-    and (w, graph, extraction) is returned; the extraction's
-    windows_tried counts the probes, its solves include their max
-    flows (none for a probe whose balance totals differ), and
-    annotate_s is the time taken by prepare_annotation.
-    Raises NoFeasibleWindowError, with the unwindowed problem, its
-    shortfall and the probes, when no length works.
+    search probes the first candidate (w = 0 for "auto"), then
+    bisects the rest.  The graph is annotated and models are
+    extracted once, at the length found, the search starting from
+    the saturating flow of the probe that admitted it, and (w, graph,
+    extraction) is returned; the extraction's windows_tried counts
+    the probes, its solves include their max flows (none for a probe
+    whose balance totals differ), and annotate_s is the time taken
+    by prepare_annotation.
+    Raises NoFeasibleWindowError, with the problem at the last
+    candidate, its shortfall and the probes, when no candidate works.
     """
     started = time.perf_counter()
     prepared = prepare_annotation(traces, slice_policy, table)
     annotate_s = time.perf_counter() - started
     skeleton = build_constraints(prepared.graph)
-    windows = sorted({0}.union(*prepared.thresholds.values()))
-    probed: dict[int, tuple[ConstraintProblem, Shortfall | None]] = {}
+    windows = sorted({0}.union(*prepared.thresholds.values())) if window == "auto" else [window]
+    probed: dict[int | None, tuple[ConstraintProblem, list[int] | None, Shortfall | None]] = {}
 
-    def feasible(w: int) -> bool:
+    def feasible(w: int | None) -> bool:
         problem = replace(skeleton, uppers=prepared.uppers(skeleton.edges, w))
-        probed[w] = problem, shortfall(problem)
-        return probed[w][1] is None
+        probed[w] = (problem, *max_flow(problem))
+        return probed[w][1] is not None
 
-    found = 0 if feasible(0) else bisect_left(windows, True, lo=1, key=feasible)
-    flows = sum(1 if short is None else short.flows for _, short in probed.values())
+    found = 0 if feasible(windows[0]) else bisect_left(windows, True, lo=1, key=feasible)
+    flows = sum(1 if short is None else short.flows for _, _, short in probed.values())
     if found == len(windows):
-        problem, short = probed[windows[-1]]
-        reason = "no window length admits a solution, not even no window (%d tried)" % len(probed)
+        problem, _, short = probed[windows[-1]]
+        if window == "auto":
+            reason = "no window length admits a solution, not even no window (%d tried)" % len(probed)
+        else:
+            reason = "the consistency constraints admit no solution"
         raise NoFeasibleWindowError(reason, short, problem, len(probed), flows, annotate_s)
     w = windows[found]
-    result = model_extract(probed[w][0])
+    result = model_extract(*probed[w][:2])
     result = replace(result, windows_tried=len(probed), solves=flows + result.solves, annotate_s=annotate_s)
     return w, prepared.at(w), result

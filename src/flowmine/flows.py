@@ -45,6 +45,8 @@ __all__ = [
     "ground_truth_fsa",
 ]
 
+MAX_INSTANCES = 10_000_000  # instances generate schedules at most, over all flows
+
 
 @dataclass(frozen=True)
 class Flow:
@@ -203,6 +205,9 @@ def _interleave(spec: FlowSpec, cfg: GenConfig) -> _Schedule:
         unknown = set(cfg.instances) - {f.name for f in spec.flows}
         if unknown:
             raise ValueError("unknown flow names: %s" % ", ".join(sorted(unknown)))
+    total = sum(cfg.count_for(flow) for flow in spec.flows)
+    if total > MAX_INSTANCES:
+        raise ValueError("%d instances in all; at most %d can be scheduled" % (total, MAX_INSTANCES))
     rng = random.Random(cfg.seed)
     alphabet: dict[Message, int] = {}  # message ids, in flow description order
     backwards = [  # each branch's ids, last first, so that emitting pops

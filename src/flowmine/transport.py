@@ -27,8 +27,12 @@ whose uppers reach its total, summed over the out-balances, which
 partition the edges, and likewise over the in-balances.  A first
 pass prunes ties to prove the smallest size quickly; a second keeps
 them (it prunes only on ">") and so lists every minimum.  The search
-stops after SEARCH_NODE_BUDGET nodes and then returns the smallest
-models found so far, named as a fallback.
+stops after SEARCH_NODE_BUDGET nodes, counted over both passes, and
+then returns the smallest models found so far, named as a fallback.
+
+The search keeps supports, not flows: a model's counts are one max
+flow over just its edges, so they depend on the model alone, not on
+the order the search visited nodes in.
 """
 
 from __future__ import annotations
@@ -156,21 +160,23 @@ class _Network:
                 flow[back] -= amount
                 j = tail[back]
 
-    def max_flow(self) -> tuple[list[int] | None, Shortfall | None]:
-        """A saturating flow, or None and the reason there is none."""
+    def max_flow(self, cap: list[int] | None = None) -> tuple[list[int] | None, Shortfall | None]:
+        """A saturating flow within cap (default: the problem's uppers),
+        or None and the reason there is none."""
+        cap = self.cap if cap is None else cap
         supply = [b.total for b in self.outs]
         demand = [b.total for b in self.ins]
         if sum(supply) != sum(demand):
             return None, Shortfall("totals", sum(supply), sum(demand))
-        flow = [0] * len(self.cap)
-        stuck = self.route(self.cap, flow, supply, demand)
+        flow = [0] * len(cap)
+        stuck = self.route(cap, flow, supply, demand)
         if stuck is None:
             return flow, None
         into: dict[int, int] = {}
         for k in stuck:
             for e in self.outs[k].vars:
-                if self.cap[e]:
-                    into[self.tail[e]] = into.get(self.tail[e], 0) + self.cap[e]
+                if cap[e]:
+                    into[self.tail[e]] = into.get(self.tail[e], 0) + cap[e]
         return None, Shortfall(
             "hall",
             sum(self.outs[k].total for k in stuck),
@@ -180,10 +186,15 @@ class _Network:
         )
 
 
+def max_flow(problem: ConstraintProblem) -> tuple[list[int] | None, Shortfall | None]:
+    """A saturating flow, one value per edge, or None and why there is
+    none.  One max flow, or none when the balance totals differ."""
+    return _Network(problem).max_flow()
+
+
 def shortfall(problem: ConstraintProblem) -> Shortfall | None:
-    """None when the problem is feasible, else why not.  One max flow,
-    or none when the balance totals differ."""
-    return _Network(problem).max_flow()[1]
+    """None when the problem is feasible, else why not (see max_flow)."""
+    return max_flow(problem)[1]
 
 
 @dataclass(frozen=True)
@@ -196,7 +207,7 @@ class SearchStats:
     size_proved: bool  # the tie-pruning pass finished: no smaller support exists
     all_listed: bool  # the tie-keeping pass finished too: these are all the minima
     fallback: str | None  # "node-budget" when either pass stopped early
-    flows: int  # max flows run: the root's, and one per reroute around an edge
+    flows: int  # max flows run: reroutes, one per listed support (its counts), and the root's if run here
 
     def to_json(self) -> dict:
         return {"nodes": self.nodes, "bound_prunes": self.bound_prunes, "minima": self.minima,
@@ -217,7 +228,7 @@ class _BranchAndBound:
 
     def __init__(self, net: _Network):
         self.net = net
-        self.order = sorted((e for e, c in enumerate(net.cap) if c), key=lambda e: (net.cap[e], e))
+        self.order = sorted((e for e, c in enumerate(net.cap) if c), key=self._order_key)
         # per balance: its total, and (position in order, upper) of its
         # edges in order, which is ascending upper
         self.sides = []
@@ -227,18 +238,44 @@ class _BranchAndBound:
                 members[ends[e]].append((p, net.cap[e]))
             self.sides.append([(b.total, ms) for b, ms in zip(side, members)])
         self.best = _INFEASIBLE
-        self.found: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.nodes = self.prunes = 0
-        self.flows = 1  # the root's, which the caller ran
+        self.found: set[tuple[int, ...]] = set()
+        self.nodes = self.prunes = self.flows = 0
 
-    def run(self, flow: list[int], budget: int) -> SearchStats:
+    def _order_key(self, e: int) -> tuple[int, int]:
+        """Ascending upper, then edge number."""
+        return self.net.cap[e], e
+
+    def run(self, flow: list[int], budget: int) -> tuple[list[list[int]], SearchStats]:
         """Prove the smallest size first, pruning ties, then list every
-        support of that size, keeping ties; budget caps both passes."""
+        support of that size, keeping ties; budget caps both passes.
+        Each listed support's counts, and what the search did."""
         self._greedy(flow)
         size_proved = self._search(flow, budget, 1)
         all_listed = size_proved and self._search(flow, budget, 0)
-        return SearchStats(self.nodes, self.prunes, len(self.found), size_proved, all_listed,
-                           None if all_listed else "node-budget", self.flows)
+        minima = self._counts()
+        return minima, SearchStats(self.nodes, self.prunes, len(minima), size_proved, all_listed,
+                                   None if all_listed else "node-budget", self.flows)
+
+    def _counts(self) -> list[list[int]]:
+        """Per listed support, one max flow over just its edges, routed
+        in the network's fixed order, so the counts depend on the
+        support alone.  A minimum support's flow uses each of its edges,
+        or a smaller support would exist.  After a fallback a listed
+        support need not be minimal: while its flow leaves an edge
+        unused, the edges it uses are routed instead, and only the
+        smallest supports are kept."""
+        own = {}
+        for support in self.found:
+            used = set(support)
+            while True:
+                self.flows += 1
+                flow = self.net.max_flow([c if e in used else 0 for e, c in enumerate(self.net.cap)])[0]
+                if all(flow[e] for e in used):
+                    break
+                used = {e for e in used if flow[e]}
+            own[tuple(e for e, v in enumerate(flow) if v)] = flow
+        size = min(map(len, own))
+        return [flow for support, flow in own.items() if len(support) == size]
 
     def _search(self, root: list[int], budget: int, ties: int) -> bool:
         """One depth-first pass, pruning nodes whose count bound exceeds
@@ -285,9 +322,9 @@ class _BranchAndBound:
     def _record(self, flow: list[int]) -> None:
         support = tuple(e for e, v in enumerate(flow) if v)
         if len(support) < self.best:
-            self.best, self.found = len(support), {}
+            self.best, self.found = len(support), set()
         if len(support) == self.best:
-            self.found.setdefault(support, tuple(flow))
+            self.found.add(support)
 
     def _caps(self, excluded: int) -> list[int]:
         cap = list(self.net.cap)
@@ -331,17 +368,23 @@ class _BranchAndBound:
         return bound
 
 
-def minimum_models(problem: ConstraintProblem) -> tuple[list[Solution], SearchStats] | Shortfall:
-    """Every smallest model, each as the saturating flow that found it,
-    ranked by Solution.rank_key.  When the search passes
-    SEARCH_NODE_BUDGET nodes, the smallest models found so far, with
-    stats naming the fallback.  When the problem is infeasible, the
-    root max flow's Shortfall instead."""
+def minimum_models(
+    problem: ConstraintProblem, flow: list[int] | None = None
+) -> tuple[list[Solution], SearchStats] | Shortfall:
+    """Every smallest model, ranked by Solution.rank_key, its counts
+    one max flow over just its edges.  The search starts from flow, a
+    saturating flow of the problem that the caller already has (one
+    from max_flow), or else from a root max flow of its own.  When the
+    search passes SEARCH_NODE_BUDGET nodes, the smallest models found
+    so far, with stats naming the fallback.  When the problem is
+    infeasible, the root max flow's Shortfall instead."""
     net = _Network(problem)
-    flow, short = net.max_flow()
-    if flow is None:
-        return short
     search = _BranchAndBound(net)
-    stats = search.run(flow, SEARCH_NODE_BUDGET)
-    ranked = sorted((Solution(problem, values) for values in search.found.values()), key=Solution.rank_key)
+    if flow is None:
+        search.flows += 1
+        flow, short = net.max_flow()
+        if flow is None:
+            return short
+    minima, stats = search.run(flow, SEARCH_NODE_BUDGET)
+    ranked = sorted((Solution(problem, tuple(values)) for values in minima), key=Solution.rank_key)
     return ranked, stats

@@ -62,6 +62,20 @@ def test_gen_writes_stdout(paths, capsys, table):
     assert trace.msg_count >= 4
 
 
+@pytest.mark.parametrize("instances", ["99999999999999999999", "cpu0_read=99999999999999999999", "5000001"])
+def test_gen_refuses_more_instances_than_it_can_schedule(paths, tmp_path, capsys, instances):
+    # refused before any instance is set up; cache_read.flow has two
+    # flows, so 5,000,001 per flow is over the bound in all
+    out = tmp_path / "huge.trace"
+    argv = ["gen", "--spec", paths["spec"], "--table", paths["table"], "--instances", instances, "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    total = 2 * int(instances) if instances.isdigit() else int(instances.partition("=")[2])
+    assert capsys.readouterr().err == (
+        "error: %d instances in all; at most %d can be scheduled\n" % (total, flowmine.flows.MAX_INSTANCES)
+    )
+    assert not out.exists()
+
+
 def test_gen_rejects_bad_instances(paths, capsys):
     argv = ["gen", "--spec", paths["spec"], "--table", paths["table"], "--instances", "x="]
     assert main(argv) == EXIT_INPUT
@@ -120,7 +134,9 @@ def test_mine_auto_window(paths, tmp_path, capsys):
     # w = 0, then a bisection over the supports' change points 1, 2,
     # 3 and 4 (window off) probes 3, 2 and 1
     assert summary["windows_tried"] == 4
-    assert summary["solves"] == 16  # the 4 probes, the search's root flow and 11 reroutes
+    # the 4 probes, the last of which hands its flow to the search, 11
+    # reroutes, and one max flow for the one minimum's counts
+    assert summary["solves"] == 16
     assert summary["search"] == {
         "nodes": 24, "bound_prunes": 8, "minima": 1, "size_proved": True, "all_listed": True, "fallback": None,
     }
@@ -145,12 +161,14 @@ def test_mine_window_off(paths, tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "off", "value": None}
     assert summary["windows_tried"] == 1
-    assert summary["solves"] == 19  # the search's max flows only: no window was probed
+    # the one probe, whose flow the search starts from, 18 reroutes, and
+    # one max flow per minimum for its counts
+    assert summary["solves"] == 1 + 18 + 4
     assert summary["search"] == {
         "nodes": 46, "bound_prunes": 17, "minima": 4, "size_proved": True, "all_listed": True, "fallback": None,
     }
     assert summary["best_size"] == 4
-    # every minimum is reported, ranked, with its flow's counts
+    # every minimum is reported, ranked, with its own max flow's counts
     report = json.loads((out_dir / "report.json").read_text())
     assert [row["rank"] for row in report] == [1, 2, 3, 4]
     assert {row["size"] for row in report} == {4}
@@ -317,7 +335,7 @@ def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["window"] == {"mode": "auto", "value": width}
         assert summary["windows_tried"] == 9
-        assert summary["solves"] == 9 + 31  # the probes, then the search's root flow and 30 reroutes
+        assert summary["solves"] == 9 + 30 + 6  # the probes, 30 reroutes, and each minimum's counts
         assert summary["search"]["all_listed"] and summary["search"]["minima"] == summary["candidates"] == 6
         assert summary["best_size"] == 7
     # --max-window is still accepted, and ignored with a note: gen seed
@@ -356,16 +374,17 @@ def test_mine_fixed_window_splits_annotate_from_search(paths, tmp_path):
     assert stages["annotate"] + stages["search"] == pytest.approx(summary["wall_time_s"], abs=2e-6)
 
 
-# sha256 of model.json, graph.json and report.json per mine, as the
-# per-slice matching wrote them before slices were matched per shape,
-# and of report.json with every edge's count removed.  A minimum's
-# counts are the flow that found it, so they move with the search
-# order; the fourth digest pins ranks, sizes and edges without them.
+# sha256 of model.json, graph.json and report.json per mine, and of
+# report.json with every edge's count removed.  Models and graphs are
+# as the per-slice matching wrote them before slices were matched per
+# shape.  A minimum's counts are one max flow over just its edges, so
+# report.json depends on the model alone and is pinned whole; the
+# fourth digest pins ranks, sizes and edges apart from the counts.
 MINED_DIGESTS = {
     (): (
         "15e5ea3c940179c858b7ecec66864de66062f3f37784af8e8606a3cd506c8398",
         "76ca4538ea3d23fdc77119c48e8aeecaca45ba389ce405c87be7a9e78f3fe223",
-        "d5ae80e5d6478619d85d248da292e48e1887e2feffd0a9daf5885d498918ba44",
+        "cc28013d3e33bec9e15813e589d893543ded34188eb6001a28ca8e207f053ccb",
         "5dfc8d90fd750a9f316bfec22869468b3cca429782bbc14be3c34c9c339903ae",
     ),
     ("--slice", "pid"): (
@@ -383,10 +402,15 @@ MINED_DIGESTS = {
 }
 
 
-def test_mine_outputs_are_byte_identical(paths, tmp_path, capsys):
+def mined_digests_trace(paths, tmp_path):
     trace_file = tmp_path / "tagged.trace"
     assert main(["gen", "--spec", paths["spec"], "--table", paths["table"], "--instances", "200",
                  "--seed", "7", "--simul", "0.2", "--tag", "pid", "--out", str(trace_file)]) == EXIT_OK
+    return trace_file
+
+
+def test_mine_outputs_are_byte_identical(paths, tmp_path, capsys):
+    trace_file = mined_digests_trace(paths, tmp_path)
     for flags, digests in MINED_DIGESTS.items():
         out_dir = tmp_path / ("mined%d" % len(flags))
         assert main(["mine", "--trace", str(trace_file), "--table", paths["table"], *flags,
@@ -400,6 +424,37 @@ def test_mine_outputs_are_byte_identical(paths, tmp_path, capsys):
         got += (hashlib.sha256(json.dumps(report).encode()).hexdigest(),)
         assert got == digests, flags
     assert capsys.readouterr().err == ""
+
+
+def test_mine_at_the_window_auto_chose_writes_what_auto_wrote(paths, tmp_path, capsys, monkeypatch, routed):
+    # every --window mode is one auto_window search: a length or off is
+    # a search with one candidate, so mining at the window auto chose
+    # probes it once and writes the same model, graph and report
+    searches = []
+    real = flowmine.cli.auto_window
+    monkeypatch.setattr(flowmine.cli, "auto_window", lambda *a, **k: searches.append(k["window"]) or real(*a, **k))
+    trace_file = mined_digests_trace(paths, tmp_path)
+
+    def mine(*flags):
+        out_dir = tmp_path / str(len(searches))
+        del routed[:]
+        assert main(["mine", "--trace", str(trace_file), "--table", paths["table"], *flags,
+                     "--out", str(out_dir)]) == EXIT_OK
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["solves"] == len(routed)  # the root max flow runs once, in the probe
+        return out_dir, summary
+
+    for flags in ([], ["--slice", "pid"]):
+        auto, summary = mine(*flags)
+        width = summary["window"]["value"]
+        fixed, summary = mine(*flags, "--window", str(width))
+        assert (summary["window"], summary["windows_tried"]) == ({"mode": "fixed", "value": width}, 1)
+        for name in ("model.json", "graph.json", "report.json"):
+            assert (fixed / name).read_bytes() == (auto / name).read_bytes(), (flags, name)
+        assert searches[-2:] == ["auto", width]
+    mine("--window", "off")
+    assert len(searches) == 5 and searches[-1] is None
+    capsys.readouterr()
 
 
 def test_mine_records_skipped_balances(mixed_trace, tmp_path):

@@ -245,8 +245,9 @@ def test_extract_best_bounded_by_brute_minimum(seed):
 
 def test_solves_counts_every_max_flow(mixed_trace, table, routed):
     _, _, result = auto_window([mixed_trace], table=table)
-    # one max flow per window probe, then the search's: its root flow
-    # and one per reroute around an excluded edge
+    # one max flow per window probe, then the search's, which starts
+    # from the admitting probe's flow: one per reroute around an
+    # excluded edge, and one per minimum for its counts
     assert result.windows_tried == 4
     assert result.solves == len(routed) == result.windows_tried + result.search.flows
 

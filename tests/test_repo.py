@@ -1,6 +1,6 @@
 """Checks on files outside the package that run against it: the
 benchmark's tracer probes, the imports kept for them and its fallback
-counter, and the README's Python example and stated budgets."""
+counter, and the README's Python example and stated budgets and bounds."""
 
 import ast
 import contextlib
@@ -12,6 +12,7 @@ import re
 import sys
 from pathlib import Path
 
+import flowmine.flows
 import flowmine.fsa
 import flowmine.transport
 from flowmine import acceptance_ratio, ground_truth_fsa
@@ -94,3 +95,9 @@ def test_readme_states_the_eval_budget_default():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     stated = re.findall(r"`flowmine\.fsa\.EXHAUSTIVE_BUDGET`,\s+([\d,]+)\s+nodes", text)
     assert [int(n.replace(",", "")) for n in stated] == [flowmine.fsa.EXHAUSTIVE_BUDGET]
+
+
+def test_readme_states_the_instance_bound():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`flowmine\.flows\.MAX_INSTANCES`,\s+([\d,]+)\s+instances", text)
+    assert [int(n.replace(",", "")) for n in stated] == [flowmine.flows.MAX_INSTANCES]

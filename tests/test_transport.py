@@ -2,6 +2,8 @@
 feasibility, brute force for the minima, and the problem's own sums
 for the infeasibility witness."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,16 +12,19 @@ from flowmine import (
     GenConfig,
     Message,
     Shortfall,
+    auto_window,
     build_constraints,
     check_solution,
     generate,
     minimum_models,
+    parse_flowspec,
     shortfall,
     solve,
     trace_of,
 )
 from flowmine.extract import annotated_graph, prepare_annotation
 from flowmine.solver import Balance, ConstraintProblem
+from flowmine.transport import max_flow
 
 from helpers import brute_force_solutions, brute_minimum_size, random_problem
 
@@ -114,6 +119,57 @@ def test_search_finds_exactly_the_brute_force_minima(seed):
         assert m.size == len(m.nonzero_edges())
     keys = [m.rank_key() for m in models]
     assert keys == sorted(keys)
+
+
+def own_max_flow(p, values) -> tuple[int, ...]:
+    """One max flow over just the edges values uses: the others pinned to 0."""
+    unused = frozenset(i for i, v in enumerate(values) if not v)
+    return tuple(max_flow(replace(p, pinned=p.pinned | unused, _index=p._index))[0])
+
+
+def assert_counts_are_each_minimums_own_max_flow(p):
+    """A minimum's counts depend on its edges alone: they are its own
+    max flow, and stay so when the search breaks ties in its edge
+    order the other way and so visits its nodes in another order."""
+    models, stats = minimum_models(p)
+    assert stats.all_listed
+    assert [m.values for m in models] == [own_max_flow(p, m.values) for m in models]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flowmine.transport._BranchAndBound, "_order_key", lambda self, e: (self.net.cap[e], -e))
+        flipped, _ = minimum_models(p)
+    assert [m.values for m in flipped] == [m.values for m in models]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10**6))
+def test_counts_are_each_minimums_own_max_flow(seed):
+    assert_counts_are_each_minimums_own_max_flow(random_problem(seed, feasible=True))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(6, 24), st.integers(0, 10**6))
+def test_counts_are_each_minimums_own_max_flow_on_generated_traces(flowspec, instances, seed):
+    # interleaved cache reads at their window: here minima can hold a
+    # cycle whose flow is not fixed by the balances, and the first
+    # flow to reach a minimum varies with the search order
+    _, _, result = auto_window([generate(flowspec, GenConfig(instances=instances, seed=seed, simul_prob=0.2))])
+    assert_counts_are_each_minimums_own_max_flow(result.best.problem)
+
+
+def test_counts_of_a_support_that_is_not_minimal_are_a_smaller_supports_own(data_dir):
+    # after a fallback the search may list a support that is not
+    # minimal, such as every edge.  Here a max flow over every edge (the
+    # root flow) uses 10, and a max flow over just those 10 leaves one
+    # unused; the 9 it uses replace them, with their own max flow
+    spec = parse_flowspec((data_dir / "multi_agent_k1.flow").read_text())
+    p = build_constraints(annotated_graph([generate(spec, GenConfig(instances=4, seed=14, simul_prob=0.2))]))
+    root, _ = max_flow(p)
+    search = flowmine.transport._BranchAndBound(flowmine.transport._Network(p))
+    search.found = {tuple(i for i, upper in enumerate(p.uppers) if upper)}
+    [flow] = search._counts()
+    assert (len(support(root)), len(support(flow))) == (10, 9)
+    assert check_solution(p, flow)
+    assert tuple(flow) == own_max_flow(p, flow)
 
 
 @settings(deadline=None, max_examples=60)
