@@ -199,9 +199,15 @@ def instance_positions(graph: CausalityGraph, trace: Trace) -> Positions:
     return positions_of(trace, node_numbers(graph, trace), trace_shape(trace))
 
 
-def _by_message(graph: CausalityGraph, positions: Positions) -> Counter:
-    at = graph.messages_by_ordinal()
-    return Counter({at[o]: len(ps) for o, ps in positions.items()})
+def node_supports(graph: CausalityGraph, trace: Trace) -> Counter:
+    """Per graph node, its instances in trace, counted by message id."""
+    supports: Counter = Counter()
+    for mid, n in Counter(trace.ids).items():
+        m = trace.alphabet[mid]
+        if m not in graph.nodes:
+            raise ValueError("message %s is not a graph node" % m.label())
+        supports[m] += n
+    return supports
 
 
 def _thresholds(heads: list[tuple[int, int]], tails: list[tuple[int, int]], out: list[int]) -> None:
@@ -294,8 +300,8 @@ def support_deltas(
     graph: CausalityGraph, trace: Trace, window: int | None = None
 ) -> tuple[Counter, Counter]:
     """Per-node and per-edge support contributions of one trace."""
-    positions = instance_positions(graph, trace)
-    return _by_message(graph, positions), supports_at(window_thresholds(graph, [(positions, 1)]), window)
+    edge_delta = supports_at(window_thresholds(graph, [(instance_positions(graph, trace), 1)]), window)
+    return node_supports(graph, trace), edge_delta
 
 
 def annotate(graph: CausalityGraph, trace: Trace, window: int | None = None) -> CausalityGraph:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import logging
 import time
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -43,7 +42,7 @@ from .causality import (  # noqa: F401
     detect_entries_exits,
     detect_initials,
     detect_terminals,
-    node_numbers,
+    node_supports,
     supports_at,
     window_thresholds,
 )
@@ -189,12 +188,10 @@ def prepare_annotation(
     """
     initials, terminals = detect_entries_exits(traces)
     graph = build_graph(unique_messages(traces), initials, terminals, table)
-    at = graph.messages_by_ordinal()
     units = []
     for t in traces:
-        numbers = node_numbers(graph, t)
-        for i, n in Counter(t.ids).items():
-            graph.nodes[at[numbers[i]]].support += n
+        for m, n in node_supports(graph, t).items():
+            graph.nodes[m].support += n
         units.extend(slice_units(graph, t, slice_policy))
     return PreparedAnnotation(graph, window_thresholds(graph, units))
 

@@ -30,10 +30,9 @@ from .causality import (  # noqa: F401
     CausalityGraph,
     Positions,
     Shape,
-    _by_message,
     apply_deltas,
-    instance_positions,
     node_numbers,
+    node_supports,
     positions_of,
     support_deltas,
     supports_at,
@@ -188,7 +187,7 @@ def annotate_sliced(
     """Accumulate one trace's supports, pairing only inside slices:
     node supports count the whole trace, and edge supports are matched
     over slice_units, the units prepare_annotation matches."""
-    node_delta = _by_message(graph, instance_positions(graph, trace))
+    node_delta = node_supports(graph, trace)
     edge_delta = supports_at(window_thresholds(graph, slice_units(graph, trace, policy)), window)
     apply_deltas(graph, node_delta, edge_delta)
     return graph

@@ -15,19 +15,21 @@ in-balance neighbours can take from them (shortfall).
 Smallest models
 ---------------
 A model is the support of a solution, the edges it uses.
-minimum_models finds every smallest support by branch and bound.
-The incumbent comes from one greedy pass that drops, in
-ascending-upper order, each edge the flow can do without.  A search
-node branches on the first edge in ascending-upper order that its
-flow uses and that is still undecided, excluding it first; the
-excluded child reroutes the parent's flow around the edge, and the
-included child keeps the flow as it is.  One lower bound prunes, the
-count bound: per balance, the included edges plus the fewest others
-whose uppers reach its total, summed over the out-balances, which
-partition the edges, and likewise over the in-balances.  A first
-pass prunes ties to prove the smallest size quickly; a second keeps
-them (it prunes only on ">") and so lists every minimum.  The search
-stops after SEARCH_NODE_BUDGET nodes, counted over both passes, and
+minimum_models finds every smallest support by branch and bound, in
+one depth-first walk from the root flow, whose support is the first
+incumbent.  A search node branches on the first edge in
+ascending-upper order that its flow uses and that is still
+undecided, excluding it first; the excluded child reroutes the
+parent's flow around the edge, and the included child keeps the flow
+as it is, so the first dive is a greedy drop pass.  One lower bound
+prunes, the count bound: per balance, the included edges plus the
+fewest others whose uppers reach its total, summed over the
+out-balances, which partition the edges, and likewise over the
+in-balances.  A node whose bound exceeds the best size is cut; until
+that size is proved, one whose bound equals it is set aside.  When
+the stack empties no smaller support exists, and the walk takes up
+the set-aside nodes, keeping ties, so it lists every minimum and
+expands no node twice.  It stops after SEARCH_NODE_BUDGET nodes and
 then returns the smallest models found so far, named as a fallback.
 
 The search keeps supports, not flows: a model's counts are one max
@@ -201,12 +203,12 @@ def shortfall(problem: ConstraintProblem) -> Shortfall | None:
 class SearchStats:
     """What one minimum_models call did."""
 
-    nodes: int  # branch-and-bound nodes visited
-    bound_prunes: int  # nodes cut off by the count bound
+    nodes: int  # branch-and-bound nodes visited, a set-aside node again when the listing takes it up
+    bound_prunes: int  # nodes cut off for good by the count bound
     minima: int  # smallest supports found
-    size_proved: bool  # the tie-pruning pass finished: no smaller support exists
-    all_listed: bool  # the tie-keeping pass finished too: these are all the minima
-    fallback: str | None  # "node-budget" when either pass stopped early
+    size_proved: bool  # the walk emptied its stack: no smaller support exists
+    all_listed: bool  # it walked the set-aside ties too: these are all the minima
+    fallback: str | None  # "node-budget" when the walk stopped early
     flows: int  # max flows run: reroutes, one per listed support (its counts), and the root's if run here
 
     def to_json(self) -> dict:
@@ -246,14 +248,40 @@ class _BranchAndBound:
         return self.net.cap[e], e
 
     def run(self, flow: list[int], budget: int) -> tuple[list[list[int]], SearchStats]:
-        """Prove the smallest size first, pruning ties, then list every
-        support of that size, keeping ties; budget caps both passes.
-        Each listed support's counts, and what the search did."""
-        self._greedy(flow)
-        size_proved = self._search(flow, budget, 1)
-        all_listed = size_proved and self._search(flow, budget, 0)
+        """The walk of the module docstring from flow, within budget
+        nodes; it takes up the set-aside nodes in the order it set them
+        aside.  Each listed support's counts, and what the search did."""
+        self._record(flow)
+        stack, aside, proved = [(0, 0, flow, -1)], [], False
+        while stack or not proved:
+            if not stack:
+                stack, proved = aside[::-1], True
+                continue
+            if self.nodes == budget:
+                break
+            self.nodes += 1
+            included, excluded, flow, pending = node = stack.pop()
+            bound = self._count_bound(included, excluded)
+            if bound > self.best:
+                self.prunes += 1
+                continue
+            if bound == self.best and not proved:
+                aside.append(node)
+                continue
+            if pending >= 0:
+                flow = self._without(flow, pending, self._caps(excluded))
+                if flow is None:
+                    continue
+            self._record(flow)
+            branch = self._branch(included | excluded, flow)
+            if branch < 0:
+                continue
+            bit = 1 << branch
+            stack.append((included | bit, excluded, flow, -1))
+            stack.append((included, excluded | bit, flow, self.order[branch]))
+        all_listed = proved and not stack
         minima = self._counts()
-        return minima, SearchStats(self.nodes, self.prunes, len(minima), size_proved, all_listed,
+        return minima, SearchStats(self.nodes, self.prunes, len(minima), proved, all_listed,
                                    None if all_listed else "node-budget", self.flows)
 
     def _counts(self) -> list[list[int]]:
@@ -277,47 +305,9 @@ class _BranchAndBound:
         size = min(map(len, own))
         return [flow for support, flow in own.items() if len(support) == size]
 
-    def _search(self, root: list[int], budget: int, ties: int) -> bool:
-        """One depth-first pass, pruning nodes whose count bound exceeds
-        the best size less ties.  False when the budget ran out first."""
-        stack = [(0, 0, root, -1)]
-        while stack:
-            if self.nodes == budget:
-                return False
-            self.nodes += 1
-            included, excluded, flow, pending = stack.pop()
-            if self._count_bound(included, excluded) > self.best - ties:
-                self.prunes += 1
-                continue
-            if pending >= 0:
-                flow = self._without(flow, pending, self._caps(excluded))
-                if flow is None:
-                    continue
-            self._record(flow)
-            branch = self._branch(included | excluded, flow)
-            if branch < 0:
-                continue
-            bit = 1 << branch
-            stack.append((included | bit, excluded, flow, -1))
-            stack.append((included, excluded | bit, flow, self.order[branch]))
-        return True
-
     def _branch(self, decided: int, flow: list[int]) -> int:
         """Position of the first undecided edge that flow uses, or -1."""
         return next((p for p, e in enumerate(self.order) if flow[e] and not decided >> p & 1), -1)
-
-    def _greedy(self, flow: list[int]) -> None:
-        """The incumbent: drop each edge, in order, that the flow can do without."""
-        cap = list(self.net.cap)
-        for e in self.order:
-            upper, cap[e] = cap[e], 0
-            if flow[e]:
-                rerouted = self._without(flow, e, cap)
-                if rerouted is None:
-                    cap[e] = upper
-                else:
-                    flow = rerouted
-        self._record(flow)
 
     def _record(self, flow: list[int]) -> None:
         support = tuple(e for e, v in enumerate(flow) if v)

@@ -15,6 +15,7 @@ from flowmine import (
 )
 from flowmine.causality import _thresholds
 from flowmine.extract import annotated_graph
+from flowmine.slicing import SlicePolicy, annotate_sliced
 
 from helpers import naive_edge_support, naive_initials, naive_terminals
 
@@ -120,6 +121,13 @@ def test_support_deltas_reject_unknown_messages(table):
     foreign = trace_of([Message("x", "y", "z")])
     with pytest.raises(ValueError):
         support_deltas(g, foreign)
+
+
+def test_sliced_annotation_rejects_unknown_messages(table):
+    g = build_graph([table.message_at(1)], {table.message_at(1)}, {table.message_at(1)}, table)
+    foreign = trace_of([Message("x", "y", "z")])
+    with pytest.raises(ValueError, match="message x:y:z is not a graph node"):
+        annotate_sliced(g, foreign, SlicePolicy("pid"))
 
 
 def test_ordinals_follow_table_else_insertion(mixed_trace, table):

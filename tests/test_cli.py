@@ -134,11 +134,11 @@ def test_mine_auto_window(paths, tmp_path, capsys):
     # w = 0, then a bisection over the supports' change points 1, 2,
     # 3 and 4 (window off) probes 3, 2 and 1
     assert summary["windows_tried"] == 4
-    # the 4 probes, the last of which hands its flow to the search, 11
+    # the 4 probes, the last of which hands its flow to the search, 2
     # reroutes, and one max flow for the one minimum's counts
-    assert summary["solves"] == 16
+    assert summary["solves"] == 7
     assert summary["search"] == {
-        "nodes": 24, "bound_prunes": 8, "minima": 1, "size_proved": True, "all_listed": True, "fallback": None,
+        "nodes": 16, "bound_prunes": 5, "minima": 1, "size_proved": True, "all_listed": True, "fallback": None,
     }
     assert summary["candidates"] == len(report) == 1  # the windowed problem has one solution
     assert summary["infeasible"] is None
@@ -161,11 +161,11 @@ def test_mine_window_off(paths, tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "off", "value": None}
     assert summary["windows_tried"] == 1
-    # the one probe, whose flow the search starts from, 18 reroutes, and
+    # the one probe, whose flow the search starts from, 13 reroutes, and
     # one max flow per minimum for its counts
-    assert summary["solves"] == 1 + 18 + 4
+    assert summary["solves"] == 1 + 13 + 4
     assert summary["search"] == {
-        "nodes": 46, "bound_prunes": 17, "minima": 4, "size_proved": True, "all_listed": True, "fallback": None,
+        "nodes": 47, "bound_prunes": 16, "minima": 4, "size_proved": True, "all_listed": True, "fallback": None,
     }
     assert summary["best_size"] == 4
     # every minimum is reported, ranked, with its own max flow's counts
@@ -200,10 +200,10 @@ def assert_infeasible_timing(summary):
 
 
 def test_mine_names_a_search_that_proves_the_size_but_lists_no_more(paths, tmp_path, capsys, monkeypatch):
-    # the tie-pruning pass proves the greedy model's size 4 minimal by
-    # pruning its root; a budget of one node leaves the tie-keeping
-    # pass nothing to list the other three minima with
-    monkeypatch.setattr(flowmine.transport, "SEARCH_NODE_BUDGET", 1)
+    # the walk proves size 4 minimal after 5 nodes, with the nodes whose
+    # bound ties it set aside; a budget of 5 nodes leaves none to take
+    # them up and list the other three minima with
+    monkeypatch.setattr(flowmine.transport, "SEARCH_NODE_BUDGET", 5)
     out_dir = tmp_path / "mined"
     argv = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"],
             "--window", "off", "--out", str(out_dir)]
@@ -211,7 +211,7 @@ def test_mine_names_a_search_that_proves_the_size_but_lists_no_more(paths, tmp_p
     assert "(fallback: node-budget)" in capsys.readouterr().out
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["search"] == {
-        "nodes": 1, "bound_prunes": 1, "minima": 1, "size_proved": True, "all_listed": False,
+        "nodes": 5, "bound_prunes": 1, "minima": 1, "size_proved": True, "all_listed": False,
         "fallback": "node-budget",
     }
     assert summary["best_size"] == 4
@@ -335,7 +335,7 @@ def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["window"] == {"mode": "auto", "value": width}
         assert summary["windows_tried"] == 9
-        assert summary["solves"] == 9 + 30 + 6  # the probes, 30 reroutes, and each minimum's counts
+        assert summary["solves"] == 9 + 20 + 6  # the probes, 20 reroutes, and each minimum's counts
         assert summary["search"]["all_listed"] and summary["search"]["minima"] == summary["candidates"] == 6
         assert summary["best_size"] == 7
     # --max-window is still accepted, and ignored with a note: gen seed
@@ -348,8 +348,8 @@ def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
 
 
 def test_mine_proves_the_k4_minimum_within_the_node_budget(data_dir, tmp_path, capsys):
-    # the tie-pruning pass proves this 4-CPU problem's minimum, 24
-    # edges, after 16,211 nodes, which SEARCH_NODE_BUDGET must cover;
+    # the walk proves this 4-CPU problem's minimum, 24 edges, after
+    # 16,211 nodes, which SEARCH_NODE_BUDGET must cover;
     # at 10,000 nodes the search stopped at 25 edges, unproved
     trace_file = tmp_path / "k4.trace"
     assert main(["gen", "--spec", str(data_dir / "multi_agent_k4.flow"), "--instances", "5",

@@ -18,6 +18,7 @@ from flowmine import (
     generate,
     minimum_models,
     parse_flowspec,
+    parse_trace,
     shortfall,
     solve,
     trace_of,
@@ -121,6 +122,56 @@ def test_search_finds_exactly_the_brute_force_minima(seed):
     assert keys == sorted(keys)
 
 
+def walked_nodes(p):
+    """minimum_models(p), and the (included, excluded) of each node its
+    search popped and of each it expanded, in order.  The count bound
+    runs once per pop; _branch runs once per expanded node, after that
+    node's count bound and before the next node's."""
+    cls = flowmine.transport._BranchAndBound
+    count_bound, branch = cls._count_bound, cls._branch
+    popped, expanded = [], []
+
+    def bound_and_record(self, included, excluded):
+        popped.append((included, excluded))
+        return count_bound(self, included, excluded)
+
+    def branch_and_record(self, decided, flow):
+        expanded.append(popped[-1])
+        return branch(self, decided, flow)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, "_count_bound", bound_and_record)
+        mp.setattr(cls, "_branch", branch_and_record)
+        found = minimum_models(p)
+    return found, popped, expanded
+
+
+@pytest.mark.parametrize("trace, window, minima, set_aside", [
+    # four minima of size 4: the walk sets nodes aside while it proves
+    # the size, then takes them up; each is popped twice, expanded once
+    ("mixed.trace", None, 4, 2),
+    # mixed's auto window, and a trace with simultaneous starts: here a
+    # second pass from the root would expand some nodes again
+    ("mixed.trace", 2, 1, 1),
+    ("simul_start.trace", None, 2, 4),
+])
+def test_search_expands_no_node_twice(data_dir, table, trace, window, minima, set_aside):
+    t = parse_trace((data_dir / trace).read_text(), table)
+    (models, stats), popped, expanded = walked_nodes(build_constraints(annotated_graph([t], window, table=table)))
+    assert (stats.size_proved, stats.all_listed, stats.minima) == (True, True, minima)
+    assert (len(popped), expanded[0]) == (stats.nodes, (0, 0))
+    assert len(set(expanded)) == len(expanded)
+    assert len(popped) - len(set(popped)) == set_aside
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10**6))
+def test_search_expands_no_node_twice_on_random_problems(seed):
+    (models, stats), popped, expanded = walked_nodes(random_problem(seed, feasible=True))
+    assert stats.all_listed and len(popped) == stats.nodes
+    assert len(set(expanded)) == len(expanded)
+
+
 def own_max_flow(p, values) -> tuple[int, ...]:
     """One max flow over just the edges values uses: the others pinned to 0."""
     unused = frozenset(i for i, v in enumerate(values) if not v)
@@ -174,17 +225,21 @@ def test_counts_of_a_support_that_is_not_minimal_are_a_smaller_supports_own(data
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10**6), st.integers(0, 40))
-def test_budget_fallback_is_named_and_no_larger_than_the_greedy_incumbent(seed, budget):
+def test_budget_fallback_is_named_and_no_larger_than_the_root_support(seed, budget):
     p = random_problem(seed, feasible=True)
+    root = support(max_flow(p)[0])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flowmine.transport, "SEARCH_NODE_BUDGET", 0)
-        greedy, greedy_stats = minimum_models(p)
+        incumbent, incumbent_stats = minimum_models(p)
         mp.setattr(flowmine.transport, "SEARCH_NODE_BUDGET", budget)
         models, stats = minimum_models(p)
-    assert (greedy_stats.nodes, greedy_stats.size_proved, greedy_stats.all_listed) == (0, False, False)
-    assert greedy_stats.fallback == "node-budget"
+    # walking no node, the search lists the root flow's support alone,
+    # reduced to the edges its own max flow uses
+    assert (incumbent_stats.nodes, incumbent_stats.size_proved, incumbent_stats.all_listed) == (0, False, False)
+    assert incumbent_stats.fallback == "node-budget"
+    assert len(incumbent) == 1 and support(incumbent[0].values) <= root
     assert stats.nodes <= budget
-    assert models[0].size <= greedy[0].size
+    assert models[0].size <= len(root)
     assert stats.size_proved or not stats.all_listed
     if stats.size_proved:
         assert models[0].size == brute_minimum_size(p)
@@ -192,7 +247,7 @@ def test_budget_fallback_is_named_and_no_larger_than_the_greedy_incumbent(seed, 
         assert stats.fallback is None
     else:
         assert stats.fallback == "node-budget" and stats.nodes == budget
-    for m in models:
+    for m in incumbent + models:
         assert check_solution(p, m.values)
 
 
