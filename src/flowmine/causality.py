@@ -98,7 +98,13 @@ class NodeStats:
 @dataclass
 class CausalityGraph:
     """Annotated graph.  Structure is fixed at build time; only the
-    support counters change afterwards."""
+    support counters change afterwards.
+
+    nodes holds the messages in ordinal order, and edges the (head,
+    tail) pairs in (head ordinal, tail ordinal) order: build_graph
+    emits them so, and with_edge_supports and annotation keep the
+    order.  Readers iterate both as they are and sort neither.
+    """
 
     nodes: dict[Message, NodeStats]
     edges: dict[Edge, int]
@@ -320,8 +326,7 @@ def apply_deltas(graph: CausalityGraph, node_delta: Counter, edge_delta: Counter
 
 def _cycle_groups(graph: CausalityGraph) -> list[list[Message]]:
     """Strongly connected components that actually contain a cycle."""
-    order = sorted(graph.nodes, key=graph.ordinal)
-    succ: dict[Message, list[Message]] = {m: [] for m in order}
+    succ: dict[Message, list[Message]] = {m: [] for m in graph.nodes}
     for head, tail in graph.edges:
         succ[head].append(tail)
 
@@ -370,7 +375,7 @@ def _cycle_groups(graph: CausalityGraph) -> list[list[Message]]:
                 if len(comp) > 1 or (comp[0], comp[0]) in graph.edges:
                     groups.append(sorted(comp, key=graph.ordinal))
 
-    for m in order:
+    for m in graph.nodes:
         if m not in index:
             strongconnect(m)
     groups.sort(key=lambda g: graph.ordinal(g[0]))
@@ -383,7 +388,6 @@ def dump_graph(graph: CausalityGraph) -> dict:
     Cycles are legal in the structure; they are reported here so a
     reader can see them without re-deriving reachability.
     """
-    order = sorted(graph.nodes, key=graph.ordinal)
     nodes = [
         {
             "index": graph.ordinal(m),
@@ -392,7 +396,7 @@ def dump_graph(graph: CausalityGraph) -> dict:
             "initial": graph.nodes[m].initial,
             "terminal": graph.nodes[m].terminal,
         }
-        for m in order
+        for m in graph.nodes
     ]
     edges = [
         {
@@ -400,7 +404,7 @@ def dump_graph(graph: CausalityGraph) -> dict:
             "tail": tail.label(),
             "support": graph.edges[(head, tail)],
         }
-        for head, tail in sorted(graph.edges, key=lambda e: (graph.ordinal(e[0]), graph.ordinal(e[1])))
+        for head, tail in graph.edges
     ]
     cycles = [[m.label() for m in group] for group in _cycle_groups(graph)]
     return {"nodes": nodes, "edges": edges, "cycles": cycles}

@@ -135,9 +135,10 @@ def _slice_file_names(labels: list[str]) -> list[str]:
 
 
 def cmd_slice(args) -> int:
+    policy = parse_policy(args.slice)
     table = _load_table(args.table)
     trace = _load_traces([args.trace], table)[0]
-    slices = labeled_slices(trace, parse_policy(args.slice))
+    slices = labeled_slices(trace, policy)
     names = _slice_file_names([label for label, _ in slices])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -194,13 +195,13 @@ def _infeasible(args, exc: NoFeasibleWindowError, summary: dict) -> int:
 
 
 def cmd_mine(args) -> int:
-    parsing = time.perf_counter()
-    table = _load_table(args.table)
-    traces = _load_traces(args.trace, table)
     policy = parse_policy(args.slice) if args.slice else None
     if args.top < 1:
         raise ValueError("top must be positive")
     mode, fixed = _parse_window(args.window)
+    parsing = time.perf_counter()
+    table = _load_table(args.table)
+    traces = _load_traces(args.trace, table)
     window_desc = {"mode": mode, "value": fixed}
     started = time.perf_counter()
     if args.max_window is not None:
@@ -276,11 +277,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_smt(args) -> int:
-    table = _load_table(args.table)
-    traces = _load_traces(args.trace, table)
     mode, fixed = _parse_window(args.window)
     if mode == "auto":
         raise ValueError("export-smt needs a concrete window: 'off' or an integer")
+    table = _load_table(args.table)
+    traces = _load_traces(args.trace, table)
     width = fixed if mode == "fixed" else None
     graph = annotated_graph(traces, window=width, table=table)
     _emit(export_smtlib(build_constraints(graph)), args.out)

@@ -8,13 +8,16 @@ Evaluation replays a trace against the model: a message either opens
 a fresh instance (a q0 transition exists for it), advances one active
 instance, or is rejected.  The acceptance ratio, accepted messages
 over all messages, says how much of the trace the model explains.
-Which active instance absorbs a message is ambiguous, so strategies
-differ: oldest-first and newest-first resolve greedily, exhaustive
-searches instance choices and same-event orderings for the maximum
-number of accepted messages under a node budget.  The exhaustive
-search keeps its own stack, so a trace of any length is searched; its
-one fallback, past the budget, is the oldest-first result, and its
-report counts the nodes it visited.
+Every strategy replays the same sequence: trace order, with the
+messages of one event in canonical order (table index with a table,
+triple order without).  Which active instance absorbs a message is
+ambiguous, so strategies differ: oldest-first and newest-first resolve
+greedily, exhaustive searches instance choices and rejections for the
+maximum number of accepted messages under a node budget, so it is
+never below either greedy result.  The exhaustive search keeps its own
+stack, so a trace of any length is searched; its one fallback, past
+the budget, is the oldest-first result, and its report counts the
+nodes it visited.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ import json
 import logging
 from bisect import insort
 from dataclasses import dataclass, replace
-from itertools import count, groupby
-from operator import itemgetter
+from itertools import count
 from typing import Iterable, Iterator, Mapping
 
 from .causality import CausalityGraph
@@ -92,8 +94,7 @@ def derive_fsa(solution: Solution, graph: CausalityGraph) -> FSA:
 
     states = [START]
     transitions: dict[tuple[str, Message], str] = {}
-    for m in sorted(graph.nodes, key=graph.ordinal):
-        stats = graph.nodes[m]
+    for m, stats in graph.nodes.items():
         if stats.initial and stats.terminal:
             if stats.support > 0:
                 transitions[(START, m)] = START
@@ -218,81 +219,71 @@ def _greedy(fsa: FSA, trace: Trace, newest: bool, table: MessageTable | None, na
 
 
 def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None) -> AcceptanceReport:
-    """Maximize accepted messages over instance choices, same-event
-    orderings, and deliberate rejections.
+    """Maximize accepted messages over instance choices and deliberate
+    rejections, on the sequence the greedy strategies replay: trace
+    order, each event's messages in canonical order.  The result is the
+    optimum of what oldest- and newest-first approximate, so it is never
+    below either of them.
 
     Maximizing acceptance is minimizing rejections, so the search
     deepens iteratively on the reject count: a depth-first pass asks
     "does a completion with at most R rejects exist?" for R = 0, 1,
     2, ...  At R = the message count, rejecting every message is a
     completion, so some round succeeds.  The pass keeps its own
-    stack, one frame per open node: its (position, remaining message
-    ids, active states) key, its reject allowance, its untried
-    choices, and the reject, if any, that led to it; so its depth is
-    bounded by the trace length, not by the interpreter's recursion
-    limit.  Dead keys remember the largest reject allowance they
-    failed under, which carries pruning across rounds.  The node
-    budget spans all rounds; beyond it the oldest-first result is
-    returned, marked as a fallback, and either way the report counts
-    the nodes visited.
+    stack, one frame per open node: its (position, active states)
+    key, its reject allowance, its untried choices, and the position
+    it rejected, if any; so its depth is bounded by the trace length,
+    not by the interpreter's recursion limit.  Dead keys remember the
+    largest reject allowance they failed under, which carries pruning
+    across rounds.  The node budget spans all rounds; beyond it the
+    oldest-first result is returned, marked as a fallback, and either
+    way the report counts the nodes visited.
     """
-    events = [
-        tuple(mid for _, mid in group)
-        for _, group in groupby(zip(trace.event_of, _canonical_ids(trace, table)), key=itemgetter(0))
-    ]
+    ids = _canonical_ids(trace, table)
     opens, moves = _id_tables(fsa, trace)
     initial = fsa.initial
-    last_event = len(events) - 1
+    total = len(ids)
 
-    def choices(e_idx: int, rest: tuple[int, ...], states: tuple[str, ...], r_left: int):
-        """A node's children in search order: each distinct message id
-        in rest, opened, then advanced from each distinct state, then
-        rejected.  A child is (e_idx, rest, states, r_left, dropped),
-        dropped being the (event index, message id) a reject drops."""
-        tried: set[int] = set()
-        for k, m in enumerate(rest):
-            if m in tried:
+    def choices(pos: int, states: tuple[str, ...], r_left: int):
+        """A node's children in search order: the message at pos
+        opened, then advanced from each distinct state, then rejected.
+        A child is (pos + 1, states, r_left, dropped), dropped being
+        pos when the message is rejected."""
+        m = ids[pos]
+        opened = opens[m]
+        if opened is not None:
+            yield pos + 1, states if opened == initial else tuple(sorted(states + (opened,))), r_left, None
+        for st in dict.fromkeys(states):
+            moved = moves[m].get(st)
+            if moved is None:
                 continue
-            tried.add(m)
-            tail = rest[:k] + rest[k + 1 :]
-            opened = opens[m]
-            if opened is not None:
-                ns = states if opened == initial else tuple(sorted(states + (opened,)))
-                yield e_idx, tail, ns, r_left, None
-            for st in dict.fromkeys(states):
-                moved = moves[m].get(st)
-                if moved is None:
-                    continue
-                pool = list(states)
-                pool.remove(st)
-                if moved != initial:
-                    pool.append(moved)
-                yield e_idx, tail, tuple(sorted(pool)), r_left, None
-            if r_left > 0:
-                yield e_idx, tail, states, r_left - 1, (e_idx, m)
+            pool = list(states)
+            pool.remove(st)
+            if moved != initial:
+                pool.append(moved)
+            yield pos + 1, tuple(sorted(pool)), r_left, None
+        if r_left > 0:
+            yield pos + 1, states, r_left - 1, pos
 
-    total = trace.msg_count
-    failed: dict[tuple, int] = {}
+    failed: dict[tuple[int, tuple[str, ...]], int] = {}
     nodes = 0
     for allowance in count():
-        stack: list[tuple[tuple, int, Iterator, tuple[int, int] | None]] = []
-        child = (0, events[0], (), allowance, None)
+        stack: list[tuple[tuple[int, tuple[str, ...]], int, Iterator, int | None]] = []
+        child = (0, (), allowance, None)
         while child is not None:
-            e_idx, rest, states, r_left, dropped = child
-            if not rest:
-                if e_idx == last_event:
-                    drops = [frame[3] for frame in stack] + [dropped]
-                    rejected = tuple((e, trace.alphabet[m]) for e, m in filter(None, drops))
-                    return AcceptanceReport(total - len(rejected), total, rejected, "exhaustive", nodes=nodes)
-                e_idx, rest = e_idx + 1, events[e_idx + 1]
-            key = (e_idx, rest, states)
+            pos, states, r_left, dropped = child
+            if pos == total:
+                drops = [frame[3] for frame in stack] + [dropped]
+                rejected = tuple((trace.event_of[p], trace.alphabet[ids[p]]) for p in drops if p is not None)
+                return AcceptanceReport(total - len(rejected), total, rejected, "exhaustive", nodes=nodes)
+            key = (pos, states)
             if failed.get(key, -1) < r_left:
                 nodes += 1
                 if nodes > budget:
                     log.warning("exhaustive evaluation hit the %d node budget; using oldest-first", budget)
                     report = _greedy(fsa, trace, newest=False, table=table, name="exhaustive")
                     return replace(report, fallback="oldest-first", nodes=nodes)
-                stack.append((key, r_left, choices(e_idx, rest, states, r_left), dropped))
+                stack.append((key, r_left, choices(pos, states, r_left), dropped))
             child = None
             while stack and child is None:
                 child = next(stack[-1][2], None)

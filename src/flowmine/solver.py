@@ -116,20 +116,18 @@ class Solution:
 
 
 def build_constraints(graph: CausalityGraph) -> ConstraintProblem:
-    order = sorted(graph.nodes, key=graph.ordinal)
-    edges = tuple(sorted(graph.edges, key=lambda e: (graph.ordinal(e[0]), graph.ordinal(e[1]))))
+    edges = tuple(graph.edges)
     ordinals = tuple((graph.ordinal(h), graph.ordinal(t)) for h, t in edges)
     uppers = tuple(graph.edges[e] for e in edges)
-    out_vars: dict[Message, list[int]] = {node: [] for node in order}
-    in_vars: dict[Message, list[int]] = {node: [] for node in order}
+    out_vars: dict[Message, list[int]] = {node: [] for node in graph.nodes}
+    in_vars: dict[Message, list[int]] = {node: [] for node in graph.nodes}
     for i, (head, tail) in enumerate(edges):
         out_vars[head].append(i)
         in_vars[tail].append(i)
 
     balances = []
     skipped = []
-    for node in order:
-        stats = graph.nodes[node]
+    for node, stats in graph.nodes.items():
         if out_vars[node]:
             balances.append(Balance(node.label(), "out", stats.support, tuple(out_vars[node])))
         elif not stats.terminal:

@@ -132,16 +132,20 @@ def admits_single_zeroing(problem, solution) -> bool:
     return False
 
 
-def random_problem(seed: int, max_edges: int = 8, max_support: int = 4, feasible: bool = False):
+def random_problem(
+    seed: int, max_edges: int = 8, max_support: int = 4, feasible: bool = False, events: tuple[int, int] = (4, 10)
+):
     """Deterministic random consistency problem within the size caps,
-    and with a solution when feasible is set.
+    and with a solution when feasible is set, from a trace of one-message
+    events, between events[0] and events[1] of them.
 
     Draws traces until one fits, so callers never see a rejection."""
     rng = random.Random(seed)
     msgs = [Message(s, d, c) for s in "abc" for d in "abc" for c in "xy"]
+    fewest, most = events
     while True:
-        events = [[rng.choice(msgs)] for _ in range(rng.randrange(4, 11))]
-        problem = build_constraints(annotated_graph([trace_of(*events)]))
+        drawn = [[rng.choice(msgs)] for _ in range(rng.randrange(fewest, most + 1))]
+        problem = build_constraints(annotated_graph([trace_of(*drawn)]))
         if not problem.edges or len(problem.edges) > max_edges:
             continue
         if any(u > max_support for u in problem.uppers):
@@ -273,37 +277,36 @@ def reference_greedy(fsa, trace: Trace, newest: bool, table=None) -> tuple[int, 
     return accepted, rejected
 
 
-def reference_exhaustive(fsa, trace: Trace) -> int:
-    """The largest accepted count over every order of each event's
-    messages and every choice per message: open a fresh instance (a
-    transition from the initial state exists), advance any one active
-    instance, or reject.  Active instances are kept as a sorted tuple
-    of their states, and results are cached by (event index, messages
-    left in it, active states); exponential without the cache, so for
-    traces of a few messages."""
-    events = [tuple(event) for event in trace.events]
+def reference_exhaustive(fsa, trace: Trace, table=None) -> int:
+    """The largest accepted count over every choice per message, each
+    event's messages taken in the canonical order reference_greedy
+    uses: open a fresh instance (a transition from the initial state
+    exists), advance any one active instance, or reject.  Active
+    instances are kept as a sorted tuple of their states, and results
+    are cached by (position, active states); exponential without the
+    cache, so for traces of a few messages."""
+    key = table.index_of if table is not None else Message.triple
+    msgs = [m for event in trace.events for m in sorted(event, key=key)]
 
     @functools.cache
-    def best(e_idx: int, pending: tuple, active: tuple) -> int:
-        if not pending:
-            return best(e_idx + 1, events[e_idx + 1], active) if e_idx + 1 < len(events) else 0
-        results = []
-        for i, m in enumerate(pending):
-            left = pending[:i] + pending[i + 1 :]
-            results.append(best(e_idx, left, active))  # rejected
-            opened = fsa.step(fsa.initial, m)
-            if opened is not None:
-                grown = active if opened == fsa.initial else tuple(sorted(active + (opened,)))
-                results.append(1 + best(e_idx, left, grown))
-            for j, state in enumerate(active):
-                nxt = fsa.step(state, m)
-                if nxt is not None:
-                    others = active[:j] + active[j + 1 :]
-                    moved = others if nxt == fsa.initial else tuple(sorted(others + (nxt,)))
-                    results.append(1 + best(e_idx, left, moved))
+    def best(pos: int, active: tuple) -> int:
+        if pos == len(msgs):
+            return 0
+        m = msgs[pos]
+        results = [best(pos + 1, active)]  # rejected
+        opened = fsa.step(fsa.initial, m)
+        if opened is not None:
+            grown = active if opened == fsa.initial else tuple(sorted(active + (opened,)))
+            results.append(1 + best(pos + 1, grown))
+        for j, state in enumerate(active):
+            nxt = fsa.step(state, m)
+            if nxt is not None:
+                others = active[:j] + active[j + 1 :]
+                moved = others if nxt == fsa.initial else tuple(sorted(others + (nxt,)))
+                results.append(1 + best(pos + 1, moved))
         return max(results)
 
-    return best(0, events[0], ())
+    return best(0, ())
 
 
 def instance_pair_counts(instances, edges) -> Counter:

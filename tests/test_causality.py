@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowmine import (
     Message,
+    MessageTable,
     annotate,
     build_graph,
     causal,
@@ -14,7 +15,7 @@ from flowmine import (
     unique_messages,
 )
 from flowmine.causality import _thresholds
-from flowmine.extract import annotated_graph
+from flowmine.extract import annotated_graph, prepare_annotation
 from flowmine.slicing import SlicePolicy, annotate_sliced
 
 from helpers import naive_edge_support, naive_initials, naive_terminals
@@ -219,6 +220,21 @@ def test_window_growth_never_lowers_support(trace, w):
     unbounded = annotated_graph([trace])
     for e in narrow.edges:
         assert narrow.edges[e] <= wide.edges[e] <= unbounded.edges[e]
+
+
+@settings(deadline=None)
+@given(
+    RAND_TRACES,
+    st.none() | st.permutations([Message(s, d, c) for s in "abc" for d in "abc" for c in "xy"]).map(MessageTable),
+    st.integers(0, 4) | st.none(),
+)
+def test_graph_nodes_and_edges_are_in_ordinal_order(trace, table, window):
+    # the readers of a graph (constraints, dump, FSA, cycles) rely on
+    # this order and do not sort
+    prepared = prepare_annotation([trace], table=table)
+    for graph in (prepared.graph, prepared.at(window), annotate(prepared.at(None), trace)):
+        assert list(graph.nodes) == sorted(graph.nodes, key=graph.ordinal)
+        assert list(graph.edges) == sorted(graph.edges, key=lambda e: (graph.ordinal(e[0]), graph.ordinal(e[1])))
 
 
 @settings(deadline=None)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -347,19 +349,38 @@ def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
         assert (bounded / name).read_text() == (out_dir / name).read_text()
 
 
-def test_mine_proves_the_k4_minimum_within_the_node_budget(data_dir, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def k4_mined(data_dir, tmp_path_factory):
+    """A 4-CPU trace (gen seed 1005) and the directory mine wrote for it."""
+    tmp_path = tmp_path_factory.mktemp("k4")
+    trace_file = tmp_path / "k4.trace"
+    argv = ["gen", "--spec", str(data_dir / "multi_agent_k4.flow"), "--instances", "5",
+            "--simul", "0.2", "--seed", "1005", "--out", str(trace_file)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_OK
+        assert main(["mine", "--trace", str(trace_file), "--out", str(tmp_path / "mined")]) == EXIT_OK
+    return trace_file, tmp_path / "mined"
+
+
+def test_mine_proves_the_k4_minimum_within_the_node_budget(k4_mined):
     # the walk proves this 4-CPU problem's minimum, 24 edges, after
     # 16,211 nodes, which SEARCH_NODE_BUDGET must cover;
     # at 10,000 nodes the search stopped at 25 edges, unproved
-    trace_file = tmp_path / "k4.trace"
-    assert main(["gen", "--spec", str(data_dir / "multi_agent_k4.flow"), "--instances", "5",
-                 "--simul", "0.2", "--seed", "1005", "--out", str(trace_file)]) == EXIT_OK
-    out_dir = tmp_path / "mined"
-    assert main(["mine", "--trace", str(trace_file), "--out", str(out_dir)]) == EXIT_OK
-    capsys.readouterr()
-    summary = json.loads((out_dir / "summary.json").read_text())
+    summary = json.loads((k4_mined[1] / "summary.json").read_text())
     assert summary["best_size"] == 24
     assert summary["search"]["size_proved"] is True
+
+
+def test_exhaustive_eval_of_the_k4_model_completes_on_its_own_trace(k4_mined, capsys):
+    # the search proves 129 of 132 within the default budget, where
+    # oldest-first accepts 125
+    trace_file, out_dir = k4_mined
+    argv = ["eval", "--model", str(out_dir / "model.json"), "--trace", str(trace_file)]
+    assert main(argv + ["--strategy", "exhaustive"]) == EXIT_OK
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["accepted"], obj["total"], obj["fallback"]) == (129, 132, None)
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["accepted"] == 125
 
 
 def test_mine_fixed_window_splits_annotate_from_search(paths, tmp_path):
@@ -586,6 +607,32 @@ def test_eval_rejects_a_negative_budget(paths, model_file, capsys):
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: budget must be non-negative\n")
+
+
+def test_mine_checks_its_flags_before_reading_a_trace(tmp_path, capsys):
+    base = ["mine", "--trace", str(tmp_path / "missing.trace"), "--out", str(tmp_path / "mined")]
+    for flags, error in (
+        (["--top", "0"], "top must be positive"),
+        (["--window", "wide"], "window must be 'auto', 'off', or an integer, got 'wide'"),
+        (["--slice", ":block=4"], "slice spec ':block=4' names no attribute"),
+    ):
+        assert main(base + flags) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: %s\n" % error
+    assert not (tmp_path / "mined").exists()
+
+
+def test_export_smt_checks_its_window_before_reading_a_trace(tmp_path, capsys):
+    argv = ["export-smt", "--trace", str(tmp_path / "missing.trace"), "--window", "-1"]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: window length must be non-negative\n"
+
+
+def test_slice_checks_its_policy_before_reading_a_trace(tmp_path, capsys):
+    argv = ["slice", "--trace", str(tmp_path / "missing.trace"), "--slice", "pid:size=4",
+            "--out", str(tmp_path / "slices")]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: unknown slice option 'size'\n"
+    assert not (tmp_path / "slices").exists()
 
 
 def test_eval_newest_first_rejects_one(paths, model_file, capsys):

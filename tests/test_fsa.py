@@ -149,9 +149,9 @@ def test_same_event_order_follows_table(flowspec, table):
     bare = acceptance_ratio(fsa, t)
     assert (bare.accepted, bare.total) == (1, 2)
     assert bare.rejected == ((0, table.message_at(2)),)
-    # exhaustive searches the event ordering and recovers both
+    # exhaustive replays the same order, so it cannot recover it either
     best = acceptance_ratio(fsa, t, strategy="exhaustive")
-    assert (best.accepted, best.total) == (2, 2)
+    assert (best.accepted, best.rejected) == (bare.accepted, bare.rejected)
 
 
 def test_foreign_trace_rejects_everything(hits_trace, table):
@@ -279,21 +279,25 @@ def test_exhaustive_accepts_the_brute_force_maximum(replay):
     fsa, trace, table = replay
     report = acceptance_ratio(fsa, trace, strategy="exhaustive", table=table)
     assert report.fallback is None
-    assert report.accepted == reference_exhaustive(fsa, trace)
+    assert report.accepted == reference_exhaustive(fsa, trace, table)
     assert report.accepted + len(report.rejected) == report.total == trace.msg_count
 
 
 @st.composite
 def index_traces(draw):
-    idx = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
-    return idx
+    """Events of 1-3 table messages, as lists of table indices."""
+    return draw(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3), min_size=1, max_size=8))
+
+
+def indexed_trace(table, idx):
+    return trace_of(*[[table.message_at(i) for i in event] for event in idx])
 
 
 @settings(deadline=None, max_examples=40)
 @given(index_traces())
 def test_report_counts_are_consistent(flowspec, table, idx):
     fsa = ground_truth_fsa(flowspec)
-    t = trace_of(*[[table.message_at(i)] for i in idx])
+    t = indexed_trace(table, idx)
     for strategy in ("oldest-first", "newest-first", "exhaustive"):
         report = acceptance_ratio(fsa, t, strategy=strategy, table=table)
         assert report.accepted + len(report.rejected) == report.total == t.msg_count
@@ -303,13 +307,15 @@ def test_report_counts_are_consistent(flowspec, table, idx):
 
 
 @settings(deadline=None, max_examples=40)
-@given(index_traces())
-def test_exhaustive_never_worse_than_greedy(flowspec, table, idx):
+@given(index_traces(), st.booleans())
+def test_exhaustive_never_worse_than_greedy(flowspec, table, idx, with_table):
     fsa = ground_truth_fsa(flowspec)
-    t = trace_of(*[[table.message_at(i)] for i in idx])
-    greedy = acceptance_ratio(fsa, t, table=table)
-    best = acceptance_ratio(fsa, t, strategy="exhaustive", table=table)
-    assert best.accepted >= greedy.accepted
+    t = indexed_trace(table, idx)
+    order = table if with_table else None
+    best = acceptance_ratio(fsa, t, strategy="exhaustive", table=order)
+    assert best.fallback is None
+    for strategy in ("oldest-first", "newest-first"):
+        assert best.accepted >= acceptance_ratio(fsa, t, strategy=strategy, table=order).accepted
 
 
 def test_json_round_trip(flowspec, pipelined_trace, table):

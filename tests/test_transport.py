@@ -5,7 +5,7 @@ for the infeasibility witness."""
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import flowmine.transport
 from flowmine import (
@@ -164,10 +164,33 @@ def test_search_expands_no_node_twice(data_dir, table, trace, window, minima, se
     assert len(popped) - len(set(popped)) == set_aside
 
 
+def proof_problem(seed: int):
+    """A feasible random problem from 10-20 events: about one in nine
+    has a root max flow whose support is above the minimum, so the
+    search must prove the minimum, where random_problem's default
+    draws almost never need it."""
+    return random_problem(seed, max_edges=14, max_support=6, feasible=True, events=(10, 20))
+
+
+# seeds whose root support is 1-2 edges above the minimum, with 1-4 minima
+PROOF_SEEDS = (7, 35, 47, 110)
+
+
+def test_proof_seeds_need_the_proof():
+    for seed in PROOF_SEEDS:
+        p = proof_problem(seed)
+        models, _ = minimum_models(p)
+        assert len(support(max_flow(p)[0])) > models[0].size, seed
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.integers(0, 10**6))
+@example(PROOF_SEEDS[0])
+@example(PROOF_SEEDS[1])
+@example(PROOF_SEEDS[2])
+@example(PROOF_SEEDS[3])
 def test_search_expands_no_node_twice_on_random_problems(seed):
-    (models, stats), popped, expanded = walked_nodes(random_problem(seed, feasible=True))
+    (models, stats), popped, expanded = walked_nodes(proof_problem(seed))
     assert stats.all_listed and len(popped) == stats.nodes
     assert len(set(expanded)) == len(expanded)
 
@@ -193,8 +216,12 @@ def assert_counts_are_each_minimums_own_max_flow(p):
 
 @settings(deadline=None, max_examples=80)
 @given(st.integers(0, 10**6))
+@example(PROOF_SEEDS[0])
+@example(PROOF_SEEDS[1])
+@example(PROOF_SEEDS[2])
+@example(PROOF_SEEDS[3])
 def test_counts_are_each_minimums_own_max_flow(seed):
-    assert_counts_are_each_minimums_own_max_flow(random_problem(seed, feasible=True))
+    assert_counts_are_each_minimums_own_max_flow(proof_problem(seed))
 
 
 @settings(deadline=None, max_examples=20)
