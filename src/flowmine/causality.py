@@ -32,7 +32,7 @@ import logging
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .trace import Message, MessageTable, Trace
 
@@ -108,12 +108,11 @@ class CausalityGraph:
 
     nodes: dict[Message, NodeStats]
     edges: dict[Edge, int]
-    table: MessageTable | None = None
     _ordinals: dict[Message, int] = field(default_factory=dict, repr=False)
 
     def ordinal(self, msg: Message) -> int:
-        """Stable node number: table index when a table is attached,
-        1-based insertion rank otherwise."""
+        """Stable node number: table index when the graph was built
+        with a table, 1-based insertion rank otherwise."""
         return self._ordinals[msg.plain()]
 
     def messages_by_ordinal(self) -> dict[int, Message]:
@@ -124,7 +123,7 @@ class CausalityGraph:
         supports read from supports (0 where it has no entry)."""
         nodes = {m: replace(st) for m, st in self.nodes.items()}
         edges = {e: supports.get(e, 0) for e in self.edges}
-        return CausalityGraph(nodes=nodes, edges=edges, table=self.table, _ordinals=self._ordinals)
+        return CausalityGraph(nodes=nodes, edges=edges, _ordinals=self._ordinals)
 
 
 def build_graph(
@@ -155,7 +154,7 @@ def build_graph(
                 continue
             if causal(head, tail):
                 edges[(head, tail)] = 0
-    return CausalityGraph(nodes=nodes, edges=edges, table=table, _ordinals=ordinals)
+    return CausalityGraph(nodes=nodes, edges=edges, _ordinals=ordinals)
 
 
 Positions = dict[int, list[tuple[int, int]]]
@@ -324,61 +323,46 @@ def apply_deltas(graph: CausalityGraph, node_delta: Counter, edge_delta: Counter
         graph.edges[e] += n
 
 
+def adjacency(pairs: Iterable[tuple[Hashable, Hashable]]) -> tuple[dict[Hashable, list], dict[Hashable, list]]:
+    """Successor and predecessor lists of the (head, tail) pairs, built
+    in one pass; a node without successors (predecessors) has no entry."""
+    succ: dict[Hashable, list] = {}
+    pred: dict[Hashable, list] = {}
+    for head, tail in pairs:
+        succ.setdefault(head, []).append(tail)
+        pred.setdefault(tail, []).append(head)
+    return succ, pred
+
+
+def closure(start: Hashable, succ: Mapping[Hashable, list]) -> set:
+    """start and every node reachable from it through succ."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        for nxt in succ.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def _cycle_groups(graph: CausalityGraph) -> list[list[Message]]:
-    """Strongly connected components that actually contain a cycle."""
-    succ: dict[Message, list[Message]] = {m: [] for m in graph.nodes}
-    for head, tail in graph.edges:
-        succ[head].append(tail)
+    """Strongly connected groups that actually contain a cycle, members
+    in ordinal order, groups ordered by their first member.
 
-    index: dict[Message, int] = {}
-    low: dict[Message, int] = {}
-    on_stack: set[Message] = set()
-    stack: list[Message] = []
+    A node's group is what it reaches that also reaches it.  Nodes are
+    walked in ordinal order, so the first node of a group to come up is
+    its first member, and each group is found once.
+    """
+    forward, backward = adjacency(graph.edges)
+    placed: set[Message] = set()
     groups: list[list[Message]] = []
-    counter = 0
-
-    def strongconnect(root: Message) -> None:
-        nonlocal counter
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                if len(comp) > 1 or (comp[0], comp[0]) in graph.edges:
-                    groups.append(sorted(comp, key=graph.ordinal))
-
     for m in graph.nodes:
-        if m not in index:
-            strongconnect(m)
-    groups.sort(key=lambda g: graph.ordinal(g[0]))
+        if m in placed:
+            continue
+        group = closure(m, forward) & closure(m, backward)
+        placed |= group
+        if len(group) > 1 or (m, m) in graph.edges:
+            groups.append(sorted(group, key=graph.ordinal))
     return groups
 
 

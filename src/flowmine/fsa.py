@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from itertools import count
 from typing import Iterable, Iterator, Mapping
 
-from .causality import CausalityGraph
+from .causality import CausalityGraph, adjacency, closure
 from .solver import Solution
 from .trace import Message, MessageTable, Trace
 
@@ -370,21 +370,7 @@ def fsa_from_json(text: str) -> FSA:
 
 
 def _warn_disconnected(fsa: FSA) -> None:
-    forward: dict[str, set[str]] = {}
-    backward: dict[str, set[str]] = {}
-    for (src, _), dst in fsa.transitions.items():
-        forward.setdefault(src, set()).add(dst)
-        backward.setdefault(dst, set()).add(src)
-
-    def closure(start: str, succ: dict[str, set[str]]) -> set[str]:
-        seen, frontier = {start}, [start]
-        while frontier:
-            for nxt in succ.get(frontier.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
-
+    forward, backward = adjacency((src, dst) for (src, _), dst in fsa.transitions.items())
     reach = closure(fsa.initial, forward)
     coreach = closure(fsa.initial, backward)
     for s in fsa.states:

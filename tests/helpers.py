@@ -18,7 +18,19 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
-from flowmine import GenConfig, Message, ParseError, Trace, build_constraints, causal, solve, trace_of
+from flowmine import (
+    GenConfig,
+    Message,
+    ParseError,
+    Trace,
+    build_constraints,
+    build_graph,
+    causal,
+    detect_entries_exits,
+    solve,
+    trace_of,
+    unique_messages,
+)
 from flowmine.extract import annotated_graph
 from flowmine.flows import _interleave, _trace
 
@@ -95,6 +107,26 @@ def naive_terminals(traces) -> set:
     return {m for m, ok in verdict.items() if ok}
 
 
+def naive_cycle_groups(n: int, edges) -> list[list[int]]:
+    """Groups of nodes 0..n-1 that lie on a common cycle, from the
+    transitive closure of the (i, j) edges: i and j share a group when
+    each reaches the other, and i is on a cycle when it reaches itself.
+    Members in index order, groups ordered by their first member."""
+    reach = [[False] * n for _ in range(n)]
+    for i, j in edges:
+        reach[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    groups: list[list[int]] = []
+    for i in range(n):
+        if reach[i][i] and not any(i in g for g in groups):
+            groups.append([j for j in range(n) if reach[i][j] and reach[j][i]])
+    return groups
+
+
 BRUTE_FORCE_CAP = 10_000_000
 
 
@@ -139,15 +171,18 @@ def random_problem(
     and with a solution when feasible is set, from a trace of one-message
     events, between events[0] and events[1] of them.
 
-    Draws traces until one fits, so callers never see a rejection."""
+    Draws traces until one fits, so callers never see a rejection.
+    Most draws fail on their edge count, which the unannotated graph
+    already has, so that is checked before annotating."""
     rng = random.Random(seed)
     msgs = [Message(s, d, c) for s in "abc" for d in "abc" for c in "xy"]
     fewest, most = events
     while True:
-        drawn = [[rng.choice(msgs)] for _ in range(rng.randrange(fewest, most + 1))]
-        problem = build_constraints(annotated_graph([trace_of(*drawn)]))
-        if not problem.edges or len(problem.edges) > max_edges:
+        drawn = [trace_of(*[[rng.choice(msgs)] for _ in range(rng.randrange(fewest, most + 1))])]
+        edges = len(build_graph(unique_messages(drawn), *detect_entries_exits(drawn)).edges)
+        if not edges or edges > max_edges:
             continue
+        problem = build_constraints(annotated_graph(drawn))
         if any(u > max_support for u in problem.uppers):
             continue
         if any(b.total > max_support for b in problem.balances):

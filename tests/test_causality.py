@@ -18,7 +18,7 @@ from flowmine.causality import _thresholds
 from flowmine.extract import annotated_graph, prepare_annotation
 from flowmine.slicing import SlicePolicy, annotate_sliced
 
-from helpers import naive_edge_support, naive_initials, naive_terminals
+from helpers import naive_cycle_groups, naive_edge_support, naive_initials, naive_terminals
 
 
 def idx_edges(graph, table):
@@ -170,6 +170,28 @@ RAND_TRACES = st.lists(
 ).map(lambda evs: trace_of(*evs))
 
 
+ALL_MESSAGES = [Message(s, d, c) for s in "abc" for d in "abc" for c in "xy"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_cycle_groups_match_mutual_reachability(data):
+    # random structure: any nodes, any entry/exit marks, some edges
+    # dropped; a:a:x and the like give self-loops
+    msgs = data.draw(st.lists(RAND_MESSAGES, min_size=1, max_size=14, unique=True))
+    initials = data.draw(st.sets(st.sampled_from(msgs)))
+    terminals = data.draw(st.sets(st.sampled_from(msgs)))
+    table = data.draw(st.none() | st.permutations(ALL_MESSAGES).map(MessageTable))
+    graph = build_graph(msgs, initials, terminals, table)
+    if graph.edges:
+        for edge in data.draw(st.sets(st.sampled_from(list(graph.edges)))):
+            del graph.edges[edge]
+    order = sorted(graph.nodes, key=graph.ordinal)
+    index = {m: i for i, m in enumerate(order)}
+    expected = naive_cycle_groups(len(order), [(index[h], index[t]) for h, t in graph.edges])
+    assert dump_graph(graph)["cycles"] == [[order[i].label() for i in group] for group in expected]
+
+
 @settings(deadline=None)
 @given(RAND_TRACES)
 def test_detection_matches_naive_oracle(trace):
@@ -225,7 +247,7 @@ def test_window_growth_never_lowers_support(trace, w):
 @settings(deadline=None)
 @given(
     RAND_TRACES,
-    st.none() | st.permutations([Message(s, d, c) for s in "abc" for d in "abc" for c in "xy"]).map(MessageTable),
+    st.none() | st.permutations(ALL_MESSAGES).map(MessageTable),
     st.integers(0, 4) | st.none(),
 )
 def test_graph_nodes_and_edges_are_in_ordinal_order(trace, table, window):
