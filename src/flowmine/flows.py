@@ -10,8 +10,8 @@ messages may pass.  With ``simul_prob`` zero every event carries a
 single message; once paired events exist, several instances can hit
 the gap bound at the same time and are then emitted together, so
 events can grow beyond two messages.  The scheduler works on message
-ids, and generate turns its columns into a Trace directly, building
-no Message per emission.
+ids and emits one tuple of them per round, and generate turns those
+into a Trace directly, building no Message per emission.
 
 Flow description text::
 
@@ -177,14 +177,12 @@ class GenConfig:
 
 class _Schedule(NamedTuple):
     """What _interleave decided: the alphabet, each instance's
-    (flow name, branch), and three columns with one entry per emitted
-    message, in trace order: its event index, its message id and the
-    instance that emitted it."""
+    (flow name, branch), per round the ids it emitted, and per emitted
+    message, in trace order, the instance that emitted it."""
 
     alphabet: tuple[Message, ...]
     picks: list[tuple[str, int]]
-    event_of: list[int]
-    ids: list[int]
+    events: list[tuple[int, ...]]
     owner: list[int]
 
 
@@ -225,8 +223,7 @@ def _interleave(spec: FlowSpec, cfg: GenConfig) -> _Schedule:
         raise ValueError("no instances configured")
 
     max_gap, simul_prob = cfg.max_gap, cfg.simul_prob
-    event_of: list[int] = []
-    ids: list[int] = []
+    events: list[tuple[int, ...]] = []
     owner: list[int] = []
     remaining = list(range(len(pending)))  # unfinished instances, sorted
     # started, unfinished instance -> messages sent at its last emission;
@@ -247,7 +244,6 @@ def _interleave(spec: FlowSpec, cfg: GenConfig) -> _Schedule:
                 late.append(i)
         return late
 
-    e_idx = 0
     while remaining:
         must: set[int] = set()
         more = overrunners(1, must)
@@ -267,29 +263,29 @@ def _interleave(spec: FlowSpec, cfg: GenConfig) -> _Schedule:
                     emitters = sorted((pick, partner))
 
         sent += len(emitters)
+        row = []
         for i in emitters:
             queue = pending[i]
-            event_of.append(e_idx)
-            ids.append(queue.pop())
+            row.append(queue.pop())
             owner.append(i)
             marks.pop(i, None)
             if queue:
                 marks[i] = sent
             else:
                 del remaining[bisect_left(remaining, i)]
-        e_idx += 1
-    return _Schedule(tuple(alphabet), picks, event_of, ids, owner)
+        events.append(tuple(row))
+    return _Schedule(tuple(alphabet), picks, events, owner)
 
 
 def _trace(schedule: _Schedule, tag: str | None) -> Trace:
     """The schedule's trace.  With a tag, each instance has one
     {tag: instance id} mapping, shared by all of its messages."""
     if tag is None:
-        attrs: tuple[Mapping[str, object] | None, ...] = (None,) * len(schedule.ids)
+        attrs: tuple[Mapping[str, object] | None, ...] = (None,) * len(schedule.owner)
     else:
         mappings = [{tag: i} for i in range(len(schedule.picks))]
         attrs = tuple(map(mappings.__getitem__, schedule.owner))
-    return Trace(schedule.alphabet, tuple(schedule.event_of), tuple(schedule.ids), attrs)
+    return Trace(schedule.alphabet, tuple(schedule.events), attrs)
 
 
 def generate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> Trace:

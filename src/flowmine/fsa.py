@@ -10,23 +10,27 @@ instance, or is rejected.  The acceptance ratio, accepted messages
 over all messages, says how much of the trace the model explains.
 Every strategy replays the same sequence: trace order, with the
 messages of one event in canonical order (table index with a table,
-triple order without).  Which active instance absorbs a message is
-ambiguous, so strategies differ: oldest-first and newest-first resolve
-greedily, exhaustive searches instance choices and rejections for the
-maximum number of accepted messages under a node budget, so it is
-never below either greedy result.  The exhaustive search keeps its own
-stack, so a trace of any length is searched; its one fallback, past
-the budget, is the oldest-first result, and its report counts the
-nodes it visited.
+triple order without).  The sequence is built from the trace's
+per-event id tuples: each distinct event is put in canonical order
+once and the results are chained, since a trace repeats a small set
+of events; replay reads no per-instance column, and a rejection's
+event index is found from its position.  Which active instance
+absorbs a message is ambiguous, so strategies differ: oldest-first
+and newest-first resolve greedily, exhaustive searches instance
+choices and rejections for the maximum number of accepted messages
+under a node budget, so it is never below either greedy result.  The
+exhaustive search keeps its own stack, so a trace of any length is
+searched; its one fallback, past the budget, is the oldest-first
+result, and its report counts the nodes it visited.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
-from itertools import count
+from itertools import accumulate, chain, count
 from typing import Iterable, Iterator, Mapping
 
 from .causality import CausalityGraph, adjacency, closure
@@ -124,33 +128,36 @@ class AcceptanceReport:
         return self.accepted / self.total
 
 
-def _ranks(trace: Trace, table: MessageTable | None) -> list[int]:
-    """Per message id, its place in the canonical order inside an
-    event: table index with a table (a used message outside the table
-    raises ValueError), triple order without."""
+def _rank_key(trace: Trace, distinct: Iterable[tuple[int, ...]], table: MessageTable | None):
+    """The sort key that puts the message ids of an event in canonical
+    order: table index with a table (a used message outside the table,
+    the first in order of first use, raises ValueError), triple order
+    without; None when that is the order of the ids themselves, as it
+    is for a trace parsed with the table."""
     alphabet = trace.alphabet
-    ranks = [0] * len(alphabet)
+    used = dict.fromkeys(chain.from_iterable(distinct))
     if table is not None:
-        for mid in dict.fromkeys(trace.ids):
-            ranks[mid] = table.index_of(alphabet[mid])
+        rank = {mid: table.index_of(alphabet[mid]) for mid in used}
     else:
-        for rank, mid in enumerate(sorted(range(len(alphabet)), key=lambda i: alphabet[i].triple())):
-            ranks[mid] = rank
-    return ranks
+        rank = {mid: r for r, mid in enumerate(sorted(used, key=lambda m: alphabet[m].triple()))}
+    ids = sorted(rank)
+    return None if sorted(ids, key=rank.__getitem__) == ids else rank.__getitem__
 
 
 def _canonical_ids(trace: Trace, table: MessageTable | None) -> list[int]:
-    """Message ids in trace order, each event's ids in canonical order."""
-    ranks = _ranks(trace, table)
-    ids = list(trace.ids)
-    event_of = trace.event_of
-    start = 0
-    for end in range(1, len(ids) + 1):
-        if end == len(ids) or event_of[end] != event_of[start]:
-            if end - start > 1:
-                ids[start:end] = sorted(ids[start:end], key=ranks.__getitem__)
-            start = end
-    return ids
+    """Message ids in trace order, each event's ids in canonical order.
+    Each distinct event is put in order once."""
+    distinct = dict.fromkeys(trace.event_ids)
+    key = _rank_key(trace, distinct, table)
+    for event in distinct:
+        distinct[event] = sorted(event, key=key) if len(event) > 1 else event
+    return list(chain.from_iterable(map(distinct.__getitem__, trace.event_ids)))
+
+
+def _rejections(trace: Trace, rejected: list[tuple[int, int]]) -> tuple[tuple[int, Message], ...]:
+    """(event index, message) of each (instance position, message id)."""
+    ends = list(accumulate(map(len, trace.event_ids))) if rejected else []
+    return tuple((bisect_right(ends, pos), trace.alphabet[mid]) for pos, mid in rejected)
 
 
 def _id_tables(fsa: FSA, trace: Trace) -> tuple[list[str | None], list[dict[str, str]]]:
@@ -193,8 +200,8 @@ def _greedy(fsa: FSA, trace: Trace, newest: bool, table: MessageTable | None, na
     steps = [tuple((queues[state], queues[target]) for state, target in by_state.items()) for by_state in moves]
     seq = 0
     accepted = 0
-    rejected: list[tuple[int, Message]] = []
-    for e_idx, mid in zip(trace.event_of, _canonical_ids(trace, table)):
+    rejected: list[tuple[int, int]] = []  # (position, message id)
+    for pos, mid in enumerate(_canonical_ids(trace, table)):
         join = joins[mid]
         if join is not None:
             accepted += 1
@@ -209,13 +216,13 @@ def _greedy(fsa: FSA, trace: Trace, newest: bool, table: MessageTable | None, na
                 if source is None or (spawn > pick if newest else spawn < pick):
                     source, pick, nxt = queue, spawn, target
         if source is None:
-            rejected.append((e_idx, trace.alphabet[mid]))
+            rejected.append((pos, mid))
             continue
         accepted += 1
         source.pop(-1 if newest else 0)
         if nxt is not closed:
             insort(nxt, pick)
-    return AcceptanceReport(accepted, trace.msg_count, tuple(rejected), name)
+    return AcceptanceReport(accepted, trace.msg_count, _rejections(trace, rejected), name)
 
 
 def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None) -> AcceptanceReport:
@@ -274,7 +281,7 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
             pos, states, r_left, dropped = child
             if pos == total:
                 drops = [frame[3] for frame in stack] + [dropped]
-                rejected = tuple((trace.event_of[p], trace.alphabet[ids[p]]) for p in drops if p is not None)
+                rejected = _rejections(trace, [(p, ids[p]) for p in drops if p is not None])
                 return AcceptanceReport(total - len(rejected), total, rejected, "exhaustive", nodes=nodes)
             key = (pos, states)
             if failed.get(key, -1) < r_left:

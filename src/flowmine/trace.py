@@ -7,14 +7,19 @@ between events, never inside one.  A message is identified by its
 instance (address, packet id, ...) are runtime payload and take no
 part in identity.
 
-A Trace is held as integer columns, one entry per instance: its event
-index, its message id and its attributes.  The ids index the trace's
-alphabet of distinct attribute-free messages, so parsing builds one
-Message per distinct triple, not one per instance, and detection,
-slicing, annotation and replay work on ints.  Parsing checks the
-attributes but decodes none: a parsed trace keeps each instance's
-attribute text, and decodes each distinct text once, when first
-read.  Event and Message views are rebuilt on demand for
+A Trace is held as one tuple of message ids per event, plus each
+instance's attributes.  The ids index the trace's alphabet of distinct
+attribute-free messages, so parsing builds one Message per distinct
+triple, not one per instance, and detection, slicing, annotation and
+replay work on ints.  SoC traces repeat a small set of event lines
+over and over (in the generated cache workloads, 88-89% of the lines
+repeat an earlier line once attributes are cut), so parsing reads each
+distinct line once, equal lines share one tuple, and replay puts each
+distinct event in canonical order once.  The per-instance columns
+(event index, message id) are derived from the tuples on first read.
+Parsing checks the attributes but decodes none: a parsed trace keeps
+each instance's attribute text, and decodes each distinct text once,
+when first read.  Event and Message views are rebuilt on demand for
 readers that want objects.
 
 Text formats
@@ -38,6 +43,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -118,13 +124,17 @@ class TraceEvent:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """A trace held as columns, one entry per message instance in trace order.
+    """A trace held as one tuple of message ids per event, in trace order.
 
-    alphabet holds attribute-free messages, each once; an instance's
-    message id indexes it.  event_of is the event index of each
-    instance (0, 1, ... with every event non-empty).  The alphabet may
-    list messages that no instance uses (the rest of a message table,
-    or the parent's messages in a slice).
+    alphabet holds attribute-free messages, each once; a message id
+    indexes it.  event_ids holds, per event, the ids of its instances
+    (never empty); equal events may share one tuple, as parse_trace
+    gives them.  The alphabet may list messages that no instance uses
+    (the rest of a message table, or the parent's messages in a
+    slice).  Instances are numbered in trace order, event by event.
+
+    ids, event_of and msg_count are the per-instance view (message id,
+    event index) and its length, built from event_ids on first read.
 
     attr_source gives the attributes: per instance its mapping or
     None, or a callable that returns per instance its attribute text
@@ -143,9 +153,20 @@ class Trace:
     """
 
     alphabet: tuple[Message, ...]
-    event_of: tuple[int, ...]
-    ids: tuple[int, ...]
+    event_ids: tuple[tuple[int, ...], ...]
     attr_source: Sequence[Mapping[str, object] | None] | Callable[[], Sequence[str]] = field(repr=False)
+
+    @cached_property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(self.event_ids))
+
+    @cached_property
+    def event_of(self) -> tuple[int, ...]:
+        return tuple([e_idx for e_idx, row in enumerate(self.event_ids) for _ in row])
+
+    @cached_property
+    def msg_count(self) -> int:
+        return sum(map(len, self.event_ids))
 
     def _texts(self) -> Sequence[str] | None:
         """Per instance its attribute text, from a text source."""
@@ -170,20 +191,20 @@ class Trace:
         by_text = {text: _attr_value(text, name, default) for text in dict.fromkeys(texts)}
         return list(map(by_text.__getitem__, texts))
 
-    @property
-    def msg_count(self) -> int:
-        return len(self.ids)
-
     def __len__(self) -> int:
-        return self.event_of[-1] + 1 if self.event_of else 0
+        return len(self.event_ids)
 
     @cached_property
     def events(self) -> tuple[TraceEvent, ...]:
-        events: list[list[Message]] = [[] for _ in range(len(self))]
-        for e_idx, mid, attrs in zip(self.event_of, self.ids, self.attrs):
-            m = self.alphabet[mid]
-            events[e_idx].append(Message(m.src, m.dest, m.cmd, attrs) if attrs else m)
-        return tuple(TraceEvent(tuple(ms)) for ms in events)
+        alphabet, attrs = self.alphabet, iter(self.attrs)
+        events = []
+        for row in self.event_ids:
+            messages = []
+            for mid in row:
+                m, a = alphabet[mid], next(attrs)
+                messages.append(Message(m.src, m.dest, m.cmd, a) if a else m)
+            events.append(TraceEvent(tuple(messages)))
+        return tuple(events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
@@ -211,17 +232,11 @@ class Trace:
         """The sub-trace of the given instances, in the order given
         (trace order for a slice), with its events renumbered from 0.
         It shares this trace's alphabet."""
-        event_of = []
-        event, last = -1, None
-        for i in members:
-            if self.event_of[i] != last:
-                event, last = event + 1, self.event_of[i]
-            event_of.append(event)
+        ids, runs = self.ids, groupby(members, self.event_of.__getitem__)
         return Trace(
             self.alphabet,
-            tuple(event_of),
-            tuple(self.ids[i] for i in members),
-            tuple(self.attrs[i] for i in members),
+            tuple(tuple(list(map(ids.__getitem__, run))) for _, run in runs),
+            tuple(map(self.attrs.__getitem__, members)),
         )
 
 
@@ -230,22 +245,21 @@ def trace_of(*events: Iterable[Message]) -> Trace:
     ids follow first appearance."""
     index: dict[Message, int] = {}
     alphabet: list[Message] = []
-    event_of: list[int] = []
-    ids: list[int] = []
+    rows: list[tuple[int, ...]] = []
     attrs: list[Mapping[str, object] | None] = []
-    for e_idx, event in enumerate(events):
-        before = len(ids)
+    for event in events:
+        row = []
         for m in event:
             mid = index.get(m)
             if mid is None:
                 mid = index[m] = len(alphabet)
                 alphabet.append(m.plain())
-            event_of.append(e_idx)
-            ids.append(mid)
+            row.append(mid)
             attrs.append(m.attrs or None)
-        if len(ids) == before:
+        if not row:
             raise ValueError("an event must contain at least one message")
-    return Trace(tuple(alphabet), tuple(event_of), tuple(ids), tuple(attrs))
+        rows.append(tuple(row))
+    return Trace(tuple(alphabet), tuple(rows), tuple(attrs))
 
 
 class MessageTable:
@@ -445,21 +459,22 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
     """Parse trace text; one event per non-blank, non-comment line.
 
     Attributes are checked here but decoded only when read.  With the
-    grouping characters blanked, one regex scan finds the lines that
-    hold a malformed attribute pair, and one regex split cuts each
-    token's attribute text down to its first ';' and keeps the texts
-    for the trace (see Trace).  The lines are then split into tokens
-    once, so each token is an index, a triple, or a triple and ';',
-    and each distinct one is parsed and checked once; only a line with
-    no token, a line whose first token starts with '#', or a line the
-    scan flagged is looked at again, to tell a blank line, a comment
-    and a line of bare grouping apart, or to name the first fault of a
+    grouping characters blanked (when the text holds any), one regex
+    scan finds the lines that hold a malformed attribute pair, and one
+    regex split cuts each token's attribute text down to its first ';'
+    and keeps the texts for the trace (see Trace).  Each distinct cut
+    line is then split into tokens once, so each token is an index, a
+    triple, or a triple and ';', and each distinct token is parsed and
+    checked once; a repeated line takes the ids tuple of its first
+    occurrence, unsplit.  Only a line with no token, a line whose
+    first token starts with '#', or a line the scan flagged is looked
+    at again, by line number, to tell a blank line, a comment and a
+    line of bare grouping apart, or to name the first fault of a
     flagged line, token by token, its index or triple before its
-    attributes.  With a table the
-    alphabet starts with the table's messages, so message ids follow
-    table order (id = index - 1) and an inline triple from the table
-    gets its index's id; other triples get the next ids in order of
-    first appearance.
+    attributes.  With a table the alphabet starts with the table's
+    messages, so message ids follow table order (id = index - 1) and
+    an inline triple from the table gets its index's id; other triples
+    get the next ids in order of first appearance.
     """
     alphabet: list[Message] = []
     by_triple: dict[tuple[str, str, str], int] = {}
@@ -468,8 +483,8 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
         by_triple.update((m.triple(), mid) for mid, m in enumerate(alphabet))
     known: dict[str, int] = {}  # token cut at its first ';' -> message id
     heads: dict[str, int] = {}  # triple text, bare or before an attributed token's ';'
-    event_of: list[int] = []
-    ids: list[int] = []
+    rows: dict[str, tuple[int, ...]] = {}  # cut event line -> its ids
+    events: list[tuple[int, ...]] = []
     skipped: list[int] = []  # comment lines that hold tokens
     raw_lines: list[str] | None = None
     blanked_lines: list[str] | None = None
@@ -491,13 +506,16 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
             mid = heads[head] = intern(_parse_triple(head, lineno))
         return mid
 
-    blanked = text.translate(_GROUPING)
+    blanked = text.translate(_GROUPING) if "," in text or "{" in text or "}" in text else text
     faults = _fault_lines(blanked)
     fault = next(faults, 0)
-    append, lookup = ids.append, known.__getitem__
-    events = 0
+    lookup = known.__getitem__
     cut, texts = _cut_attr_texts(blanked)
     for lineno, row in enumerate(cut.splitlines(), start=1):
+        event = rows.get(row)
+        if event is not None and lineno != fault:
+            events.append(event)
+            continue
         tokens = row.split()
         if not tokens or tokens[0][0] == "#" or lineno == fault:
             if raw_lines is None:
@@ -521,50 +539,68 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
                     if sep:
                         _parse_attrs(rest, lineno)
                 fault = next(faults, 0)
-        try:
-            for token in tokens:
-                append(lookup(token))
-        except KeyError:
-            del ids[len(event_of) :]
-            for token in tokens:
-                mid = known.get(token)
-                if mid is None:
-                    mid = known[token] = resolve(token, lineno)
-                append(mid)
-        event_of += [events] * len(tokens)
-        events += 1
+        if event is None:
+            # tuple(list(...)): a tuple grown from an iterator is resized,
+            # and the interpreter's per-size tuple free lists then keep
+            # its block under another size, until a full collection
+            try:
+                event = tuple(list(map(lookup, tokens)))
+            except KeyError:
+                for token in tokens:
+                    if token not in known:
+                        known[token] = resolve(token, lineno)
+                event = tuple(list(map(lookup, tokens)))
+            rows[row] = event
+        events.append(event)
     if not events:
         raise ParseError("trace has no events")
-    source = partial(_instance_texts, cut, texts, tuple(skipped), len(ids)) if texts else (None,) * len(ids)
-    return Trace(tuple(alphabet), tuple(event_of), tuple(ids), source)
+    instances = sum(map(len, events))
+    source = partial(_instance_texts, cut, texts, tuple(skipped), instances) if texts else (None,) * instances
+    return Trace(tuple(alphabet), tuple(events), source)
+
+
+_UNWRITABLE = re.compile(r"[\s;,{}]")  # a value holding one would not read back as written
+
+
+def _attr_suffix(attrs: Mapping[str, object]) -> str:
+    """The ';k=v' text of an attribute mapping, pairs sorted by key.
+    A value whose text is empty or holds whitespace, ';', ',', '{' or
+    '}' raises ValueError: parse_trace would reject it or read it back
+    as other pairs."""
+    pairs = []
+    for key, value in sorted(attrs.items()):
+        text = str(value)
+        if not text or _UNWRITABLE.search(text):
+            raise ValueError("attribute %s=%r cannot be written as trace text" % (key, text))
+        pairs.append(";%s=%s" % (key, text))
+    return "".join(pairs)
 
 
 def serialize_trace(trace: Trace, table: MessageTable | None = None) -> str:
     """Trace text, one line per event.  An instance without attributes
     is written as its table index when the table has its message.
     Each attribute mapping is formatted once, however many instances
-    share it (the trace holds every mapping, so their ids are stable)."""
+    share it (the trace holds every mapping, so their ids are stable),
+    and a value that would not read back raises ValueError."""
     labels = [m.label() for m in trace.alphabet]
     bare = [
         str(table.index_of(m)) if table is not None and m in table else label
         for m, label in zip(trace.alphabet, labels)
     ]
     suffixes: dict[int, str] = {}  # id of a mapping -> its ';k=v' text
+    attrs = iter(trace.attrs)
     lines: list[str] = []
-    tokens: list[str] = []
-    current = 0
-    for e_idx, mid, attrs in zip(trace.event_of, trace.ids, trace.attrs):
-        if e_idx != current:
-            lines.append(" ".join(tokens))
-            tokens, current = [], e_idx
-        if attrs:
-            suffix = suffixes.get(id(attrs))
-            if suffix is None:
-                suffix = suffixes[id(attrs)] = "".join(";%s=%s" % kv for kv in sorted(attrs.items()))
-            tokens.append(labels[mid] + suffix)
-        else:
-            tokens.append(bare[mid])
-    if tokens:
+    for row in trace.event_ids:
+        tokens = []
+        for mid in row:
+            mapping = next(attrs)
+            if mapping:
+                suffix = suffixes.get(id(mapping))
+                if suffix is None:
+                    suffix = suffixes[id(mapping)] = _attr_suffix(mapping)
+                tokens.append(labels[mid] + suffix)
+            else:
+                tokens.append(bare[mid])
         lines.append(" ".join(tokens))
     return "\n".join(lines) + "\n"
 

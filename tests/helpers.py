@@ -416,7 +416,7 @@ def reference_simulate(spec, cfg: GenConfig) -> SimResult:
         for _ in range(cfg.count_for(flow)):
             branch = rng.randrange(len(flow.branches))
             live.append(_RefLive(len(live), flow.name, branch, list(branches[branch])))
-    event_of, ids, attrs = [], [], []
+    events, attrs = [], []
     e_idx = -1
     remaining = set(range(len(live)))
 
@@ -445,26 +445,27 @@ def reference_simulate(spec, cfg: GenConfig) -> SimResult:
                 if not overrunners(2, {pick, partner}):
                     emitters = sorted((pick, partner))
         e_idx += 1
+        row = []
         for i in emitters:
             inst = live[i]
             mid, msg = inst.pending.pop(0)
             if cfg.tag is not None:
                 msg = msg.with_attrs(**{cfg.tag: inst.instance_id})
-            event_of.append(e_idx)
-            ids.append(mid)
+            row.append(mid)
             attrs.append(msg.attrs or None)
             inst.emitted.append((e_idx, msg))
             inst.started = True
             inst.gap = 0
             if not inst.pending:
                 remaining.discard(i)
+        events.append(tuple(row))
         for i in remaining:
             if live[i].started and i not in emitters:
                 live[i].gap += len(emitters)
     instances = tuple(
         InstanceTrace(inst.instance_id, inst.flow, inst.branch, tuple(inst.emitted)) for inst in live
     )
-    return SimResult(Trace(tuple(alphabet), tuple(event_of), tuple(ids), tuple(attrs)), instances)
+    return SimResult(Trace(tuple(alphabet), tuple(events), tuple(attrs)), instances)
 
 
 _DOT_EDGE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*->\s*"((?:[^"\\]|\\.)*)"\s*\[label="((?:[^"\\]|\\.)*)"\];$')

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -178,8 +180,14 @@ ODD_LINES = st.sampled_from(
 )
 # every line break str.splitlines knows, not only "\n"
 BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+# lines drawn from a small pool, so that lines repeat as they do in
+# real traces and parse_trace reuses what it read for the first one
 TRACE_TEXTS = st.builds(
-    lambda lines, brk: brk.join(lines) + brk, st.lists(EVENT_LINES | ODD_LINES, min_size=1, max_size=8), BREAKS
+    lambda lines, brk: brk.join(lines) + brk,
+    st.lists(EVENT_LINES | ODD_LINES, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+    ),
+    BREAKS,
 )
 
 
@@ -199,6 +207,10 @@ TRACE_TEXTS = st.builds(
 @example("a:b:c;p=1\u2028\u2028b:c:a;p=1\n", True)
 @example("a:b:c;p=1\nb:c:a;p=1;q\n", False)  # a repeated text, then a malformed pair
 @example("a:b:c;p=1;q b:c:a;p=1;q\n", False)  # a malformed text is reported at its first token
+@example("a:b:c;p=1 b:c:a\na:b:c;p=2;q b:c:a\n", False)  # a clean line, then the same cut line malformed
+@example("a:b:c;p=1 2\n#a:b:c;p=2 2\na:b:c;p=3 2\n", True)  # a repeated line written as a comment
+@example("a:b:c b:c:a\n{a:b:c,b:c:a}\n a:b:c , b:c:a\na:b:c b:c:a\n", False)  # a repeat with grouping
+@example("1 b:c:a\na:b:c b:c:a\n1 b:c:a\n", True)  # an index and the same triple inline
 def test_columnar_parse_matches_reference(text, with_table):
     table = SMALL_TABLE if with_table else None
     try:
@@ -221,6 +233,11 @@ def test_columnar_parse_matches_reference(text, with_table):
     assert got.ids == tuple(alphabet.index(m) for m in flat)
     assert got.event_of == tuple(e for e, event in enumerate(want) for _ in event)
     assert got.attrs == tuple(dict(m.attrs) or None for m in flat)
+    # equal event lines share one ids tuple
+    lines = [line for line in text.splitlines() if line.strip() and not line.strip().startswith("#")]
+    first: dict[str, tuple[int, ...]] = {}
+    for line, event in zip(lines, got.event_ids, strict=True):
+        assert first.setdefault(line, event) is event
 
 
 # Attribute texts over the characters that decide a pair: reserved
@@ -317,6 +334,13 @@ def test_serialize_uses_indices_when_possible(table):
 def test_serialize_falls_back_to_triples(table):
     t = parse_trace("1\n", table)
     assert serialize_trace(t) == "cpu0:cache:rd_req\n"
+
+
+@pytest.mark.parametrize("value", ["x y", "x,y", "{z}", "", "a;b=1", "x\u2028y"])
+def test_serialize_refuses_values_that_would_not_read_back(value):
+    trace = trace_of([Message("a", "b", "c", {"k": value})])
+    with pytest.raises(ValueError, match=re.escape("attribute k=%r " % value)):
+        serialize_trace(trace)
 
 
 def test_unique_messages_first_appearance_order(mixed_trace, table):
