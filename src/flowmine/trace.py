@@ -414,19 +414,6 @@ _GROUPING = str.maketrans("{},", "   ")
 # runs to the next ';' or whitespace.  \s is what str.split splits on.
 _BAD_PAIR = re.compile(r";(?![^\s:;,={}()#]+=[^\s;])")
 _ATTR_TEXT = re.compile(r";(\S*)")  # a token's attribute text, after its first ';'
-_LINE_BREAK = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")  # as str.splitlines breaks
-
-
-def _fault_lines(text: str) -> Iterator[int]:
-    """The numbers of the lines of text that hold a ';' _BAD_PAIR
-    flags, ascending, each once."""
-    lineno, pos, last = 1, 0, 0
-    for match in _BAD_PAIR.finditer(text):
-        lineno += len(_LINE_BREAK.findall(text, pos, match.start()))
-        pos = match.start()
-        if lineno != last:
-            last = lineno
-            yield lineno
 
 
 def _cut_attr_texts(text: str) -> tuple[str, list[str]]:
@@ -436,23 +423,34 @@ def _cut_attr_texts(text: str) -> tuple[str, list[str]]:
     return ";".join(pieces[::2]), pieces[1::2]
 
 
-def _instance_texts(cut: str, texts: list[str], skipped: tuple[int, ...], count: int) -> list[str]:
-    """Per instance its attribute text, '' for none, for a trace of
-    count instances that parse_trace accepted: cut and texts are what
-    _cut_attr_texts gave for its text, and skipped numbers the comment
-    lines that hold tokens."""
-    if not skipped and len(texts) == count:
-        return texts
-    dropped = set(skipped)
-    rest = iter(texts)
-    out: list[str] = []
-    for lineno, row in enumerate(cut.splitlines(), start=1):
-        if lineno in dropped:
-            for _ in range(row.count(";")):  # a comment's texts
-                next(rest)
-            continue
-        out.extend(next(rest) if token[-1] == ";" else "" for token in row.split())
-    return out
+def _is_event(line: str, tokens: list[str], lineno: int) -> bool:
+    """Whether a trace line, with tokens split from it with the
+    grouping blanked, is an event: not for a blank line or a comment.
+    A line of bare grouping raises."""
+    line = line.strip()
+    if not line or line[0] == "#":
+        return False
+    if not tokens:
+        raise ParseError("event line has no messages", lineno)
+    return True
+
+
+def _event_lines(text: str, blanked: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each event line of trace text, in
+    order, the tokens split from blanked, the text with the grouping
+    blanked.  Blank and comment lines are skipped, and a line of bare
+    grouping raises when reached."""
+    lines = text.splitlines()
+    for lineno, row in enumerate(blanked.splitlines(), start=1):
+        tokens = row.split()
+        if _is_event(lines[lineno - 1], tokens, lineno):
+            yield lineno, tokens
+
+
+def _instance_texts(text: str, blanked: str) -> list[str]:
+    """Per instance its attribute text, '' for none, for trace text
+    that parse_trace accepted, blanked as for _event_lines."""
+    return [token.partition(";")[2] for _, tokens in _event_lines(text, blanked) for token in tokens]
 
 
 def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
@@ -460,21 +458,21 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
 
     Attributes are checked here but decoded only when read.  With the
     grouping characters blanked (when the text holds any), one regex
-    scan finds the lines that hold a malformed attribute pair, and one
-    regex split cuts each token's attribute text down to its first ';'
+    search tells whether any ';' starts a malformed attribute pair.
+    Only then are the lines checked in order, token by token, its index
+    or triple before its attributes, and the first fault is raised;
+    nothing is raised when every such ';' is in a comment.  One regex
+    split then cuts each token's attribute text down to its first ';'
     and keeps the texts for the trace (see Trace).  Each distinct cut
-    line is then split into tokens once, so each token is an index, a
-    triple, or a triple and ';', and each distinct token is parsed and
-    checked once; a repeated line takes the ids tuple of its first
-    occurrence, unsplit.  Only a line with no token, a line whose
-    first token starts with '#', or a line the scan flagged is looked
-    at again, by line number, to tell a blank line, a comment and a
-    line of bare grouping apart, or to name the first fault of a
-    flagged line, token by token, its index or triple before its
-    attributes.  With a table the alphabet starts with the table's
-    messages, so message ids follow table order (id = index - 1) and
-    an inline triple from the table gets its index's id; other triples
-    get the next ids in order of first appearance.
+    line is split into tokens once, so each token is an index, a triple,
+    or a triple and ';', and each distinct token is parsed and checked
+    once; a repeated line takes the ids tuple of its first occurrence,
+    unsplit.  Only a line with no token or whose first token starts with
+    '#' is looked at again, to tell a blank line, a comment and a line
+    of bare grouping apart.  With a table the alphabet starts with the
+    table's messages, so message ids follow table order (id = index - 1)
+    and an inline triple from the table gets its index's id; other
+    triples get the next ids in order of first appearance.
     """
     alphabet: list[Message] = []
     by_triple: dict[tuple[str, str, str], int] = {}
@@ -485,9 +483,8 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
     heads: dict[str, int] = {}  # triple text, bare or before an attributed token's ';'
     rows: dict[str, tuple[int, ...]] = {}  # cut event line -> its ids
     events: list[tuple[int, ...]] = []
-    skipped: list[int] = []  # comment lines that hold tokens
+    commented = False  # whether a comment holds an attribute text
     raw_lines: list[str] | None = None
-    blanked_lines: list[str] | None = None
 
     def intern(msg: Message) -> int:
         mid = by_triple.get(msg.triple())
@@ -507,39 +504,25 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
         return mid
 
     blanked = text.translate(_GROUPING) if "," in text or "{" in text or "}" in text else text
-    faults = _fault_lines(blanked)
-    fault = next(faults, 0)
+    if _BAD_PAIR.search(blanked):  # raise the first fault, unless every flagged ';' is in a comment
+        for lineno, tokens in _event_lines(text, blanked):
+            for token in tokens:
+                head, sep, rest = token.partition(";")
+                resolve(head + sep, lineno)
+                if sep:
+                    _parse_attrs(rest, lineno)
     lookup = known.__getitem__
     cut, texts = _cut_attr_texts(blanked)
     for lineno, row in enumerate(cut.splitlines(), start=1):
         event = rows.get(row)
-        if event is not None and lineno != fault:
-            events.append(event)
-            continue
-        tokens = row.split()
-        if not tokens or tokens[0][0] == "#" or lineno == fault:
-            if raw_lines is None:
-                raw_lines = text.splitlines()
-            line = raw_lines[lineno - 1].strip()
-            if not line or line[0] == "#":
-                if tokens:
-                    skipped.append(lineno)
-                if lineno == fault:
-                    fault = next(faults, 0)
-                continue
-            if not tokens:
-                raise ParseError("event line has no messages", lineno)
-            if lineno == fault:
-                if blanked_lines is None:
-                    blanked_lines = blanked.splitlines()
-                # the scan flagged a pair here, so one of these raises
-                for token in blanked_lines[lineno - 1].split():
-                    head, sep, rest = token.partition(";")
-                    resolve(head + sep, lineno)
-                    if sep:
-                        _parse_attrs(rest, lineno)
-                fault = next(faults, 0)
         if event is None:
+            tokens = row.split()
+            if not tokens or tokens[0][0] == "#":
+                if raw_lines is None:
+                    raw_lines = text.splitlines()
+                if not _is_event(raw_lines[lineno - 1], tokens, lineno):
+                    commented = commented or ";" in row
+                    continue
             # tuple(list(...)): a tuple grown from an iterator is resized,
             # and the interpreter's per-size tuple free lists then keep
             # its block under another size, until a full collection
@@ -555,7 +538,12 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
     if not events:
         raise ParseError("trace has no events")
     instances = sum(map(len, events))
-    source = partial(_instance_texts, cut, texts, tuple(skipped), instances) if texts else (None,) * instances
+    if not texts:
+        source = (None,) * instances
+    elif len(texts) == instances and not commented:  # one text per instance, in order
+        source = texts.copy
+    else:  # some instance has no text, or a comment has one
+        source = partial(_instance_texts, text, blanked)
     return Trace(tuple(alphabet), tuple(events), source)
 
 

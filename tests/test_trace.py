@@ -211,6 +211,10 @@ TRACE_TEXTS = st.builds(
 @example("a:b:c;p=1 2\n#a:b:c;p=2 2\na:b:c;p=3 2\n", True)  # a repeated line written as a comment
 @example("a:b:c b:c:a\n{a:b:c,b:c:a}\n a:b:c , b:c:a\na:b:c b:c:a\n", False)  # a repeat with grouping
 @example("1 b:c:a\na:b:c b:c:a\n1 b:c:a\n", True)  # an index and the same triple inline
+@example("a:b:c;p=1 b:c:a\n# c:a:b;q\nb:c:a;p=2\n", False)  # a malformed pair only in a comment
+@example("a:b:c;p=1\n{,}\nb:c:a;q\n", False)  # bare grouping before a malformed pair
+@example("1 2\n7 a:b:c;p=1\nb:c:a;p=\n", True)  # a bad index before a malformed pair
+@example("a:b:c b:c:a;p=1\nb:c:a;p=2 a:b:c\n", False)  # a bare token next to an attributed one
 def test_columnar_parse_matches_reference(text, with_table):
     table = SMALL_TABLE if with_table else None
     try:
@@ -265,7 +269,10 @@ def test_scan_flags_exactly_the_attribute_texts_parse_attrs_rejects(text):
             except ParseError:
                 rejected.append(lineno)
                 break
-    assert list(flowmine.trace._fault_lines(blanked)) == rejected
+    scan = flowmine.trace._BAD_PAIR.search
+    # one search over the text decides whether parse_trace checks its lines
+    assert bool(scan(blanked)) == bool(rejected)
+    assert [lineno for lineno, line in enumerate(blanked.splitlines(), start=1) if scan(line)] == rejected
 
 
 def test_parse_builds_no_message_per_instance(long_tagged_trace, table, monkeypatch):
