@@ -65,7 +65,6 @@ from .trace import (
     MessageTable,
     ParseError,
     Trace,
-    TraceEvent,
     parse_message_table,
     parse_trace,
     serialize_message_table,

@@ -22,8 +22,7 @@ window length reads its supports from the same sorted lists.
 Instances are keyed by message id, never by Message object.  A
 trace's ids map to graph node ordinals through one list as long as
 its alphabet (node_numbers), and instance positions are keyed by
-ordinal, so attributes play no part and no Message is hashed per
-instance.  Graph nodes and edges themselves stay Messages.
+ordinal, so no Message is hashed per instance.  Graph nodes and edges themselves stay Messages.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ class CausalityGraph:
     def ordinal(self, msg: Message) -> int:
         """Stable node number: table index when the graph was built
         with a table, 1-based insertion rank otherwise."""
-        return self._ordinals[msg.plain()]
+        return self._ordinals[msg]
 
     def messages_by_ordinal(self) -> dict[int, Message]:
         return {o: m for m, o in self._ordinals.items()}
@@ -133,23 +132,23 @@ def build_graph(
     table: MessageTable | None = None,
 ) -> CausalityGraph:
     """Zero-support graph over msgs with pruned entry/exit edges."""
-    plain = [m.plain() for m in msgs]
-    if len(set(plain)) != len(plain):
+    order = list(msgs)
+    if len(set(order)) != len(order):
         raise ValueError("duplicate messages in node list")
     if table is not None:
-        for m in plain:
+        for m in order:
             table.index_of(m)  # raises on unknown messages
-        plain.sort(key=table.index_of)
-        ordinals = {m: table.index_of(m) for m in plain}
+        order.sort(key=table.index_of)
+        ordinals = {m: table.index_of(m) for m in order}
     else:
-        ordinals = {m: i for i, m in enumerate(plain, start=1)}
+        ordinals = {m: i for i, m in enumerate(order, start=1)}
 
-    nodes = {m: NodeStats(initial=m in initials, terminal=m in terminals) for m in plain}
+    nodes = {m: NodeStats(initial=m in initials, terminal=m in terminals) for m in order}
     edges: dict[Edge, int] = {}
-    for head in plain:
+    for head in order:
         if nodes[head].terminal:
             continue
-        for tail in plain:
+        for tail in order:
             if nodes[tail].initial:
                 continue
             if causal(head, tail):

@@ -63,9 +63,6 @@ class Flow:
         if len(firsts) != 1:
             raise ValueError("flow %r branches do not share a first message" % self.name)
         for branch in self.branches:
-            for m in branch:
-                if m.attrs:
-                    raise ValueError("flow %r: %r carries attributes; the tag adds them" % (self.name, m))
             for m1, m2 in zip(branch, branch[1:]):
                 if not causal(m1, m2):
                     raise ValueError(

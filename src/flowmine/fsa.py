@@ -63,8 +63,7 @@ class FSA:
         return self.transitions.get((state, msg))
 
     def alphabet(self) -> tuple[Message, ...]:
-        seen = sorted({m.plain() for _, m in self.transitions}, key=Message.triple)
-        return tuple(seen)
+        return tuple(sorted({m for _, m in self.transitions}, key=Message.triple))
 
     def transition_pairs(self) -> Iterable[tuple[Message, Message]]:
         """All (m, m') with m entering some state q != initial and m'

@@ -2,25 +2,25 @@
 
 A trace is an ordered sequence of events; each event is a non-empty
 group of message instances observed together.  Ordering exists only
-between events, never inside one.  A message is identified by its
-(source, destination, command) triple; attribute pairs carried by an
-instance (address, packet id, ...) are runtime payload and take no
-part in identity.
+between events, never inside one.  A message is its (source,
+destination, command) triple.  The attribute pairs of an instance
+(address, packet id, ...) are runtime payload: the trace holds them
+beside the instance, and they take no part in identity.
 
 A Trace is held as one tuple of message ids per event, plus each
 instance's attributes.  The ids index the trace's alphabet of distinct
-attribute-free messages, so parsing builds one Message per distinct
-triple, not one per instance, and detection, slicing, annotation and
-replay work on ints.  SoC traces repeat a small set of event lines
-over and over (in the generated cache workloads, 88-89% of the lines
-repeat an earlier line once attributes are cut), so parsing reads each
-distinct line once, equal lines share one tuple, and replay puts each
-distinct event in canonical order once.  The per-instance columns
+messages, so parsing builds one Message per distinct triple, not one
+per instance, and detection, slicing, annotation and replay work on
+ints.  SoC traces repeat a small set of event lines over and over
+(in the generated cache workloads, 88-89% of the lines repeat an
+earlier line once attributes are cut), so parsing reads each distinct
+line once, equal lines share one tuple, and replay puts each distinct
+event in canonical order once.  The per-instance columns
 (event index, message id) are derived from the tuples on first read.
 Parsing checks the attributes but decodes none: a parsed trace keeps
 each instance's attribute text, and decodes each distinct text once,
-when first read.  Event and Message views are rebuilt on demand for
-readers that want objects.
+when first read.  The event views give plain messages read from the
+alphabet; attributes are read from Trace.attrs.
 
 Text formats
 ------------
@@ -71,19 +71,17 @@ def _check_atom(text: str, what: str) -> str:
 
 @dataclass(frozen=True)
 class Message:
-    """One message instance.  Equality and hashing use the triple only."""
+    """One message type: the (source, destination, command) triple.
+    An instance's attributes are held by its trace (Trace.attrs)."""
 
     src: str
     dest: str
     cmd: str
-    attrs: Mapping[str, object] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         _check_atom(self.src, "source")
         _check_atom(self.dest, "destination")
         _check_atom(self.cmd, "command")
-        for key in self.attrs:
-            _check_atom(str(key), "attribute name")
 
     def triple(self) -> tuple[str, str, str]:
         return (self.src, self.dest, self.cmd)
@@ -91,45 +89,18 @@ class Message:
     def label(self) -> str:
         return "%s:%s:%s" % (self.src, self.dest, self.cmd)
 
-    def plain(self) -> "Message":
-        """The same message without instance attributes."""
-        return Message(self.src, self.dest, self.cmd) if self.attrs else self
-
-    def with_attrs(self, **attrs: object) -> "Message":
-        merged = dict(self.attrs)
-        merged.update(attrs)
-        return Message(self.src, self.dest, self.cmd, merged)
-
     def __repr__(self):
-        extra = "".join(";%s=%s" % kv for kv in sorted(self.attrs.items()))
-        return "<%s%s>" % (self.label(), extra)
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """Messages observed at the same instant.  Members are unordered."""
-
-    messages: tuple[Message, ...]
-
-    def __post_init__(self):
-        if not self.messages:
-            raise ValueError("an event must contain at least one message")
-
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self.messages)
-
-    def __len__(self) -> int:
-        return len(self.messages)
+        return "<%s>" % self.label()
 
 
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A trace held as one tuple of message ids per event, in trace order.
 
-    alphabet holds attribute-free messages, each once; a message id
-    indexes it.  event_ids holds, per event, the ids of its instances
-    (never empty); equal events may share one tuple, as parse_trace
-    gives them.  The alphabet may list messages that no instance uses
+    alphabet holds messages, each once; a message id indexes it.
+    event_ids holds, per event, the ids of its instances (never
+    empty); equal events may share one tuple, as parse_trace gives
+    them.  The alphabet may list messages that no instance uses
     (the rest of a message table, or the parent's messages in a
     slice).  Instances are numbered in trace order, event by event.
 
@@ -144,12 +115,15 @@ class Trace:
     mapping.  attr_values reads one key once per distinct text and
     decodes none, so a reader of neither pays for no decoding.  The
     mappings are read-only: flows.generate also gives all the messages
-    of one instance one, so nothing may mutate one in place
-    (Message.with_attrs copies).
+    of one instance one, so nothing may mutate one in place.  A trace
+    is the only holder of attributes; trace_of(..., attrs=...) builds
+    an attributed one.
 
-    events, iteration and flattened() rebuild Message objects; they
-    are views for readers that want them, and the mining and
-    evaluation paths do not use them.
+    events and iteration give per event the tuple of its messages, and
+    flattened() each instance's message with its position, all read
+    from the alphabet; they are views for readers that want messages,
+    and the mining and evaluation paths do not use them.  Traces
+    compare by identity.
     """
 
     alphabet: tuple[Message, ...]
@@ -195,38 +169,22 @@ class Trace:
         return len(self.event_ids)
 
     @cached_property
-    def events(self) -> tuple[TraceEvent, ...]:
-        alphabet, attrs = self.alphabet, iter(self.attrs)
-        events = []
-        for row in self.event_ids:
-            messages = []
-            for mid in row:
-                m, a = alphabet[mid], next(attrs)
-                messages.append(Message(m.src, m.dest, m.cmd, a) if a else m)
-            events.append(TraceEvent(tuple(messages)))
-        return tuple(events)
+    def events(self) -> tuple[tuple[Message, ...], ...]:
+        alphabet = self.alphabet
+        return tuple([tuple(map(alphabet.__getitem__, row)) for row in self.event_ids])
 
-    def __iter__(self) -> Iterator[TraceEvent]:
+    def __iter__(self) -> Iterator[tuple[Message, ...]]:
         return iter(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return self.events == other.events
-
-    def __hash__(self) -> int:
-        return hash(self.events)
 
     def __repr__(self) -> str:
         return "<Trace of %d events, %d messages over %d distinct>" % (len(self), self.msg_count, len(self.alphabet))
 
     def flattened(self) -> Iterator[tuple[int, int, Message]]:
-        """Yield (event index, running position, message) in trace order."""
-        pos = 0
-        for e_idx, event in enumerate(self.events):
-            for m in event:
-                yield e_idx, pos, m
-                pos += 1
+        """Yield (event index, running position, message) in trace order;
+        the instance at a position has attributes attrs[position]."""
+        alphabet = self.alphabet
+        for pos, (e_idx, mid) in enumerate(zip(self.event_of, self.ids)):
+            yield e_idx, pos, alphabet[mid]
 
     def select(self, members: Sequence[int]) -> "Trace":
         """The sub-trace of the given instances, in the order given
@@ -240,39 +198,43 @@ class Trace:
         )
 
 
-def trace_of(*events: Iterable[Message]) -> Trace:
+def trace_of(
+    *events: Iterable[Message], attrs: Iterable[Mapping[str, object] | None] | None = None
+) -> Trace:
     """Build a trace from message iterables, one per event.  Message
-    ids follow first appearance."""
+    ids follow first appearance.  attrs gives per instance, in trace
+    order, its attribute mapping or None; an empty mapping is kept as
+    None.  A count that does not match the instances, or a name that is
+    not a string free of reserved characters, raises ValueError."""
     index: dict[Message, int] = {}
-    alphabet: list[Message] = []
     rows: list[tuple[int, ...]] = []
-    attrs: list[Mapping[str, object] | None] = []
     for event in events:
-        row = []
-        for m in event:
-            mid = index.get(m)
-            if mid is None:
-                mid = index[m] = len(alphabet)
-                alphabet.append(m.plain())
-            row.append(mid)
-            attrs.append(m.attrs or None)
+        row = tuple([index.setdefault(m, len(index)) for m in event])
         if not row:
             raise ValueError("an event must contain at least one message")
-        rows.append(tuple(row))
-    return Trace(tuple(alphabet), tuple(rows), tuple(attrs))
+        rows.append(row)
+    count = sum(map(len, rows))
+    mappings = (None,) * count if attrs is None else tuple([mapping or None for mapping in attrs])
+    if len(mappings) != count:
+        raise ValueError("%d attribute mappings for %d message instances" % (len(mappings), count))
+    for mapping in filter(None, mappings):
+        for key in mapping:
+            if not isinstance(key, str):
+                raise ValueError("attribute name %r is not a string" % (key,))
+            _check_atom(key, "attribute name")
+    return Trace(tuple(index), tuple(rows), mappings)
 
 
 class MessageTable:
     """Bijection between dense integer indices (from 1) and message triples."""
 
     def __init__(self, messages: Iterable[Message]):
-        plain = [m.plain() for m in messages]
+        self.messages: tuple[Message, ...] = tuple(messages)  # index i is at position i - 1
         self._by_triple: dict[tuple[str, str, str], int] = {}
-        for idx, msg in enumerate(plain, start=1):
+        for idx, msg in enumerate(self.messages, start=1):
             if msg.triple() in self._by_triple:
                 raise ValueError("duplicate message %s" % msg.label())
             self._by_triple[msg.triple()] = idx
-        self.messages: tuple[Message, ...] = tuple(plain)  # index i is at position i - 1
 
     def __len__(self) -> int:
         return len(self.messages)

@@ -83,10 +83,10 @@ def naive_initials(traces) -> set:
         flat = list(trace.flattened())
         firsts: dict[Message, int] = {}
         for e, _, m in flat:
-            firsts.setdefault(m.plain(), e)
+            firsts.setdefault(m, e)
         for msg, first_e in firsts.items():
             ok = not any(
-                e < first_e and causal(other.plain(), msg) for e, _, other in flat
+                e < first_e and causal(other, msg) for e, _, other in flat
             )
             verdict[msg] = verdict.get(msg, True) and ok
     return {m for m, ok in verdict.items() if ok}
@@ -98,10 +98,10 @@ def naive_terminals(traces) -> set:
         flat = list(trace.flattened())
         lasts: dict[Message, int] = {}
         for e, _, m in flat:
-            lasts[m.plain()] = e
+            lasts[m] = e
         for msg, last_e in lasts.items():
             ok = not any(
-                e > last_e and causal(msg, other.plain()) for e, _, other in flat
+                e > last_e and causal(msg, other) for e, _, other in flat
             )
             verdict[msg] = verdict.get(msg, True) and ok
     return {m for m, ok in verdict.items() if ok}
@@ -198,17 +198,23 @@ def naive_slices(trace: Trace, attribute: str, missing: str = "isolate", block: 
     each message without it is a slice of its own, or is left out
     when missing is "drop"."""
     keyed: dict = {}
-    for e_idx, event in enumerate(trace.events):
-        for m in event:
-            if attribute in m.attrs:
-                value = m.attrs[attribute]
-                key = ("key", value if block is None else value // block)
-            elif missing == "drop":
-                continue
-            else:
-                key = ("solo", len(keyed))
-            keyed.setdefault(key, {}).setdefault(e_idx, []).append(m)
-    return [trace_of(*events.values()) for events in keyed.values()]
+    for (e_idx, _, m), attrs in zip(trace.flattened(), trace.attrs, strict=True):
+        if attrs and attribute in attrs:
+            value = attrs[attribute]
+            key = ("key", value if block is None else value // block)
+        elif missing == "drop":
+            continue
+        else:
+            key = ("solo", len(keyed))
+        keyed.setdefault(key, {}).setdefault(e_idx, []).append((m, attrs))
+    return [attributed(*events.values()) for events in keyed.values()]
+
+
+def attributed(*events) -> Trace:
+    """trace_of over events of (message, attribute mapping or None)
+    pairs."""
+    events = [list(event) for event in events]
+    return trace_of(*([m for m, _ in event] for event in events), attrs=[a for event in events for _, a in event])
 
 
 def naive_positions(trace: Trace, ordinal) -> dict:
@@ -220,10 +226,11 @@ def naive_positions(trace: Trace, ordinal) -> dict:
     return positions
 
 
-def reference_parse_token(token: str, lineno: int) -> Message:
+def reference_parse_token(token: str, lineno: int) -> tuple[Message, dict | None]:
     """One trace token without a table, parsed as the grammar reads:
     the triple first, then its key=value attributes in order, then
-    the attribute names (a bad name raises a ValueError, no line)."""
+    the attribute names (a bad name raises a ValueError, no line).
+    The message and its attributes, None for none."""
     if token.isdigit():
         raise ParseError("index token %r needs a message table" % token, lineno)
     head, *pairs = token.split(";")
@@ -247,12 +254,15 @@ def reference_parse_token(token: str, lineno: int) -> Message:
             attrs[key] = int(value, 16)
         else:
             attrs[key] = value
-    return Message(msg.src, msg.dest, msg.cmd, attrs) if attrs else msg
+    for key in attrs:
+        if not re.fullmatch(r"[^\s:;,={}()#]+", key):
+            raise ValueError("attribute name %r contains reserved characters" % key)
+    return msg, attrs or None
 
 
-def reference_parse_trace(text: str, table=None) -> list[list[Message]]:
-    """Trace text as events of Message objects, one token at a time:
-    index tokens through the table, the rest through
+def reference_parse_trace(text: str, table=None) -> list[list[tuple[Message, dict | None]]]:
+    """Trace text as events of (message, attributes or None) pairs, one
+    token at a time: index tokens through the table, the rest through
     reference_parse_token, with the line added to a bad attribute
     name's error."""
     events = []
@@ -267,7 +277,7 @@ def reference_parse_trace(text: str, table=None) -> list[list[Message]]:
         for token in tokens:
             try:
                 if token.isdigit() and table is not None:
-                    event.append(table.message_at(int(token)))
+                    event.append((table.message_at(int(token)), None))
                 else:
                     event.append(reference_parse_token(token, lineno))
             except ParseError:
@@ -349,8 +359,7 @@ def instance_pair_counts(instances, edges) -> Counter:
     instance: nearest-match within each instance's own sequence."""
     total: Counter = Counter()
     for inst in instances:
-        seq = [m.plain() for _, m in inst.emissions]
-        mini = trace_of(*[[m] for m in seq])
+        mini = trace_of(*[[m] for _, m in inst.emissions])
         for head, tail in edges:
             n = naive_edge_support(mini, head, tail, None)
             if n:
@@ -360,12 +369,14 @@ def instance_pair_counts(instances, edges) -> Counter:
 
 @dataclass(frozen=True)
 class InstanceTrace:
-    """What one flow instance emitted, in order."""
+    """What one flow instance emitted, in order, and per emission its
+    attributes (None for none)."""
 
     instance_id: int
     flow: str
     branch: int
     emissions: tuple[tuple[int, Message], ...]  # (event index, message)
+    attrs: tuple[dict | None, ...]
 
 
 @dataclass(frozen=True)
@@ -375,17 +386,18 @@ class SimResult:
 
 
 def simulate(spec, cfg: GenConfig = GenConfig()) -> SimResult:
-    """generate(spec, cfg)'s trace, and which instance emitted what:
-    the instances' messages carry the trace's attributes."""
+    """generate(spec, cfg)'s trace, and which instance emitted what,
+    with the trace's attributes."""
     schedule = _interleave(spec, cfg)
     trace = _trace(schedule, cfg.tag)
     emissions: list[list[tuple[int, Message]]] = [[] for _ in schedule.picks]
+    stamps: list[list] = [[] for _ in schedule.picks]
     for e_idx, mid, i, attrs in zip(trace.event_of, trace.ids, schedule.owner, trace.attrs):
-        m = trace.alphabet[mid]
-        emissions[i].append((e_idx, Message(m.src, m.dest, m.cmd, attrs) if attrs else m))
+        emissions[i].append((e_idx, trace.alphabet[mid]))
+        stamps[i].append(attrs)
     instances = tuple(
-        InstanceTrace(i, flow, branch, tuple(emitted))
-        for i, ((flow, branch), emitted) in enumerate(zip(schedule.picks, emissions))
+        InstanceTrace(i, flow, branch, tuple(emitted), tuple(stamped))
+        for i, ((flow, branch), emitted, stamped) in enumerate(zip(schedule.picks, emissions, stamps))
     )
     return SimResult(trace, instances)
 
@@ -399,6 +411,7 @@ class _RefLive:
     gap: int = 0
     started: bool = False
     emitted: list = field(default_factory=list)
+    stamps: list = field(default_factory=list)
 
 
 def reference_simulate(spec, cfg: GenConfig) -> SimResult:
@@ -408,7 +421,7 @@ def reference_simulate(spec, cfg: GenConfig) -> SimResult:
     rng = random.Random(cfg.seed)
     alphabet: dict = {}
     coded = [
-        [tuple((alphabet.setdefault(m.plain(), len(alphabet)), m) for m in branch) for branch in flow.branches]
+        [tuple((alphabet.setdefault(m, len(alphabet)), m) for m in branch) for branch in flow.branches]
         for flow in spec.flows
     ]
     live = []
@@ -449,11 +462,11 @@ def reference_simulate(spec, cfg: GenConfig) -> SimResult:
         for i in emitters:
             inst = live[i]
             mid, msg = inst.pending.pop(0)
-            if cfg.tag is not None:
-                msg = msg.with_attrs(**{cfg.tag: inst.instance_id})
+            stamp = None if cfg.tag is None else {cfg.tag: inst.instance_id}
             row.append(mid)
-            attrs.append(msg.attrs or None)
+            attrs.append(stamp)
             inst.emitted.append((e_idx, msg))
+            inst.stamps.append(stamp)
             inst.started = True
             inst.gap = 0
             if not inst.pending:
@@ -463,7 +476,7 @@ def reference_simulate(spec, cfg: GenConfig) -> SimResult:
             if live[i].started and i not in emitters:
                 live[i].gap += len(emitters)
     instances = tuple(
-        InstanceTrace(inst.instance_id, inst.flow, inst.branch, tuple(inst.emitted)) for inst in live
+        InstanceTrace(inst.instance_id, inst.flow, inst.branch, tuple(inst.emitted), tuple(inst.stamps)) for inst in live
     )
     return SimResult(Trace(tuple(alphabet), tuple(events), tuple(attrs)), instances)
 

@@ -29,6 +29,7 @@ from flowmine.extract import annotated_graph, prepare_annotation
 
 from helpers import (
     admits_single_zeroing,
+    attributed,
     brute_minimum_size,
     naive_edge_support,
     naive_initials,
@@ -252,12 +253,10 @@ def test_solves_counts_every_max_flow(mixed_trace, table, routed):
     assert result.solves == len(routed) == result.windows_tried + result.search.flows
 
 
-ATTRIBUTED = st.builds(
-    lambda m, pid: m if pid is None else m.with_attrs(pid=pid), SMALL_MESSAGES, st.none() | st.integers(0, 2)
-)
+ATTRIBUTED = st.tuples(SMALL_MESSAGES, st.none() | st.builds(lambda pid: {"pid": pid}, st.integers(0, 2)))
 ATTRIBUTED_TRACES = st.lists(
     st.lists(ATTRIBUTED, min_size=1, max_size=3), min_size=1, max_size=12
-).map(lambda evs: trace_of(*evs))
+).map(lambda evs: attributed(*evs))
 
 
 @settings(deadline=None, max_examples=100)

@@ -50,8 +50,6 @@ def test_flow_validation():
         Flow("f", ((A, C),))
     with pytest.raises(ValueError, match="duplicate flow names"):
         FlowSpec((Flow("f", ((A, B),)), Flow("f", ((A, B),))))
-    with pytest.raises(ValueError, match="carries attributes"):
-        Flow("f", ((A, B.with_attrs(pid=1)),))
 
 
 @pytest.mark.parametrize(
@@ -117,7 +115,7 @@ def test_instances_replay_their_branches(flowspec):
         indices = [e for e, _ in inst.emissions]
         assert indices == sorted(indices) and len(set(indices)) == len(indices)
         for e_idx, msg in inst.emissions:
-            assert msg in result.trace.events[e_idx].messages
+            assert msg in result.trace.events[e_idx]
     # the trace is exactly the instances' emissions, nothing else
     assert result.trace.msg_count == sum(len(i.emissions) for i in result.instances)
 
@@ -141,11 +139,8 @@ def test_zero_instances_rejected(flowspec):
 def test_tag_stamps_instance_ids(flowspec):
     result = simulate(flowspec, GenConfig(instances=2, seed=5, tag="pid"))
     for inst in result.instances:
-        for _, msg in inst.emissions:
-            assert msg.attrs["pid"] == inst.instance_id
-    for event in result.trace.events:
-        for msg in event.messages:
-            assert "pid" in msg.attrs
+        assert inst.attrs == ({"pid": inst.instance_id},) * len(inst.emissions)
+    assert all("pid" in attrs for attrs in result.trace.attrs)
 
 
 def test_events_stay_single_without_pairing():
@@ -154,7 +149,7 @@ def test_events_stay_single_without_pairing():
     spec = FlowSpec((Flow("f", ((A, B, C),)),))
     for seed in range(20):
         result = simulate(spec, GenConfig(instances=5, seed=seed, max_gap=1))
-        sizes = [len(e.messages) for e in result.trace.events]
+        sizes = [len(e) for e in result.trace.events]
         assert sum(sizes) == 15
         assert sizes == [1] * 15
 
@@ -164,13 +159,13 @@ def test_gap_bound_can_force_joint_emission():
     # must then emit them together, beyond the pair size itself
     spec = FlowSpec((Flow("f", ((A, B, C),)),))
     cfg = GenConfig(instances=5, seed=1, max_gap=1, simul_prob=1.0)
-    sizes = [len(e.messages) for e in simulate(spec, cfg).trace.events]
+    sizes = [len(e) for e in simulate(spec, cfg).trace.events]
     assert max(sizes) >= 3
 
 
 def test_simul_prob_pairs_messages(flowspec):
     trace = generate(flowspec, GenConfig(instances=3, seed=4, simul_prob=1.0))
-    assert any(len(e.messages) >= 2 for e in trace.events)
+    assert any(len(e) >= 2 for e in trace.events)
 
 
 @settings(deadline=None, max_examples=40)
@@ -183,7 +178,7 @@ def test_simul_prob_pairs_messages(flowspec):
 def test_gap_bound_holds(flowspec, seed, n, max_gap, simul):
     cfg = GenConfig(instances=n, seed=seed, max_gap=max_gap, simul_prob=simul)
     result = simulate(flowspec, cfg)
-    lengths = [len(e.messages) for e in result.trace.events]
+    lengths = [len(e) for e in result.trace.events]
     for inst in result.instances:
         indices = [e for e, _ in inst.emissions]
         for e1, e2 in zip(indices, indices[1:]):
@@ -211,14 +206,13 @@ def test_simulate_matches_the_quadratic_reference(flowspec, spec, seed, n, max_g
     spec = {"cache_read": flowspec, "chain": FlowSpec((Flow("f", ((A, B, C),)),)), "branched": BRANCHED}[spec]
     cfg = GenConfig(instances=n, seed=seed, max_gap=max_gap, simul_prob=simul, tag=tag)
     result, reference = simulate(spec, cfg), reference_simulate(spec, cfg)
-    assert result == reference
-    # Message equality ignores attributes: compare them, and the text
+    assert result.instances == reference.instances  # emissions and their attributes
+    # traces compare by identity: compare their events, attributes and text
+    assert result.trace.events == reference.trace.events
     assert result.trace.attrs == reference.trace.attrs
     text = serialize_trace(reference.trace)
     assert serialize_trace(result.trace) == text
     assert serialize_trace(generate(spec, cfg)) == text
-    for got, want in zip(result.instances, reference.instances):
-        assert [m.attrs for _, m in got.emissions] == [m.attrs for _, m in want.emissions]
 
 
 def test_generate_builds_no_message_per_emission(flowspec, table, monkeypatch):
@@ -235,7 +229,7 @@ def test_generate_builds_no_message_per_emission(flowspec, table, monkeypatch):
 def test_serialize_formats_shared_and_separate_mappings_alike():
     text = "a:b:x;pid=1 b:c:y;pid=2\nb:c:y;pid=1;addr=0x10\nc:d:z;pid=2\na:b:x;addr=16;pid=1\n"
     shared = parse_trace(text)
-    separate = trace_of(*([m.with_attrs() for m in event] for event in shared.events))
+    separate = trace_of(*shared.events, attrs=[dict(a) for a in shared.attrs])
     assert len({id(a) for a in shared.attrs}) == 4  # one per distinct attribute text
     assert len({id(a) for a in separate.attrs}) == 5
     assert serialize_trace(shared) == serialize_trace(separate) == (

@@ -21,11 +21,12 @@ from flowmine.causality import _thresholds, window_thresholds
 from flowmine.extract import annotated_graph
 from flowmine.slicing import annotate_sliced, labeled_slices, slice_shapes, slice_units
 
-from helpers import naive_positions, naive_slices
+from helpers import attributed, naive_positions, naive_slices
 
 
 def tagged(src, dest, cmd, **attrs):
-    return Message(src, dest, cmd, attrs)
+    """A message and its attributes, for attributed."""
+    return Message(src, dest, cmd), attrs
 
 
 def test_address_block_is_floor_division():
@@ -68,16 +69,16 @@ def test_slice_by_key_groups_messages():
     a = tagged("a", "b", "x", pid=1)
     b = tagged("b", "c", "y", pid=1)
     c = tagged("a", "b", "x", pid=2)
-    t = trace_of([a], [c], [b])
+    t = attributed([a], [c], [b])
     parts = slice_trace(t, SlicePolicy("pid"))
     assert len(parts) == 2
-    assert [m.attrs["pid"] for p in parts for _, _, m in p.flattened()] == [1, 1, 2]
+    assert [attrs["pid"] for p in parts for attrs in p.attrs] == [1, 1, 2]
 
 
 def test_slice_preserves_same_event_grouping():
     a = tagged("a", "b", "x", pid=1)
     b = tagged("b", "c", "y", pid=1)
-    t = trace_of([a, b])
+    t = attributed([a, b])
     (part,) = slice_trace(t, SlicePolicy("pid"))
     assert len(part) == 1 and len(part.events[0]) == 2
 
@@ -86,15 +87,15 @@ def test_block_mode_merges_nearby_addresses():
     a = tagged("a", "b", "x", addr=4096)
     b = tagged("b", "c", "y", addr=4100)
     c = tagged("a", "b", "x", addr=8192)
-    t = trace_of([a], [b], [c])
+    t = attributed([a], [b], [c])
     parts = slice_trace(t, SlicePolicy("addr", block=64))
     assert sorted(p.msg_count for p in parts) == [1, 2]
 
 
 def test_missing_attribute_isolated_or_dropped():
     a = tagged("a", "b", "x", pid=1)
-    bare = Message("b", "c", "y")
-    t = trace_of([a], [bare], [bare])
+    bare = tagged("b", "c", "y")
+    t = attributed([a], [bare], [bare])
     iso = slice_trace(t, SlicePolicy("pid"))
     assert sorted(p.msg_count for p in iso) == [1, 1, 1]
     dropped = slice_trace(t, SlicePolicy("pid", missing="drop"))
@@ -103,17 +104,16 @@ def test_missing_attribute_isolated_or_dropped():
 
 def test_labeled_slices_names():
     a = tagged("a", "b", "x", pid=7)
-    bare = Message("b", "c", "y")
-    t = trace_of([a], [bare])
+    bare = tagged("b", "c", "y")
+    t = attributed([a], [bare])
     labels = [label for label, _ in labeled_slices(t, SlicePolicy("pid"))]
     assert labels == ["7", "unkeyed0"]
 
 
 def test_sliced_node_supports_come_from_full_trace(table):
     # pairing is confined to slices, but node counting is not
-    m1 = table.message_at(1).with_attrs(pid=1)
-    m2 = table.message_at(2).with_attrs(pid=2)  # different slice
-    t = trace_of([m1], [m2])
+    m1, m2 = table.message_at(1), table.message_at(2)  # in different slices
+    t = trace_of([m1], [m2], attrs=[{"pid": 1}, {"pid": 2}])
     g = annotated_graph([t], slice_policy=SlicePolicy("pid"), table=table)
     assert g.nodes[table.message_at(1)].support == 1
     assert g.nodes[table.message_at(2)].support == 1
@@ -121,10 +121,8 @@ def test_sliced_node_supports_come_from_full_trace(table):
 
 
 def test_slicing_respects_window(table):
-    m1 = table.message_at(1).with_attrs(pid=1)
-    m5 = table.message_at(5).with_attrs(pid=1)
-    filler = table.message_at(3).with_attrs(pid=2)
-    t = trace_of([m1], [filler], [filler], [m5])
+    m1, m5, filler = table.message_at(1), table.message_at(5), table.message_at(3)
+    t = trace_of([m1], [filler], [filler], [m5], attrs=[{"pid": 1}, {"pid": 2}, {"pid": 2}, {"pid": 1}])
     g_wide = annotated_graph([t], slice_policy=SlicePolicy("pid"), table=table)
     # inside the slice 1 and 5 are adjacent, so even window 0 pairs them
     g_zero = annotated_graph([t], window=0, slice_policy=SlicePolicy("pid"), table=table)
@@ -133,23 +131,34 @@ def test_slicing_respects_window(table):
     assert g_zero.edges[key] == 1
 
 
-ATTRED = st.builds(
-    Message,
-    st.sampled_from(["a", "b", "c"]),
-    st.sampled_from(["a", "b", "c"]),
-    st.sampled_from(["x", "y"]),
+ATTRED = st.tuples(
+    st.builds(
+        Message,
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["x", "y"]),
+    ),
     st.one_of(
         st.just({}),
-        st.fixed_dictionaries({"pid": st.integers(0, 3)}),
+        # an optional second attribute tells apart instances of one slice
+        st.fixed_dictionaries({"pid": st.integers(0, 3)}, optional={"addr": st.integers(0, 3)}),
     ),
 )
 ATTRED_TRACES = st.lists(
     st.lists(ATTRED, min_size=1, max_size=2), min_size=1, max_size=8
-).map(lambda evs: trace_of(*evs))
+).map(lambda evs: attributed(*evs))
+
+
+def instances(trace):
+    """Per instance, in trace order, its triple and sorted attribute pairs."""
+    return [
+        (m.triple(), tuple(sorted((attrs or {}).items())))
+        for (_, _, m), attrs in zip(trace.flattened(), trace.attrs, strict=True)
+    ]
 
 
 def attr_multiset(trace):
-    return Counter((m.triple(), tuple(sorted(m.attrs.items()))) for _, _, m in trace.flattened())
+    return Counter(instances(trace))
 
 
 @settings(deadline=None)
@@ -165,9 +174,9 @@ def test_isolate_slicing_partitions_the_trace(trace):
 @settings(deadline=None)
 @given(ATTRED_TRACES)
 def test_slice_order_is_a_subsequence(trace):
-    flat = [(m.triple(), tuple(sorted(m.attrs.items()))) for _, _, m in trace.flattened()]
+    flat = instances(trace)
     for p in slice_trace(trace, SlicePolicy("pid")):
-        part = [(m.triple(), tuple(sorted(m.attrs.items()))) for _, _, m in p.flattened()]
+        part = instances(p)
         it = iter(flat)
         assert all(x in it for x in part)  # subsequence check
 
@@ -199,15 +208,17 @@ def test_annotate_sliced_gives_the_supports_mine_reads(flowspec, table, window):
 
 
 def keyed_traces(pids):
-    messages = st.builds(
-        Message,
-        st.sampled_from(["a", "b", "c"]),
-        st.sampled_from(["a", "b", "c"]),
-        st.sampled_from(["x", "y"]),
+    messages = st.tuples(
+        st.builds(
+            Message,
+            st.sampled_from(["a", "b", "c"]),
+            st.sampled_from(["a", "b", "c"]),
+            st.sampled_from(["x", "y"]),
+        ),
         st.just({}) | st.fixed_dictionaries({"pid": pids}),
     )
     events = st.lists(st.lists(messages, min_size=1, max_size=3), min_size=1, max_size=10)
-    return events.map(lambda evs: trace_of(*evs))
+    return events.map(lambda evs: attributed(*evs))
 
 
 def frozen(positions):
@@ -242,8 +253,8 @@ def test_slice_positions_match_naive_slices(trace, missing, block):
 )
 @example([trace_of([Message("a", "b", "x")], [Message("b", "c", "y")])], "drop", None)
 @example(
-    [trace_of(*([Message("a", "b", "x", {"pid": p})] for p in (0, 1, 64)),
-              *([Message("b", "a", "y", {"pid": p})] for p in (0, 1, 64)))],
+    [trace_of(*[[Message("a", "b", "x")]] * 3, *[[Message("b", "a", "y")]] * 3,
+              attrs=[{"pid": p} for p in (0, 1, 64, 0, 1, 64)])],
     "isolate",
     None,
 )
@@ -267,8 +278,7 @@ def test_each_slice_shape_is_matched_once(monkeypatch, table):
     # five transactions interleaved, each a 1 then a 2 in later
     # events: five slices of one shape
     first, second = table.message_at(1), table.message_at(2)
-    trace = trace_of(*([first.with_attrs(pid=p)] for p in range(5)),
-                     *([second.with_attrs(pid=p)] for p in range(5)))
+    trace = trace_of(*[[first]] * 5, *[[second]] * 5, attrs=[{"pid": p % 5} for p in range(10)])
     assert list(slice_shapes(trace, SlicePolicy("pid")).values()) == [5]
     calls = []
 

@@ -16,18 +16,10 @@ from flowmine import (
     unique_messages,
 )
 
-from helpers import reference_parse_token, reference_parse_trace
+from helpers import attributed, reference_parse_token, reference_parse_trace
 
 ATOMS = st.text(alphabet="abcdefgh0123", min_size=1, max_size=4)
 MESSAGES = st.builds(Message, ATOMS, ATOMS, ATOMS)
-
-
-def test_message_identity_ignores_attrs():
-    a = Message("cpu", "cache", "rd", {"addr": 4096})
-    b = Message("cpu", "cache", "rd", {"addr": 8192})
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a.attrs != b.attrs
 
 
 def test_message_rejects_reserved_characters():
@@ -35,19 +27,33 @@ def test_message_rejects_reserved_characters():
         Message("cp u", "cache", "rd")
     with pytest.raises(ValueError):
         Message("cpu", "ca:che", "rd")
-    with pytest.raises(ValueError):
-        Message("cpu", "cache", "rd", {"a;b": 1})
-
-
-def test_plain_strips_attrs():
-    m = Message("a", "b", "c", {"pid": 3})
-    assert m.plain().attrs == {}
-    assert m.plain() == m
 
 
 def test_event_must_be_nonempty():
     with pytest.raises(ValueError):
         trace_of([])
+
+
+def test_trace_of_rejects_attribute_names_that_are_not_string_atoms():
+    m = Message("a", "b", "c")
+    with pytest.raises(ValueError, match="attribute name 1 is not a string"):
+        trace_of([m], attrs=[{"x": 3, 1: 2}])
+    with pytest.raises(ValueError, match=re.escape("attribute name 'a;b' contains reserved characters")):
+        trace_of([m], [m], attrs=[None, {"a;b": 1}])
+
+
+def test_trace_of_takes_one_attribute_entry_per_instance():
+    a, b = Message("a", "b", "c"), Message("b", "c", "a")
+    with pytest.raises(ValueError, match="2 attribute mappings for 3 message instances"):
+        trace_of([a, b], [a], attrs=[None, {"p": 1}])
+    with pytest.raises(ValueError, match="4 attribute mappings for 3 message instances"):
+        trace_of([a, b], [a], attrs=[None] * 4)
+    # an empty mapping is kept as None, and no attrs means none at all
+    pid = {"p": 1}
+    t = trace_of([a, b], [a], attrs=iter([{}, pid, None]))
+    assert t.attrs == (None, {"p": 1}, None) and t.attrs[1] is pid
+    assert trace_of([a, b], [a]).attrs == (None, None, None)
+    assert serialize_trace(t) == "a:b:c b:c:a;p=1\na:b:c\n"
 
 
 def test_msg_count_counts_instances():
@@ -95,13 +101,14 @@ def test_parse_trace_braces_and_comments(table):
     t = parse_trace("# header\n{1,3}\n\n5\n", table)
     assert len(t) == 2
     assert len(t.events[0]) == 2
-    assert t.events[1].messages[0] == table.message_at(5)
+    assert t.events[1][0] == table.message_at(5)
 
 
 def test_parse_trace_inline_triples_with_attrs():
     t = parse_trace("cpu0:cache:rd_req;addr=0x40;pid=7\n")
-    m = t.events[0].messages[0]
-    assert m.attrs == {"addr": 64, "pid": 7}
+    assert t.events == ((Message("cpu0", "cache", "rd_req"),),)
+    assert t.events[0][0] is t.alphabet[0]  # the events read the alphabet
+    assert t.attrs == ({"addr": 64, "pid": 7},)
 
 
 # tokens that hit every branch of the token grammar, reserved
@@ -132,7 +139,7 @@ TOKENS = (
 @example(["a:b:c;x(=1;y"])  # a malformed pair is named before a bad name
 @example(["a:b:c", "a:b:c;x(=1"])  # a bad name, with its line
 def test_token_parsing_matches_reference(tokens):
-    want: list[Message] = []
+    want: list[tuple[Message, dict | None]] = []
     error = None
     for lineno, token in enumerate(tokens, start=1):
         try:
@@ -150,8 +157,9 @@ def test_token_parsing_matches_reference(tokens):
             parse_trace(text)
         assert str(err.value) == error
         return
-    got = [e.messages[0] for e in parse_trace(text).events]
-    assert [(m.triple(), dict(m.attrs)) for m in got] == [(m.triple(), dict(m.attrs)) for m in want]
+    got = parse_trace(text)
+    assert [len(e) for e in got.events] == [1] * len(tokens)
+    assert list(zip([e[0].triple() for e in got.events], got.attrs)) == [(m.triple(), a) for m, a in want]
 
 
 SMALL_TABLE = parse_message_table("1 (a:b:c)\n2 (b:c:a)\n3 (c:a:b)\n")
@@ -225,18 +233,19 @@ def test_columnar_parse_matches_reference(text, with_table):
         assert (str(err.value), err.value.line) == (str(exc), exc.line)
         return
     got = parse_trace(text, table)
-    assert [[(m.triple(), dict(m.attrs)) for m in e] for e in got.events] == [
-        [(m.triple(), dict(m.attrs)) for m in e] for e in want
+    flat = [pair for event in want for pair in event]
+    assert got.attrs == tuple(a for _, a in flat)
+    attrs = iter(got.attrs)
+    assert [[(m.triple(), next(attrs)) for m in e] for e in got.events] == [
+        [(m.triple(), a) for m, a in e] for e in want
     ]
-    flat = [m for event in want for m in event]
     alphabet = list(table.messages) if table is not None else []
-    for m in flat:
+    for m, _ in flat:
         if m not in alphabet:
-            alphabet.append(m.plain())
+            alphabet.append(m)
     assert got.alphabet == tuple(alphabet)  # table order, then first appearance
-    assert got.ids == tuple(alphabet.index(m) for m in flat)
+    assert got.ids == tuple(alphabet.index(m) for m, _ in flat)
     assert got.event_of == tuple(e for e, event in enumerate(want) for _ in event)
-    assert got.attrs == tuple(dict(m.attrs) or None for m in flat)
     # equal event lines share one ids tuple
     lines = [line for line in text.splitlines() if line.strip() and not line.strip().startswith("#")]
     first: dict[str, tuple[int, ...]] = {}
@@ -304,7 +313,7 @@ def test_each_attribute_text_is_decoded_once(monkeypatch):
     assert calls == []  # parsing decodes nothing
     assert trace.attrs == ({"p": 1}, {"p": 1}, {"p": 1, "q": 2}, {"p": 2}, {"p": 1, "q": 2})
     assert calls == ["p=1", "p=1;q=0x2", "p=2"]  # on first read, once each, in order of first appearance
-    assert [dict(m.attrs) for e in trace.events for m in e][3] == {"p": 2}
+    assert trace.attrs[3] == {"p": 2}
     assert len(calls) == 3  # later readers reuse the mappings
     # instances with equal attribute text share one mapping
     assert trace.attrs[0] is trace.attrs[1]
@@ -345,7 +354,7 @@ def test_serialize_falls_back_to_triples(table):
 
 @pytest.mark.parametrize("value", ["x y", "x,y", "{z}", "", "a;b=1", "x\u2028y"])
 def test_serialize_refuses_values_that_would_not_read_back(value):
-    trace = trace_of([Message("a", "b", "c", {"k": value})])
+    trace = trace_of([Message("a", "b", "c")], attrs=[{"k": value}])
     with pytest.raises(ValueError, match=re.escape("attribute k=%r " % value)):
         serialize_trace(trace)
 
@@ -353,7 +362,6 @@ def test_serialize_refuses_values_that_would_not_read_back(value):
 def test_unique_messages_first_appearance_order(mixed_trace, table):
     msgs = unique_messages([mixed_trace])
     assert [table.index_of(m) for m in msgs] == [1, 3, 5, 6, 4, 2]
-    assert all(not m.attrs for m in msgs)
 
 
 # digit-led attr strings would parse back as integers, so string
@@ -364,13 +372,7 @@ WORDS = st.text(alphabet="abcdxyz", min_size=1, max_size=4)
 @given(
     st.lists(
         st.lists(
-            st.builds(
-                Message,
-                ATOMS,
-                ATOMS,
-                ATOMS,
-                st.dictionaries(ATOMS, st.integers(-100, 10000) | WORDS, max_size=2),
-            ),
+            st.tuples(MESSAGES, st.dictionaries(ATOMS, st.integers(-100, 10000) | WORDS, max_size=2)),
             min_size=1,
             max_size=3,
         ),
@@ -379,15 +381,12 @@ WORDS = st.text(alphabet="abcdxyz", min_size=1, max_size=4)
     )
 )
 def test_trace_text_roundtrip(events):
-    t = trace_of(*events)
+    t = attributed(*events)
     back = parse_trace(serialize_trace(t))
-    assert len(back) == len(t)
-    for ev_a, ev_b in zip(t, back):
-        for a, b in zip(ev_a, ev_b):
-            assert a == b
-            assert {k: str(v) for k, v in a.attrs.items()} == {
-                k: str(v) for k, v in b.attrs.items()
-            }
+    assert back.events == t.events  # every event's triples, in order
+    assert len(back.attrs) == len(t.attrs)
+    for a, b in zip(t.attrs, back.attrs):
+        assert {k: str(v) for k, v in (a or {}).items()} == {k: str(v) for k, v in (b or {}).items()}
 
 
 @given(st.lists(st.lists(MESSAGES, min_size=1, max_size=3), min_size=1, max_size=6))
