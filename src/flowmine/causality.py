@@ -23,6 +23,12 @@ Instances are keyed by message id, never by Message object.  A
 trace's ids map to graph node ordinals through one list as long as
 its alphabet (node_numbers), and instance positions are keyed by
 ordinal, so no Message is hashed per instance.  Graph nodes and edges themselves stay Messages.
+
+A matching unit is held as flat ints (positions_of): per node
+ordinal, the plain positions of its instances, and one starts list
+giving each position the first position of its event.  A head lies
+in a strictly earlier event than a tail exactly when head <
+starts[tail], so the matching builds no per-instance tuple.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import logging
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .trace import Message, MessageTable, Trace
@@ -156,7 +163,7 @@ def build_graph(
     return CausalityGraph(nodes=nodes, edges=edges, _ordinals=ordinals)
 
 
-Positions = dict[int, list[tuple[int, int]]]
+Positions = tuple[dict[int, list[int]], list[int]]  # (positions per node ordinal, event starts)
 Shape = tuple[int, ...]  # message ids in order, ~id where an event starts
 
 
@@ -177,29 +184,34 @@ def trace_shape(trace: Trace) -> Shape:
 
 
 def positions_of(trace: Trace, numbers: list[int | None], shape: Shape) -> Positions:
-    """(event index, position) of the instances of a shape per node
-    ordinal: positions run 0, 1, ... and events are numbered from 0
-    in shape order.  trace and numbers resolve the shape's ids."""
-    by_id: Positions = {}
-    event = -1
+    """The instance positions of a shape, as two flat int columns:
+    per node ordinal, the positions of its instances in order, and
+    for the shape as a whole starts, where starts[p] is the first
+    position of the event that holds position p.  Positions run 0,
+    1, ... in shape order.  trace and numbers resolve the shape's ids."""
+    by_id: dict[int, list[int]] = {}
+    starts: list[int] = []
+    start = 0
     for pos, mid in enumerate(shape):
         if mid < 0:
-            event, mid = event + 1, ~mid
+            start, mid = pos, ~mid
+        starts.append(start)
         found = by_id.get(mid)
         if found is None:
-            by_id[mid] = [(event, pos)]
+            by_id[mid] = [pos]
         else:
-            found.append((event, pos))
-    positions: Positions = {}
+            found.append(pos)
+    positions: dict[int, list[int]] = {}
     for mid, found in by_id.items():
         if numbers[mid] is None:
             raise ValueError("message %s is not a graph node" % trace.alphabet[mid].label())
         positions[numbers[mid]] = found
-    return positions
+    return positions, starts
 
 
 def instance_positions(graph: CausalityGraph, trace: Trace) -> Positions:
-    """(event index, flattened position) of every instance, per node ordinal."""
+    """The flattened position of every instance per node ordinal, and
+    the event starts, as positions_of gives them for the whole trace."""
     return positions_of(trace, node_numbers(graph, trace), trace_shape(trace))
 
 
@@ -214,13 +226,14 @@ def node_supports(graph: CausalityGraph, trace: Trace) -> Counter:
     return supports
 
 
-def _thresholds(heads: list[tuple[int, int]], tails: list[tuple[int, int]], out: list[int]) -> None:
+def _thresholds(heads: list[int], tails: list[int], starts: list[int], out: list[int]) -> None:
     """Append to out, per tail that the matching pairs without a
     window, the smallest window length at which it is paired.
 
-    heads/tails are (event index, flattened position) lists in trace
-    order.  A pair needs the head in a strictly earlier event, and
-    tail_pos <= head_pos + w + 1 under a window w.
+    heads/tails are flattened positions in trace order, and starts[p]
+    is the first position of the event that holds position p.  A pair
+    needs the head in a strictly earlier event, head < starts[tail],
+    and tail <= head + w + 1 under a window w.
 
     The matching at one window is a stack pass: before each tail,
     every head from a strictly earlier event is pushed, so the top of
@@ -238,18 +251,27 @@ def _thresholds(heads: list[tuple[int, int]], tails: list[tuple[int, int]], out:
     so the entries left are held from at least that much.  held keeps
     per entry a bound that also covers the entries below it, and a pop
     hands it down to the new top.
+
+    Heads come from an iterator that ends in the sentinel len(starts),
+    which no event start exceeds, so the push loop needs no bounds test.
     """
     stack: list[int] = []  # positions of the unmatched heads
     held: list[int] = []  # per entry: it and those below are held from no smaller w
-    nxt, n = 0, len(heads)
-    for t_event, t_pos in tails:
-        while nxt < n and heads[nxt][0] < t_event:
-            stack.append(heads[nxt][1])
-            held.append(-1)
-            nxt += 1
+    push, pop, hold, release, emit = stack.append, stack.pop, held.append, held.pop, out.append
+    following = chain(heads, (len(starts),)).__next__
+    head = following()
+    for tail in tails:
+        start = starts[tail]
+        while head < start:
+            push(head)
+            hold(-1)
+            head = following()
         if stack:
-            w = max(held.pop(), t_pos - stack.pop() - 1)
-            out.append(w)
+            w = tail - pop() - 1
+            h = release()
+            if h > w:
+                w = h
+            emit(w)
             if held and held[-1] < w:
                 held[-1] = w
 
@@ -265,24 +287,29 @@ def window_thresholds(graph: CausalityGraph, units: Iterable[tuple[Positions, in
     A unit is (positions, count): the positions of one shape, the
     whole of a trace or one slice of it, and how many times that
     shape occurs; matching never crosses units.  The matching reads
-    only positions and event order, and a shape fixes both, since
-    positions count 0, 1, ... within it and its events are numbered
-    from 0.  So equal slices pair their tails at equal thresholds, and
-    each distinct shape is matched once, its thresholds repeated count
-    times.  Each unit is visited through the out-edges of the nodes it
-    holds, so a small slice costs little however large the graph.
+    only positions and event starts, and a shape fixes both, since
+    positions count 0, 1, ... within it.  So equal slices pair their
+    tails at equal thresholds, and each distinct shape is matched
+    once: a shape seen once writes its thresholds straight into the
+    edge's list, and one seen count times repeats them count times.
+    Each unit is visited through the out-edges of the nodes it holds,
+    so a small slice costs little however large the graph.
     """
     found: Thresholds = {e: [] for e in graph.edges}
     succ: dict[int, list[tuple[int, list[int]]]] = {}
     for (head, tail), out in found.items():
         succ.setdefault(graph.ordinal(head), []).append((graph.ordinal(tail), out))
-    for positions, count in units:
+    for (positions, starts), count in units:
         for head, heads in positions.items():
             for tail, out in succ.get(head, ()):
                 tails = positions.get(tail)
-                if tails:
+                if not tails:
+                    continue
+                if count == 1:
+                    _thresholds(heads, tails, starts, out)
+                else:
                     paired: list[int] = []
-                    _thresholds(heads, tails, paired)
+                    _thresholds(heads, tails, starts, paired)
                     out.extend(paired * count)
     for out in found.values():
         out.sort()

@@ -48,7 +48,10 @@ EXIT_INFEASIBLE = 2
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # names no file of its own
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def _load_table(path: str | None) -> MessageTable | None:

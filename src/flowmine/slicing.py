@@ -175,7 +175,9 @@ def parse_policy(spec: str) -> SlicePolicy:
 def slice_units(graph: CausalityGraph, trace: Trace, policy: SlicePolicy | None) -> list[tuple[Positions, int]]:
     """The units causality.window_thresholds matches for one trace:
     (positions, count) per distinct slice shape, or the whole trace
-    once without a policy.  Positions count within the shape."""
+    once without a policy.  positions is positions_of's pair of flat
+    columns, instance positions per node and event starts, both
+    counted within the shape."""
     shapes: Counter[Shape] = Counter([trace_shape(trace)]) if policy is None else slice_shapes(trace, policy)
     numbers = node_numbers(graph, trace)
     return [(positions_of(trace, numbers, shape), count) for shape, count in shapes.items()]

@@ -217,13 +217,17 @@ def attributed(*events) -> Trace:
     return trace_of(*([m for m, _ in event] for event in events), attrs=[a for event in events for _, a in event])
 
 
-def naive_positions(trace: Trace, ordinal) -> dict:
-    """(event index, flattened position) of every instance, keyed by
-    ordinal(message)."""
+def naive_positions(trace: Trace, ordinal) -> tuple[dict, list[int]]:
+    """The flattened position of every instance, keyed by
+    ordinal(message), and per position the first position of its
+    event."""
     positions: dict = {}
+    first: dict = {}
+    starts: list[int] = []
     for e_idx, pos, m in trace.flattened():
-        positions.setdefault(ordinal(m), []).append((e_idx, pos))
-    return positions
+        positions.setdefault(ordinal(m), []).append(pos)
+        starts.append(first.setdefault(e_idx, pos))
+    return positions, starts
 
 
 def reference_parse_token(token: str, lineno: int) -> tuple[Message, dict | None]:

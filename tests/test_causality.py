@@ -18,7 +18,7 @@ from flowmine.causality import _thresholds
 from flowmine.extract import annotated_graph, prepare_annotation
 from flowmine.slicing import SlicePolicy, annotate_sliced
 
-from helpers import naive_cycle_groups, naive_edge_support, naive_initials, naive_terminals
+from helpers import naive_cycle_groups, naive_edge_support, naive_initials, naive_positions, naive_terminals
 
 
 def idx_edges(graph, table):
@@ -221,14 +221,12 @@ def test_stack_matcher_agrees_with_quadratic_oracle_on_long_traces(trace):
     # every ordered pair of messages, head == tail included, whether or
     # not the pair survives as a graph edge: one threshold pass counts
     # the pairs at every window
-    flat = list(trace.flattened())
+    positions, starts = naive_positions(trace, lambda m: m)
     msgs = unique_messages([trace])
     for head in msgs:
-        heads = [(e, p) for e, p, m in flat if m == head]
         for tail in msgs:
-            tails = [(e, p) for e, p, m in flat if m == tail]
             found: list[int] = []
-            _thresholds(heads, tails, found)
+            _thresholds(positions[head], positions[tail], starts, found)
             for window in [*range(51), None]:
                 got = sum(1 for w in found if window is None or w <= window)
                 assert got == naive_edge_support(trace, head, tail, window), (head, tail, window)

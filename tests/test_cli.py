@@ -710,6 +710,24 @@ def test_deeply_nested_json_is_an_input_error(paths, model_file, tmp_path, comma
     assert done.stderr == "error: %s\n" % error
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--model", "--table"])
+def test_undecodable_input_is_named(paths, model_file, tmp_path, capsys, flag):
+    # the decoder's error names no file, so with two traces the
+    # message once left the reader to guess which one was at fault
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(b"\xffa:b:go\n")
+    argv = {
+        "--trace": ["mine", "--trace", paths["mixed_trace"], "--trace", str(bad), "--table", paths["table"],
+                    "--out", str(tmp_path / "mined")],
+        "--model": ["eval", "--model", str(bad), "--trace", paths["mixed_trace"], "--table", paths["table"]],
+        "--table": ["mine", "--trace", paths["mixed_trace"], "--table", str(bad), "--out", str(tmp_path / "mined")],
+    }[flag]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: %s: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n" % bad
+    )
+
+
 def test_config_file_supplies_defaults(paths, tmp_path):
     cfg = tmp_path / "mine.json"
     cfg.write_text(json.dumps({"window": "2", "top": 5}))

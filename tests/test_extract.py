@@ -33,6 +33,7 @@ from helpers import (
     brute_minimum_size,
     naive_edge_support,
     naive_initials,
+    naive_positions,
     naive_slices,
     naive_terminals,
     random_problem,
@@ -279,12 +280,15 @@ def test_prepared_annotation_matches_naive_at_every_window(traces, sliced):
 @given(st.lists(ATTRIBUTED_TRACES, min_size=1, max_size=2), st.booleans())
 def test_node_supports_count_ids(traces, sliced):
     # supports are counted from message ids, sliced or not, and agree
-    # with the instance positions they replaced
+    # with the instance positions they replaced, which match the
+    # flattened trace
     prepared = prepare_annotation(traces, SlicePolicy("pid") if sliced else None)
     graph = prepared.graph
     at = graph.messages_by_ordinal()
     expected = dict.fromkeys(graph.nodes, 0)
     for t in traces:
-        for node, positions in instance_positions(graph, t).items():
-            expected[at[node]] += len(positions)
+        positions = instance_positions(graph, t)
+        assert positions == naive_positions(t, graph.ordinal)
+        for node, found in positions[0].items():
+            expected[at[node]] += len(found)
     assert {m: stats.support for m, stats in graph.nodes.items()} == expected

@@ -221,8 +221,9 @@ def keyed_traces(pids):
     return events.map(lambda evs: attributed(*evs))
 
 
-def frozen(positions):
-    return tuple(sorted((node, tuple(ps)) for node, ps in positions.items()))
+def frozen(unit_positions):
+    positions, starts = unit_positions
+    return tuple(sorted((node, tuple(ps)) for node, ps in positions.items())), tuple(starts)
 
 
 @settings(deadline=None, max_examples=200)
@@ -266,12 +267,26 @@ def test_thresholds_from_counted_shapes_match_every_naive_slice(traces, missing,
     want = {e: [] for e in graph.edges}
     for t in traces:
         for part in naive_slices(t, "pid", missing, block):
-            positions = naive_positions(part, graph.ordinal)
+            positions, starts = naive_positions(part, graph.ordinal)
             for (head, tail), out in want.items():
                 heads, tails = positions.get(graph.ordinal(head)), positions.get(graph.ordinal(tail))
                 if heads and tails:
-                    _thresholds(heads, tails, out)
+                    _thresholds(heads, tails, starts, out)
     assert got == {e: sorted(out) for e, out in want.items()}
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    keyed_traces(st.sampled_from([0, 1, 2])),
+    st.none() | st.just(SlicePolicy("pid")),
+    st.integers(2, 4),
+)
+def test_a_counted_unit_matches_its_repeats(trace, policy, k):
+    # a unit counted k times gives what k single copies give: the
+    # repeated-shape branch against the one that writes in place
+    graph = build_graph(unique_messages([trace]), set(), set())
+    for unit, _ in slice_units(graph, trace, policy):
+        assert window_thresholds(graph, [(unit, k)]) == window_thresholds(graph, [(unit, 1)] * k)
 
 
 def test_each_slice_shape_is_matched_once(monkeypatch, table):
@@ -282,12 +297,12 @@ def test_each_slice_shape_is_matched_once(monkeypatch, table):
     assert list(slice_shapes(trace, SlicePolicy("pid")).values()) == [5]
     calls = []
 
-    def counting(heads, tails, out):
-        calls.append((heads, tails))
-        _thresholds(heads, tails, out)
+    def counting(heads, tails, starts, out):
+        calls.append((heads, tails, starts))
+        _thresholds(heads, tails, starts, out)
 
     monkeypatch.setattr(flowmine.causality, "_thresholds", counting)
     g = annotated_graph([trace], slice_policy=SlicePolicy("pid"), table=table)
     assert [e for e in g.edges if set(e) <= {first, second}] == [(first, second)]
     assert g.edges[(first, second)] == 5
-    assert calls == [([(0, 0)], [(1, 1)])]  # once for the edge, not once per slice
+    assert calls == [([0], [1], [0, 1])]  # once for the edge, not once per slice
