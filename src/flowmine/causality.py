@@ -37,7 +37,6 @@ import logging
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .trace import Message, MessageTable, Trace
@@ -228,7 +227,8 @@ def node_supports(graph: CausalityGraph, trace: Trace) -> Counter:
 
 def _thresholds(heads: list[int], tails: list[int], starts: list[int], out: list[int]) -> None:
     """Append to out, per tail that the matching pairs without a
-    window, the smallest window length at which it is paired.
+    window, the smallest window length at which it is paired: its gap
+    to that head, tail - head - 1.
 
     heads/tails are flattened positions in trace order, and starts[p]
     is the first position of the event that holds position p.  A pair
@@ -244,36 +244,23 @@ def _thresholds(heads: list[int], tails: list[int], starts: list[int], out: list
     Two windows w < w' push the same heads, and by induction over the
     tails the stack at w is always a suffix of the stack at w': where
     w' clears, w clears too, and where w' pops, w pops the same top or
-    clears.  So each entry of the unwindowed stack is held from some
-    smallest w on, nondecreasing from the top down, and a tail whose
-    top is held from h and lies gap positions back is paired exactly
-    at w >= max(h, gap - 1); below that the stack is empty or cleared,
-    so the entries left are held from at least that much.  held keeps
-    per entry a bound that also covers the entries below it, and a pop
-    hands it down to the new top.
-
-    Heads come from an iterator that ends in the sentinel len(starts),
-    which no event start exceeds, so the push loop needs no bounds test.
+    clears.  So at window w a tail can pair only with the top of the
+    unwindowed stack, and does unless that head is out of reach or an
+    earlier clear took it.  Such a clear came at an earlier tail whose
+    top lay at or above this head and out of reach; this tail lies
+    further from this head, so the head is out of reach too.  A tail
+    is thus paired at w exactly when its gap is at most w.
     """
     stack: list[int] = []  # positions of the unmatched heads
-    held: list[int] = []  # per entry: it and those below are held from no smaller w
-    push, pop, hold, release, emit = stack.append, stack.pop, held.append, held.pop, out.append
-    following = chain(heads, (len(starts),)).__next__
-    head = following()
+    following, end = iter(heads), len(starts)  # no event starts at or past end
+    head = next(following, end)
     for tail in tails:
         start = starts[tail]
         while head < start:
-            push(head)
-            hold(-1)
-            head = following()
+            stack.append(head)
+            head = next(following, end)
         if stack:
-            w = tail - pop() - 1
-            h = release()
-            if h > w:
-                w = h
-            emit(w)
-            if held and held[-1] < w:
-                held[-1] = w
+            out.append(tail - stack.pop() - 1)
 
 
 Thresholds = dict[Edge, list[int]]
@@ -290,8 +277,8 @@ def window_thresholds(graph: CausalityGraph, units: Iterable[tuple[Positions, in
     only positions and event starts, and a shape fixes both, since
     positions count 0, 1, ... within it.  So equal slices pair their
     tails at equal thresholds, and each distinct shape is matched
-    once: a shape seen once writes its thresholds straight into the
-    edge's list, and one seen count times repeats them count times.
+    once, its thresholds written straight into the edge's list and
+    repeated there count times in all.
     Each unit is visited through the out-edges of the nodes it holds,
     so a small slice costs little however large the graph.
     """
@@ -305,12 +292,10 @@ def window_thresholds(graph: CausalityGraph, units: Iterable[tuple[Positions, in
                 tails = positions.get(tail)
                 if not tails:
                     continue
-                if count == 1:
-                    _thresholds(heads, tails, starts, out)
-                else:
-                    paired: list[int] = []
-                    _thresholds(heads, tails, starts, paired)
-                    out.extend(paired * count)
+                n = len(out)
+                _thresholds(heads, tails, starts, out)
+                if count > 1:
+                    out.extend(out[n:] * (count - 1))
     for out in found.values():
         out.sort()
     return found

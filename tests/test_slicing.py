@@ -282,8 +282,7 @@ def test_thresholds_from_counted_shapes_match_every_naive_slice(traces, missing,
     st.integers(2, 4),
 )
 def test_a_counted_unit_matches_its_repeats(trace, policy, k):
-    # a unit counted k times gives what k single copies give: the
-    # repeated-shape branch against the one that writes in place
+    # a unit counted k times gives what k single copies give
     graph = build_graph(unique_messages([trace]), set(), set())
     for unit, _ in slice_units(graph, trace, policy):
         assert window_thresholds(graph, [(unit, k)]) == window_thresholds(graph, [(unit, 1)] * k)
