@@ -120,9 +120,6 @@ class CausalityGraph:
         with a table, 1-based insertion rank otherwise."""
         return self._ordinals[msg]
 
-    def messages_by_ordinal(self) -> dict[int, Message]:
-        return {o: m for m, o in self._ordinals.items()}
-
     def with_edge_supports(self, supports: Mapping[Edge, int]) -> "CausalityGraph":
         """A copy with the same structure and node supports, and edge
         supports read from supports (0 where it has no entry)."""

@@ -83,12 +83,12 @@ def _parse_window(text: str) -> tuple[str, int | None]:
 
 
 def _parse_instances(text: str) -> int | dict[str, int]:
-    if text.isdigit():
+    if text.isdecimal():
         return int(text)
     counts: dict[str, int] = {}
     for item in text.split(","):
         name, sep, num = item.partition("=")
-        if not sep or not name or not num.isdigit():
+        if not sep or not name or not num.isdecimal():
             raise ValueError("instances must be a count or name=count[,name=count...], got %r" % text)
         counts[name.strip()] = int(num)
     return counts
@@ -158,8 +158,9 @@ def _report_rows(result: ExtractResult, top: int) -> list[dict]:
     rows = []
     for rank, sol in enumerate(result.pool[:top], start=1):
         edges = [
-            {"head": _msg_obj(h), "tail": _msg_obj(t), "count": sol.value((h, t))}
-            for h, t in sol.nonzero_edges()
+            {"head": _msg_obj(h), "tail": _msg_obj(t), "count": count}
+            for (h, t), count in sol.items()
+            if count
         ]
         rows.append({"rank": rank, "size": sol.size, "edges": edges})
     return rows

@@ -60,8 +60,6 @@ from .transport import SearchStats, Shortfall, max_flow, minimum_models
 
 log = logging.getLogger(__name__)
 
-REDUCTION_ORDERS = ("ascending-support", "descending-support", "index")
-
 
 class NoFeasibleWindowError(RuntimeError):
     """No window length among auto_window's candidates admits a
@@ -99,31 +97,22 @@ class ExtractResult:
     annotate_s: float = 0.0  # seconds auto_window spent in prepare_annotation
 
 
-def _pin_order(sol: Solution, order: str) -> list[int]:
-    candidates = [i for i, v in enumerate(sol.values) if v > 0]
-    if order == "ascending-support":
-        candidates.sort(key=lambda i: (sol.problem.uppers[i], i))
-    elif order == "descending-support":
-        candidates.sort(key=lambda i: (-sol.problem.uppers[i], i))
-    return candidates
-
-
-def reduce_model(problem: ConstraintProblem, sol: Solution, order: str = "ascending-support") -> Solution:
+def reduce_model(problem: ConstraintProblem, sol: Solution) -> Solution:
     """Walk one pin-to-zero path down from sol: a local minimum.
 
-    Each step pins the first non-zero edge (in the given order) whose
-    pin leaves the problem feasible, then continues from the new
-    solution with the pin kept.  The walk ends when every single pin
-    is infeasible.  Solutions along the way may grow (pins can force
-    flow onto more edges); the result is never larger than the input,
+    Each step pins the first non-zero edge, in ascending (upper bound,
+    edge number) order, whose pin (pin_zero: its upper bound set to 0)
+    leaves the problem feasible, then continues from the new solution
+    with the pin kept.  The walk ends when every single pin is
+    infeasible.  Solutions along the way may grow (pins can force flow
+    onto more edges); the result is never larger than the input,
     falling back to the input when the walk strands high.  mine does
     not call it: model_extract finds the global minima.
     """
-    if order not in REDUCTION_ORDERS:
-        raise ValueError("unknown reduction order %r" % (order,))
     current_p, current_s = problem, sol
     while True:
-        for i in _pin_order(current_s, order):
+        used = [i for i, v in enumerate(current_s.values) if v > 0]
+        for i in sorted(used, key=lambda i: (current_p.uppers[i], i)):
             nxt = solve(pin_zero(current_p, current_p.edges[i]))
             if nxt is not None:
                 current_p, current_s = nxt.problem, nxt

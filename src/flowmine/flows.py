@@ -77,7 +77,6 @@ class Flow:
 @dataclass(frozen=True)
 class FlowSpec:
     flows: tuple[Flow, ...]
-    table: MessageTable | None = None
 
     def __post_init__(self):
         names = [f.name for f in self.flows]
@@ -127,7 +126,7 @@ def parse_flowspec(text: str, table: MessageTable | None = None) -> FlowSpec:
         else:
             raise ParseError("expected 'flow <name>:' or 'branch: ...'", lineno)
     close(len(text.splitlines()))
-    spec = FlowSpec(tuple(flows), table)
+    spec = FlowSpec(tuple(flows))
     if not spec.flows:
         raise ParseError("no flows defined")
     return spec

@@ -17,7 +17,8 @@ tail instances were really triggered by head instances.
 A node side without any edges gets no constraint (logged and listed
 in ConstraintProblem.skipped, since for an interior node that usually
 means the trace set is too thin).
-Edges with support 0 stay as variables pinned to that bound.
+Edges with support 0 stay as variables with upper bound 0; forbidding
+an edge (pin_zero) is the same thing: its upper bound becomes 0.
 
 Infeasibility is an answer, not an error: it says the observed
 supports admit no explanation, e.g. because a window is too tight.
@@ -36,7 +37,7 @@ so its solution stream is deterministic and distinct by construction.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -64,25 +65,10 @@ class ConstraintProblem:
     ordinals: tuple[tuple[int, int], ...]  # (head, tail) node numbers per edge
     uppers: tuple[int, ...]
     balances: tuple[Balance, ...]
-    pinned: frozenset[int] = frozenset()
     skipped: tuple[tuple[str, str], ...] = ()  # (node, side) of each balance left out for want of edges
-    _index: dict[Edge, int] = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index.update({e: i for i, e in enumerate(self.edges)})
 
     def var_name(self, i: int) -> str:
         return "c_%d_%d" % self.ordinals[i]
-
-    def index_of(self, edge: Edge) -> int:
-        try:
-            return self._index[edge]
-        except KeyError:
-            raise ValueError("edge %s -> %s is not in the problem" % (edge[0].label(), edge[1].label())) from None
-
-    def effective_upper(self, i: int) -> int:
-        return 0 if i in self.pinned else self.uppers[i]
 
 
 @dataclass(frozen=True)
@@ -93,9 +79,6 @@ class Solution:
     @property
     def size(self) -> int:
         return sum(1 for v in self.values if v > 0)
-
-    def value(self, edge: Edge) -> int:
-        return self.values[self.problem.index_of(edge)]
 
     def items(self) -> Iterator[tuple[Edge, int]]:
         return iter(zip(self.problem.edges, self.values))
@@ -144,9 +127,13 @@ def build_constraints(graph: CausalityGraph) -> ConstraintProblem:
 
 
 def pin_zero(problem: ConstraintProblem, edge: Edge) -> ConstraintProblem:
-    """A copy of the problem with one edge forced to zero."""
-    i = problem.index_of(edge)
-    return replace(problem, pinned=problem.pinned | {i}, _index=problem._index)
+    """A copy of the problem with one edge forced to zero: its upper
+    bound set to 0."""
+    try:
+        i = problem.edges.index(edge)
+    except ValueError:
+        raise ValueError("edge %s -> %s is not in the problem" % (edge[0].label(), edge[1].label())) from None
+    return replace(problem, uppers=problem.uppers[:i] + (0,) + problem.uppers[i + 1 :])
 
 
 def _propagate(domains: list[tuple[int, int]], balances: tuple[Balance, ...]) -> bool:
@@ -202,7 +189,7 @@ def _leaves(domains: list[tuple[int, int]], balances: tuple[Balance, ...]) -> It
 
 def solutions(problem: ConstraintProblem) -> Iterator[Solution]:
     """All solutions, distinct and deterministically ordered."""
-    domains = [(0, problem.effective_upper(i)) for i in range(len(problem.edges))]
+    domains = [(0, upper) for upper in problem.uppers]
     for assignment in _leaves(domains, problem.balances):
         yield Solution(problem, assignment)
 
@@ -230,8 +217,6 @@ def export_smtlib(problem: ConstraintProblem) -> str:
         lines.append("(declare-const %s Int)" % name)
     for i, name in enumerate(names):
         lines.append("(assert (and (<= 0 %s) (<= %s %d)))" % (name, name, problem.uppers[i]))
-    for i in sorted(problem.pinned):
-        lines.append("(assert (= %s 0))" % names[i])
     for b in problem.balances:
         term = names[b.vars[0]] if len(b.vars) == 1 else "(+ %s)" % " ".join(names[v] for v in b.vars)
         lines.append("(assert (= %s %d)) ; %s %s" % (term, b.total, b.node, b.side))
@@ -241,11 +226,10 @@ def export_smtlib(problem: ConstraintProblem) -> str:
 
 
 def check_solution(problem: ConstraintProblem, values: Iterable[int]) -> bool:
-    """Does an assignment satisfy bounds, pins, and balances?"""
+    """Does an assignment satisfy bounds and balances?"""
     vals = tuple(values)
     if len(vals) != len(problem.edges):
         return False
-    for i, v in enumerate(vals):
-        if v < 0 or v > problem.effective_upper(i):
-            return False
+    if any(v < 0 or v > upper for v, upper in zip(vals, problem.uppers)):
+        return False
     return all(sum(vals[v] for v in b.vars) == b.total for b in problem.balances)

@@ -364,7 +364,7 @@ def _parse_token(token: str, table: MessageTable | None, lineno: int) -> Message
     index or a triple, which may carry no attributes."""
     head, sep, _ = token.partition(";")
     # a fault in the index or triple is reported first
-    msg = _parse_index(head, table, lineno) if head.isdigit() else _parse_triple(head, lineno)
+    msg = _parse_index(head, table, lineno) if head.isdecimal() else _parse_triple(head, lineno)
     if sep:
         raise ParseError("%r carries attributes; the tag adds them" % token, lineno)
     return msg
@@ -457,7 +457,7 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
 
     def resolve(token: str, lineno: int) -> int:
         """The message id of a token cut at its first ';'."""
-        if token.isdigit():
+        if token.isdecimal():
             return intern(_parse_index(token, table, lineno))
         head = token[:-1] if token[-1] == ";" else token
         mid = heads.get(head)

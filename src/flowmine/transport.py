@@ -6,11 +6,11 @@ Feasibility
 Each edge variable lies in exactly one out-balance (its head's) and
 one in-balance (its tail's), so the system is a bipartite
 transportation problem: source -> out-balance (capacity its total)
--> in-balance (capacity upper(e), 0 if pinned) -> sink (capacity its
-total).  It is feasible iff the two sides' totals are equal and the
-maximum flow saturates them.  When it does not, the minimum cut names
-a Hall violation: out-balances whose total exceeds what their
-in-balance neighbours can take from them (shortfall).
+-> in-balance (capacity upper(e); 0 for a forbidden edge) -> sink
+(capacity its total).  It is feasible iff the two sides' totals are
+equal and the maximum flow saturates them.  When it does not, the
+minimum cut names a Hall violation: out-balances whose total exceeds
+what their in-balance neighbours can take from them (shortfall).
 
 Smallest models
 ---------------
@@ -90,12 +90,11 @@ class _Network:
     out-balance head[e] to in-balance tail[e], at most cap[e]."""
 
     def __init__(self, problem: ConstraintProblem):
-        m = len(problem.edges)
         self.outs = [b for b in problem.balances if b.side == "out"]
         self.ins = [b for b in problem.balances if b.side == "in"]
         self.head = self._ends(problem, self.outs)
         self.tail = self._ends(problem, self.ins)
-        self.cap = [problem.effective_upper(i) for i in range(m)]
+        self.cap = list(problem.uppers)
 
     @staticmethod
     def _ends(problem: ConstraintProblem, side: list[Balance]) -> list[int]:

@@ -136,7 +136,7 @@ def brute_force_solutions(problem, cap: int = BRUTE_FORCE_CAP) -> list[tuple[int
 
     Refuses to run when the box holds more than cap points.
     """
-    ranges = [range(problem.effective_upper(i) + 1) for i in range(len(problem.edges))]
+    ranges = [range(upper + 1) for upper in problem.uppers]
     total = math.prod(map(len, ranges))
     if total > cap:
         raise ValueError("assignment space %d exceeds cap %d" % (total, cap))
@@ -235,7 +235,7 @@ def reference_parse_token(token: str, lineno: int) -> tuple[Message, dict | None
     the triple first, then its key=value attributes in order, then
     the attribute names (a bad name raises a ValueError, no line).
     The message and its attributes, None for none."""
-    if token.isdigit():
+    if token.isdecimal():
         raise ParseError("index token %r needs a message table" % token, lineno)
     head, *pairs = token.split(";")
     parts = head.split(":")
@@ -280,7 +280,7 @@ def reference_parse_trace(text: str, table=None) -> list[list[tuple[Message, dic
         event = []
         for token in tokens:
             try:
-                if token.isdigit() and table is not None:
+                if token.isdecimal() and table is not None:
                     event.append((table.message_at(int(token)), None))
                 else:
                     event.append(reference_parse_token(token, lineno))

@@ -84,6 +84,25 @@ def test_gen_rejects_bad_instances(paths, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# '²' is a digit to str.isdigit but not a decimal that int() reads: the
+# grammar, not Python's int parser, names the fault
+@pytest.mark.parametrize("case", ["instances", "named-instances", "trace-line", "flow-branch"])
+def test_a_superscript_digit_is_named_by_the_grammar(paths, tmp_path, capsys, case):
+    trace_file, spec_file = tmp_path / "sup.trace", tmp_path / "sup.flow"
+    trace_file.write_text("²\n", encoding="utf-8")
+    spec_file.write_text("flow f:\n  branch: ²\n", encoding="utf-8")
+    instances = "error: instances must be a count or name=count[,name=count...], got %r\n"
+    argv, error = {
+        "instances": (["gen", "--spec", paths["spec"], "--instances", "²"], instances % "²"),
+        "named-instances": (["gen", "--spec", paths["spec"], "--instances", "read=²"], instances % "read=²"),
+        "trace-line": (["mine", "--trace", str(trace_file), "--out", str(tmp_path / "mined")],
+                       "error: %s: line 1: expected 'src:dest:cmd', got '²'\n" % trace_file),
+        "flow-branch": (["gen", "--spec", str(spec_file)], "error: line 2: expected 'src:dest:cmd', got '²'\n"),
+    }[case]
+    assert main(argv + ["--table", paths["table"]]) == EXIT_INPUT
+    assert capsys.readouterr().err == error
+
+
 def test_slice_partitions_tagged_trace(paths, tmp_path, table):
     trace_file = tmp_path / "tagged.trace"
     assert main(["gen", "--spec", paths["spec"], "--table", paths["table"],
@@ -657,6 +676,20 @@ def test_export_smt_stdout(paths, capsys):
     assert main(argv) == EXIT_OK
     forms = check_smtlib(capsys.readouterr().out)
     assert ["check-sat"] in forms
+
+
+# sha256 of export-smt's stdout on mixed.trace, per --window
+SMT_DIGESTS = {
+    "off": "9298373c5b658fee9bcccbc966ade5b6eddee546513a56a66f5282c239627a98",
+    "2": "4e62b12dd8fc17b2338404fc4720806ab1a9736158e4e33650697502d480d4dd",
+}
+
+
+@pytest.mark.parametrize("window", list(SMT_DIGESTS))
+def test_export_smt_output_is_byte_identical(paths, capsys, window):
+    argv = ["export-smt", "--trace", paths["mixed_trace"], "--table", paths["table"], "--window", window]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SMT_DIGESTS[window]
 
 
 def test_export_smt_requires_concrete_window(paths, capsys):

@@ -18,7 +18,6 @@ from flowmine import (
     enumerate_solutions,
     generate,
     model_extract,
-    pin_zero,
     reduce_model,
     shortfall,
     solve,
@@ -210,17 +209,6 @@ def test_auto_window_matches_linear_scan_on_generated_traces(flowspec, instances
     assert_search_matches_scan([generate(flowspec, cfg)], policy)
 
 
-def test_reduction_orders_are_all_valid(mixed_trace, table):
-    p = mixed_problem(mixed_trace, table)
-    sol = solve(p)
-    for order in ("ascending-support", "descending-support", "index"):
-        reduced = reduce_model(p, sol, order)
-        assert reduced.size <= sol.size
-        assert check_solution(p, reduced.values)
-    with pytest.raises(ValueError):
-        reduce_model(p, sol, "sideways")
-
-
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 10**6))
 def test_reduction_monotone_on_random_problems(seed):
@@ -284,7 +272,7 @@ def test_node_supports_count_ids(traces, sliced):
     # flattened trace
     prepared = prepare_annotation(traces, SlicePolicy("pid") if sliced else None)
     graph = prepared.graph
-    at = graph.messages_by_ordinal()
+    at = {graph.ordinal(m): m for m in graph.nodes}
     expected = dict.fromkeys(graph.nodes, 0)
     for t in traces:
         positions = instance_positions(graph, t)

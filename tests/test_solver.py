@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,10 +98,17 @@ def test_enumeration_respects_limit_and_is_deterministic(mixed_trace, table):
 
 def test_pin_zero_forces_and_preserves_siblings(mixed_trace, table):
     p = mixed_problem(mixed_trace, table)
-    edge = p.edges[p.index_of(edge=(table.message_at(1), table.message_at(5)))]
+    edge = (table.message_at(1), table.message_at(5))
+    i = p.edges.index(edge)
     pinned = pin_zero(p, edge)
+    # a pin is a zero upper bound; every other field stays as it was
+    assert p.uppers[i] > 0 and pinned.uppers[i] == 0
+    assert pinned == replace(p, uppers=pinned.uppers)
+    assert pinned.uppers[:i] + pinned.uppers[i + 1 :] == p.uppers[:i] + p.uppers[i + 1 :]
     sol = solve(pinned)
-    assert sol is not None and sol.value(edge) == 0
+    assert sol is not None and sol.values[i] == 0
+    with pytest.raises(ValueError, match=r"edge .* -> .* is not in the problem"):
+        pin_zero(p, (table.message_at(2), table.message_at(1)))
     # pinning an already-zero-bound edge changes nothing
     zero_edge = (table.message_at(6), table.message_at(5))
     p2 = build_constraints(annotated_graph([mixed_trace], window=2, table=table))
@@ -140,6 +148,14 @@ def test_brute_force_caps_search_space():
         brute_force_solutions(p)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.integers(0, 7))
+def test_pin_zero_keeps_exactly_the_solutions_that_zero_the_edge(seed, k):
+    p = random_problem(seed)
+    i = k % len(p.edges)
+    assert brute_force_solutions(pin_zero(p, p.edges[i])) == [a for a in brute_force_solutions(p) if a[i] == 0]
+
+
 def test_smtlib_export_is_wellformed(mixed_trace, table):
     p = mixed_problem(mixed_trace, table)
     script = export_smtlib(p)
@@ -152,11 +168,12 @@ def test_smtlib_export_is_wellformed(mixed_trace, table):
 
 
 def test_smtlib_export_encodes_pins(mixed_trace, table):
+    # a pin is an upper bound of 0, where c_1_2's bound was above 0
     p = mixed_problem(mixed_trace, table)
-    p = pin_zero(p, p.edges[0])
-    script = export_smtlib(p)
+    assert "(<= c_1_2 0)" not in export_smtlib(p)
+    script = export_smtlib(pin_zero(p, p.edges[0]))
     check_smtlib(script)
-    assert "(assert (= c_1_2 0))" in script
+    assert "(assert (and (<= 0 c_1_2) (<= c_1_2 0)))" in script
 
 
 def test_search_deeper_than_the_recursion_limit():

@@ -67,7 +67,7 @@ def assert_witness_holds(p, why):
     leaving = {v for b in chosen for v in b.vars}
     takes = {}
     for b in ins.values():
-        upper = sum(p.effective_upper(v) for v in b.vars if v in leaving)
+        upper = sum(p.uppers[v] for v in b.vars if v in leaving)
         if upper:
             takes[b.node] = min(b.total, upper)
     assert set(why.in_nodes) == set(takes)
@@ -116,7 +116,7 @@ def test_search_finds_exactly_the_brute_force_minima(seed):
     for m in models:
         # the reported counts: a solution, with every support edge used
         assert check_solution(p, m.values)
-        assert all(m.value(e) >= 1 for e in m.nonzero_edges())
+        assert all(m.values[p.edges.index(e)] >= 1 for e in m.nonzero_edges())
         assert m.size == len(m.nonzero_edges())
     keys = [m.rank_key() for m in models]
     assert keys == sorted(keys)
@@ -196,9 +196,9 @@ def test_search_expands_no_node_twice_on_random_problems(seed):
 
 
 def own_max_flow(p, values) -> tuple[int, ...]:
-    """One max flow over just the edges values uses: the others pinned to 0."""
-    unused = frozenset(i for i, v in enumerate(values) if not v)
-    return tuple(max_flow(replace(p, pinned=p.pinned | unused, _index=p._index))[0])
+    """One max flow over just the edges values uses: the others' upper
+    bounds set to 0."""
+    return tuple(max_flow(replace(p, uppers=tuple(u if v else 0 for u, v in zip(p.uppers, values))))[0])
 
 
 def assert_counts_are_each_minimums_own_max_flow(p):
