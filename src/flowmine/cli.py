@@ -30,7 +30,16 @@ from .extract import (  # noqa: F401
     model_extract,
 )
 from .flows import GenConfig, generate, parse_flowspec
-from .fsa import EXHAUSTIVE_BUDGET, STRATEGIES, acceptance_ratio, derive_fsa, fsa_from_json, fsa_to_json, to_dot
+from .fsa import (
+    EXHAUSTIVE_BUDGET,
+    STRATEGIES,
+    acceptance_ratio,
+    derive_fsa,
+    fsa_from_json,
+    fsa_to_json,
+    json_text,
+    to_dot,
+)
 from .slicing import labeled_slices, parse_policy
 from .solver import build_constraints, export_smtlib
 from .trace import (
@@ -54,18 +63,20 @@ def _read(path: str) -> str:
         raise ValueError("%s: %s" % (path, exc)) from None
 
 
+def _parse_file(path: str, parse, *args):
+    """parse(text of path, *args), naming the file in a parse error."""
+    try:
+        return parse(_read(path), *args)
+    except ParseError as exc:
+        raise ParseError("%s: %s" % (path, exc)) from None
+
+
 def _load_table(path: str | None) -> MessageTable | None:
-    return parse_message_table(_read(path)) if path else None
+    return _parse_file(path, parse_message_table) if path else None
 
 
 def _load_traces(paths: list[str], table: MessageTable | None) -> list[Trace]:
-    traces = []
-    for path in paths:
-        try:
-            traces.append(parse_trace(_read(path), table))
-        except ParseError as exc:
-            raise ParseError("%s: %s" % (path, exc)) from None
-    return traces
+    return [_parse_file(path, parse_trace, table) for path in paths]
 
 
 def _parse_window(text: str) -> tuple[str, int | None]:
@@ -107,7 +118,7 @@ def _msg_obj(m) -> dict:
 
 def cmd_gen(args) -> int:
     table = _load_table(args.table)
-    spec = parse_flowspec(_read(args.spec), table)
+    spec = _parse_file(args.spec, parse_flowspec, table)
     cfg = GenConfig(
         instances=_parse_instances(args.instances),
         seed=args.seed,
@@ -149,7 +160,7 @@ def cmd_slice(args) -> int:
     for (label, part), name in zip(slices, names):
         (out_dir / name).write_text(serialize_trace(part, table), encoding="utf-8")
         index[label] = {"file": name, "messages": part.msg_count}
-    (out_dir / "slices.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out_dir / "slices.json").write_text(json_text(index), encoding="utf-8")
     print("%d slices -> %s" % (len(index), out_dir))
     return EXIT_OK
 
@@ -185,8 +196,7 @@ def _summary(
 def _write_summary(args, summary: dict) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    (out_dir / "summary.json").write_text(text, encoding="utf-8")
+    (out_dir / "summary.json").write_text(json_text(summary), encoding="utf-8")
 
 
 def _infeasible(args, exc: NoFeasibleWindowError, summary: dict) -> int:
@@ -227,12 +237,8 @@ def cmd_mine(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "model.json").write_text(fsa_to_json(fsa), encoding="utf-8")
     (out_dir / "model.dot").write_text(to_dot(fsa, table), encoding="utf-8")
-    (out_dir / "graph.json").write_text(
-        json.dumps(dump_graph(graph), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out_dir / "report.json").write_text(
-        json.dumps(_report_rows(result, args.top), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out_dir / "graph.json").write_text(json_text(dump_graph(graph)), encoding="utf-8")
+    (out_dir / "report.json").write_text(json_text(_report_rows(result, args.top)), encoding="utf-8")
     stages = {
         "parse": started - parsing,
         "annotate": result.annotate_s,
@@ -276,7 +282,7 @@ def cmd_eval(args) -> int:
             {"event": e_idx, "msg": _msg_obj(m)} for e_idx, m in report.rejected
         ],
     }
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(obj))
     return EXIT_OK
 
 

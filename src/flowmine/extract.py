@@ -18,14 +18,16 @@ matching reads only positions and event order within a slice, and
 the shape fixes both (see slicing).  Any window length then reads its
 edge supports from those thresholds with one bisection per edge.  The
 constraints are built once per window search: a probe swaps in its
-edge supports as the upper bounds and runs one max flow.
+edge supports as the upper bounds and runs one max flow.  The
+thresholds also bound the feasible window lengths from below
+(window_floor), so the search usually ends after one probe.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -195,6 +197,34 @@ def annotated_graph(
     return prepare_annotation(traces, slice_policy, table).at(window)
 
 
+def window_floor(problem: ConstraintProblem, thresholds: Thresholds) -> int | None:
+    """A lower bound on the smallest feasible window length, or None
+    when no window length is feasible.
+
+    At window length w an edge's upper bound counts its thresholds
+    <= w, so a balance's uppers sum to the count of thresholds <= w
+    over its edges, and a balance of total t is met only from the w at
+    which that count reaches t: the t-th smallest of its thresholds.
+    The floor is the largest such w over the balances (0 when every
+    total is 0), found by bisection from the floor so far; it is None
+    when some balance has fewer than t thresholds in all, and so falls
+    short even with no window.
+    """
+    floor = 0
+    for b in problem.balances:
+        found = [thresholds[problem.edges[v]] for v in b.vars]
+        if sum(map(len, found)) < b.total:
+            return None
+
+        def met(w: int) -> bool:
+            return sum(bisect_right(f, w) for f in found) >= b.total
+
+        if not met(floor):
+            above = range(floor + 1, max(f[-1] for f in found if f) + 1)
+            floor = above[bisect_left(above, True, key=met)]
+    return floor
+
+
 def auto_window(
     traces: Sequence[Trace],
     slice_policy: SlicePolicy | None = None,
@@ -213,15 +243,18 @@ def auto_window(
     is one of these, and the largest has the supports of no window.
     The constraints are built once, from the window-independent
     graph, so each construction warning is logged once per search; a
-    probe replaces only the upper bounds and runs one max flow.  The
-    search probes the first candidate (w = 0 for "auto"), then
-    bisects the rest.  The graph is annotated and models are
-    extracted once, at the length found, the search starting from
-    the saturating flow of the probe that admitted it, and (w, graph,
-    extraction) is returned; the extraction's windows_tried counts
-    the probes, its solves include their max flows (none for a probe
-    whose balance totals differ), and annotate_s is the time taken
-    by prepare_annotation.
+    probe replaces only the upper bounds and runs one max flow.  For
+    "auto" the search first probes window_floor, below which no
+    candidate is feasible, and bisects the candidates above it only
+    when that probe fails; when the floor is None it probes only the
+    last candidate, for its shortfall.  A single candidate is one
+    probe.  The graph is annotated and models are extracted once, at
+    the length found, the search starting from the saturating flow of
+    the probe that admitted it, and (w, graph, extraction) is
+    returned; the extraction's windows_tried counts the probes, its
+    solves include their max flows (none for a probe whose balance
+    totals differ), and annotate_s is the time taken by
+    prepare_annotation.
     Raises NoFeasibleWindowError, with the problem at the last
     candidate, its shortfall and the probes, when no candidate works.
     """
@@ -229,7 +262,12 @@ def auto_window(
     prepared = prepare_annotation(traces, slice_policy, table)
     annotate_s = time.perf_counter() - started
     skeleton = build_constraints(prepared.graph)
-    windows = sorted({0}.union(*prepared.thresholds.values())) if window == "auto" else [window]
+    if window == "auto":
+        windows = sorted({0}.union(*prepared.thresholds.values()))
+        floor = window_floor(skeleton, prepared.thresholds)
+        first = len(windows) - 1 if floor is None else bisect_left(windows, floor)
+    else:
+        windows, first = [window], 0
     probed: dict[int | None, tuple[ConstraintProblem, list[int] | None, Shortfall | None]] = {}
 
     def feasible(w: int | None) -> bool:
@@ -237,7 +275,7 @@ def auto_window(
         probed[w] = (problem, *max_flow(problem))
         return probed[w][1] is not None
 
-    found = 0 if feasible(windows[0]) else bisect_left(windows, True, lo=1, key=feasible)
+    found = first if feasible(windows[first]) else bisect_left(windows, True, lo=first + 1, key=feasible)
     flows = sum(1 if short is None else short.flows for _, _, short in probed.values())
     if found == len(windows):
         problem, _, short = probed[windows[-1]]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, count
@@ -326,6 +327,73 @@ def _sorted_transitions(fsa: FSA) -> list[tuple[str, Message, str]]:
     return items
 
 
+_QUOTE = json.encoder.encode_basestring_ascii  # the C escaper json.dumps quotes strings with
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) + "\\n", character for
+    character, for every file and report the CLI writes.
+
+    With an indent, json.dumps runs the standard library's pure-Python
+    encoder; this writer recurses on the value's type instead and
+    quotes strings with the same C escaper.  It takes str, int, float,
+    bool and None, lists and tuples, and dicts with str keys; any other
+    key or value type raises TypeError.
+    """
+    parts: list[str] = []
+    _json_into(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _json_into(obj, newline: str, parts: list[str]) -> None:
+    """Append obj's text to parts; newline is the line break and
+    indentation of obj's own level."""
+    if isinstance(obj, str):
+        parts.append(_QUOTE(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj != obj:
+            parts.append("NaN")
+        elif obj in (math.inf, -math.inf):
+            parts.append("Infinity" if obj > 0 else "-Infinity")
+        else:
+            parts.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _json_into(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            parts.append(sep + _QUOTE(key) + ": ")
+            _json_into(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
 def fsa_to_json(fsa: FSA) -> str:
     obj = {
         "states": list(fsa.states),
@@ -335,7 +403,7 @@ def fsa_to_json(fsa: FSA) -> str:
             for src, m, dst in _sorted_transitions(fsa)
         ],
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json_text(obj)
 
 
 def fsa_from_json(text: str) -> FSA:

@@ -97,7 +97,8 @@ def test_a_superscript_digit_is_named_by_the_grammar(paths, tmp_path, capsys, ca
         "named-instances": (["gen", "--spec", paths["spec"], "--instances", "read=²"], instances % "read=²"),
         "trace-line": (["mine", "--trace", str(trace_file), "--out", str(tmp_path / "mined")],
                        "error: %s: line 1: expected 'src:dest:cmd', got '²'\n" % trace_file),
-        "flow-branch": (["gen", "--spec", str(spec_file)], "error: line 2: expected 'src:dest:cmd', got '²'\n"),
+        "flow-branch": (["gen", "--spec", str(spec_file)],
+                        "error: %s: line 2: expected 'src:dest:cmd', got '²'\n" % spec_file),
     }[case]
     assert main(argv + ["--table", paths["table"]]) == EXIT_INPUT
     assert capsys.readouterr().err == error
@@ -152,12 +153,14 @@ def test_mine_auto_window(paths, tmp_path, capsys):
     assert report[0]["rank"] == 1 and report[0]["size"] == 7
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["window"] == {"mode": "auto", "value": 2}
-    # w = 0, then a bisection over the supports' change points 1, 2,
-    # 3 and 4 (window off) probes 3, 2 and 1
-    assert summary["windows_tried"] == 4
-    # the 4 probes, the last of which hands its flow to the search, 2
+    # the window floor, w = 1, where every balance's uppers reach its
+    # total but no flow saturates them; then a bisection over the
+    # supports' change points above it, 2, 3 and 4 (window off), probes
+    # 3 and 2
+    assert summary["windows_tried"] == 3
+    # the 3 probes, the last of which hands its flow to the search, 2
     # reroutes, and one max flow for the one minimum's counts
-    assert summary["solves"] == 7
+    assert summary["solves"] == 6
     assert summary["search"] == {
         "nodes": 16, "bound_prunes": 5, "minima": 1, "size_proved": True, "all_listed": True, "fallback": None,
     }
@@ -343,8 +346,9 @@ def test_mine_top_caps_the_report(paths, tmp_path, capsys):
 
 def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
     # These 1,932-message traces are feasible only from w = 52 and
-    # w = 172 on.  The search probes w = 0, then bisects the supports'
-    # change points, about 250 of them, up to window off: 9 probes.
+    # w = 172 on, among about 250 change points of the supports.  Both
+    # are the window floor, the first length at which every balance's
+    # uppers reach its total, so the search probes once.
     for seed, width in ((1001, 52), (11006, 172)):
         trace_file = tmp_path / ("long%d.trace" % seed)
         assert main(["gen", "--spec", paths["spec"], "--table", paths["table"], "--instances", "320",
@@ -355,8 +359,8 @@ def test_mine_long_trace_needing_a_wide_window(paths, tmp_path, capsys):
         assert capsys.readouterr().err == ""
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["window"] == {"mode": "auto", "value": width}
-        assert summary["windows_tried"] == 9
-        assert summary["solves"] == 9 + 20 + 6  # the probes, 20 reroutes, and each minimum's counts
+        assert summary["windows_tried"] == 1
+        assert summary["solves"] == 1 + 20 + 6  # the probe, 20 reroutes, and each minimum's counts
         assert summary["search"]["all_listed"] and summary["search"]["minima"] == summary["candidates"] == 6
         assert summary["best_size"] == 7
     # --max-window is still accepted, and ignored with a note: gen seed
@@ -759,6 +763,23 @@ def test_undecodable_input_is_named(paths, model_file, tmp_path, capsys, flag):
     assert capsys.readouterr().err == (
         "error: %s: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n" % bad
     )
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--table"])
+def test_parse_error_names_the_file(paths, tmp_path, capsys, flag):
+    # a parse error gives its line; with a spec, a table and traces on
+    # one command line, the file is named too
+    bad = tmp_path / "bad.input"
+    bad.write_text("# header\nbogus line\n", encoding="utf-8")
+    argv, error = {
+        "--spec": (["gen", "--spec", str(bad), "--table", paths["table"]],
+                   "expected 'flow <name>:' or 'branch: ...'"),
+        "--table": (["mine", "--trace", paths["mixed_trace"], "--table", str(bad), "--out", str(tmp_path / "mined")],
+                    "expected '<index> (<src>:<dest>:<cmd>)'"),
+    }[flag]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: %s: line 2: %s\n" % (bad, error)
+    assert not (tmp_path / "mined").exists()
 
 
 def test_config_file_supplies_defaults(paths, tmp_path):

@@ -24,7 +24,7 @@ from flowmine import (
     trace_of,
 )
 from flowmine.causality import instance_positions
-from flowmine.extract import annotated_graph, prepare_annotation
+from flowmine.extract import annotated_graph, prepare_annotation, window_floor
 
 from helpers import (
     admits_single_zeroing,
@@ -119,14 +119,15 @@ def test_auto_window_errors_when_no_window_is_feasible():
 def test_auto_window_warns_once_per_run(mixed_trace, caplog):
     # h reaches b before x leaves b, so x is not initial; h also comes
     # after x's last instance, so h is terminal and x is left with no
-    # incoming edge.  mixed_trace makes the search probe four windows.
+    # incoming edge.  mixed_trace makes the search probe three windows:
+    # the window floor, which fails, then two in the bisection above it.
     h, x = Message("a", "b", "go"), Message("b", "c", "out")
     side = trace_of([h], [x], [h])
     for _ in range(2):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="flowmine.solver"):
             w, _, result = auto_window([mixed_trace, side])
-        assert (w, result.windows_tried) == (2, 4)
+        assert (w, result.windows_tried) == (2, 3)
         assert [r.getMessage() for r in caplog.records] == [
             "node b:c:out has no incoming edges; in-balance skipped"
         ]
@@ -143,7 +144,7 @@ def test_auto_window_builds_the_constraints_once(mixed_trace, monkeypatch):
 
     monkeypatch.setattr(flowmine.extract, "build_constraints", counting)
     w, _, result = auto_window([mixed_trace])
-    assert (w, result.windows_tried) == (2, 4)
+    assert (w, result.windows_tried) == (2, 3)
     assert len(built) == 1
 
 
@@ -162,13 +163,19 @@ def test_probe_problem_is_the_problem_built_at_its_window(flowspec, instances, s
 def linear_window_scan(traces, slice_policy=None):
     """Reference for auto_window: try every w from 0 up, in order, to
     the longest trace's length, from where supports are those of no
-    window."""
+    window.  Checks that feasibility is monotone in w on the way."""
+    first = None
     for w in range(max(t.msg_count for t in traces) + 1):
         graph = annotated_graph(traces, window=w, slice_policy=slice_policy)
         problem = build_constraints(graph)
         if solve(problem) is not None:
-            return w, graph, model_extract(problem)
-    return None
+            first = first or (w, graph, problem)
+        else:
+            assert first is None, "feasible at w = %d but not at w = %d" % (first[0], w)
+    if first is None:
+        return None
+    w, graph, problem = first
+    return w, graph, model_extract(problem)
 
 
 SMALL_MESSAGES = st.builds(
@@ -179,14 +186,35 @@ SMALL_TRACES = st.lists(
 ).map(lambda evs: trace_of(*evs))
 
 
+def uppers_reach_totals(prepared, window):
+    """Does every balance's upper bound sum reach its total at window
+    length w?  The window floor is the first w at which they all do."""
+    problem = build_constraints(prepared.at(window))
+    return all(sum(problem.uppers[v] for v in b.vars) >= b.total for b in problem.balances)
+
+
 def assert_search_matches_scan(traces, slice_policy=None):
     expected = linear_window_scan(traces, slice_policy)
+    prepared = prepare_annotation(traces, slice_policy)
+    floor = window_floor(build_constraints(prepared.graph), prepared.thresholds)
+    if floor is None:
+        assert not uppers_reach_totals(prepared, None)
+    else:
+        assert uppers_reach_totals(prepared, floor) and (floor == 0 or not uppers_reach_totals(prepared, floor - 1))
     if expected is None:
-        with pytest.raises(NoFeasibleWindowError):
+        with pytest.raises(NoFeasibleWindowError) as raised:
             auto_window(traces, slice_policy=slice_policy)
+        # the witness is that of the last candidate, which has the
+        # supports of no window; a floor of None probes only that one
+        assert raised.value.shortfall == shortfall(build_constraints(prepared.at(None)))
+        assert floor is not None or raised.value.windows_tried == 1
         return
     w, graph, result = auto_window(traces, slice_policy=slice_policy)
     want_w, want_graph, want_result = expected
+    # no length below the floor is feasible, and the floor's probe is
+    # the only one exactly when the floor is the answer
+    assert floor is not None and floor <= want_w
+    assert (result.windows_tried == 1) == (floor == want_w)
     assert w == want_w
     assert dump_graph(graph) == dump_graph(want_graph)
     assert result.best.values == want_result.best.values
@@ -238,7 +266,7 @@ def test_solves_counts_every_max_flow(mixed_trace, table, routed):
     # one max flow per window probe, then the search's, which starts
     # from the admitting probe's flow: one per reroute around an
     # excluded edge, and one per minimum for its counts
-    assert result.windows_tried == 4
+    assert result.windows_tried == 3
     assert result.solves == len(routed) == result.windows_tried + result.search.flows
 
 

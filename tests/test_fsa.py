@@ -1,4 +1,6 @@
+import json
 import logging
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,6 +24,7 @@ from flowmine import (
     trace_of,
 )
 from flowmine.extract import annotated_graph
+from flowmine.fsa import json_text
 
 from helpers import attributed, check_dot, recursion_headroom, reference_exhaustive, reference_greedy
 
@@ -318,6 +321,37 @@ def test_json_round_trip(flowspec, pipelined_trace, table):
     assert fsa_to_json(back) == text
     report = acceptance_ratio(back, pipelined_trace, table=table)
     assert report.ratio == 1.0
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-10**4000, 10**4000)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150)
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[], {}], "d": ({"e": ()},)})
+@example(["\u00e9\u2028\U0001f600\ud800", "\x00\x1f\"\\", {"\u00fc\n": -0.0}])
+def test_json_text_is_the_indented_sorted_dump(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {None: 1}, {"a": {1, 2}}, [b"x"], {"a": [1, object()]}])
+def test_json_text_takes_only_str_keys_and_json_types(value):
+    with pytest.raises(TypeError):
+        json_text(value)
 
 
 def test_json_rejects_garbage():

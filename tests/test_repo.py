@@ -1,6 +1,7 @@
-"""Checks on files outside the package that run against it: the
-benchmark's tracer probes, the imports kept for them and its fallback
-counter, and the README's Python example and stated budgets and bounds."""
+"""Checks on files outside the package that run against it, and on the
+package's sources: the benchmark's tracer probes, the imports kept for
+them and its fallback counter, the one JSON writer, and the README's
+Python example and stated budgets and bounds."""
 
 import ast
 import contextlib
@@ -57,6 +58,19 @@ def test_unused_imports_are_tracer_probes(monkeypatch):
                     if ("flowmine." + path.stem, name) not in probed:
                         unprobed.append("flowmine.%s.%s" % (path.stem, name))
     assert unprobed == []
+
+
+def test_indented_json_goes_through_the_writer():
+    # with an indent, json.dumps runs the standard library's
+    # pure-Python encoder; every file and report goes through
+    # flowmine.fsa.json_text instead, which writes the same text
+    indented = []
+    for path in sorted(Path(flowmine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+                    and any(k.arg == "indent" for k in node.keywords)):
+                indented.append("%s:%d" % (path.name, node.lineno))
+    assert indented == []
 
 
 def test_tracer_counts_every_exhaustive_fallback(monkeypatch, flowspec, simul_trace, table):
