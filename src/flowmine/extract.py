@@ -245,16 +245,16 @@ def auto_window(
     graph, so each construction warning is logged once per search; a
     probe replaces only the upper bounds and runs one max flow.  For
     "auto" the search first probes window_floor, below which no
-    candidate is feasible, and bisects the candidates above it only
-    when that probe fails; when the floor is None it probes only the
-    last candidate, for its shortfall.  A single candidate is one
-    probe.  The graph is annotated and models are extracted once, at
-    the length found, the search starting from the saturating flow of
-    the probe that admitted it, and (w, graph, extraction) is
-    returned; the extraction's windows_tried counts the probes, its
-    solves include their max flows (none for a probe whose balance
-    totals differ), and annotate_s is the time taken by
-    prepare_annotation.
+    candidate is feasible and which is itself a candidate, and lists
+    the candidates, to bisect those above it, only when that probe
+    fails; when the floor is None it probes only the last candidate,
+    for its shortfall.  A single candidate is one probe.  The graph
+    is annotated and models are extracted once, at the length found,
+    the search starting from the saturating flow of the probe that
+    admitted it, and (w, graph, extraction) is returned; the
+    extraction's windows_tried counts the probes, its solves include
+    their max flows (none for a probe whose balance totals differ),
+    and annotate_s is the time taken by prepare_annotation.
     Raises NoFeasibleWindowError, with the problem at the last
     candidate, its shortfall and the probes, when no candidate works.
     """
@@ -262,19 +262,21 @@ def auto_window(
     prepared = prepare_annotation(traces, slice_policy, table)
     annotate_s = time.perf_counter() - started
     skeleton = build_constraints(prepared.graph)
-    if window == "auto":
-        windows = sorted({0}.union(*prepared.thresholds.values()))
-        floor = window_floor(skeleton, prepared.thresholds)
-        first = len(windows) - 1 if floor is None else bisect_left(windows, floor)
-    else:
-        windows, first = [window], 0
     probed: dict[int | None, tuple[ConstraintProblem, list[int] | None, Shortfall | None]] = {}
 
     def feasible(w: int | None) -> bool:
-        problem = replace(skeleton, uppers=prepared.uppers(skeleton.edges, w))
-        probed[w] = (problem, *max_flow(problem))
+        if w not in probed:
+            problem = replace(skeleton, uppers=prepared.uppers(skeleton.edges, w))
+            probed[w] = (problem, *max_flow(problem))
         return probed[w][1] is not None
 
+    windows, first = [window], 0
+    if window == "auto":
+        floor = window_floor(skeleton, prepared.thresholds)
+        windows = [floor]
+        if floor is None or not feasible(floor):
+            windows = sorted({0}.union(*prepared.thresholds.values()))
+            first = len(windows) - 1 if floor is None else bisect_left(windows, floor)
     found = first if feasible(windows[first]) else bisect_left(windows, True, lo=first + 1, key=feasible)
     flows = sum(1 if short is None else short.flows for _, _, short in probed.values())
     if found == len(windows):

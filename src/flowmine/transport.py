@@ -25,12 +25,15 @@ as it is, so the first dive is a greedy drop pass.  One lower bound
 prunes, the count bound: per balance, the included edges plus the
 fewest others whose uppers reach its total, summed over the
 out-balances, which partition the edges, and likewise over the
-in-balances.  A node whose bound exceeds the best size is cut; until
-that size is proved, one whose bound equals it is set aside.  When
-the stack empties no smaller support exists, and the walk takes up
-the set-aside nodes, keeping ties, so it lists every minimum and
-expands no node twice.  It stops after SEARCH_NODE_BUDGET nodes and
-then returns the smallest models found so far, named as a fallback.
+in-balances.  A node keeps each balance's term, so a child costs
+two terms, not a pass over every edge: it recomputes only those of
+the out- and in-balance holding the edge it decides.  A node whose
+bound exceeds the best size is cut; until that size is proved, one
+whose bound equals it is set aside.  When the stack empties no
+smaller support exists, and the walk takes up the set-aside nodes,
+keeping ties, so it lists every minimum and expands no node twice.
+It stops after SEARCH_NODE_BUDGET nodes and then returns the
+smallest models found so far, named as a fallback.
 
 The search keeps supports, not flows: a model's counts are one max
 flow over just its edges, so they depend on the model alone, not on
@@ -40,8 +43,10 @@ the order the search visited nodes in.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .solver import Balance, ConstraintProblem, Solution
 
@@ -95,6 +100,8 @@ class _Network:
         self.head = self._ends(problem, self.outs)
         self.tail = self._ends(problem, self.ins)
         self.cap = list(problem.uppers)
+        self.out_vars = [b.vars for b in self.outs]
+        self.in_vars = [b.vars for b in self.ins]
 
     @staticmethod
     def _ends(problem: ConstraintProblem, side: list[Balance]) -> list[int]:
@@ -114,7 +121,7 @@ class _Network:
         in place.  None once every excess is placed; otherwise the
         out-balances still reachable from the excess left over, which
         is the out side of a minimum cut."""
-        head, tail, outs, ins = self.head, self.tail, self.outs, self.ins
+        head, tail, out_vars, in_vars = self.head, self.tail, self.out_vars, self.in_vars
         while True:
             via_out = {k: -1 for k, x in enumerate(excess) if x}
             if not via_out:
@@ -124,7 +131,7 @@ class _Network:
             end = -1
             while queue and end < 0:
                 k = queue.popleft()
-                for e in outs[k].vars:
+                for e in out_vars[k]:
                     j = tail[e]
                     if j in via_in or flow[e] >= cap[e]:
                         continue
@@ -132,7 +139,7 @@ class _Network:
                     if deficit[j]:
                         end = j
                         break
-                    for back in ins[j].vars:
+                    for back in in_vars[j]:
                         k2 = head[back]
                         if flow[back] and k2 not in via_out:
                             via_out[k2] = back
@@ -175,7 +182,7 @@ class _Network:
             return flow, None
         into: dict[int, int] = {}
         for k in stuck:
-            for e in self.outs[k].vars:
+            for e in self.out_vars[k]:
                 if cap[e]:
                     into[self.tail[e]] = into.get(self.tail[e], 0) + cap[e]
         return None, Shortfall(
@@ -217,27 +224,31 @@ class SearchStats:
 
 class _BranchAndBound:
     """Every smallest support of one feasible network; see the module
-    docstring.  A search node is (included, excluded, flow, pending):
-    bit p of included (excluded) says edge order[p] is in (out), and
-    flow saturates the network without the excluded edges once
-    pending, the edge just excluded, has been rerouted around (-1:
-    nothing to reroute).  A node branches on the first undecided edge
-    in order that its flow uses; when there is none, the flow uses
-    included edges only and no completion is smaller.  Every minimum
-    support T is reached: the node that decides each branching edge
-    as T does allows T, so its count bound does not exceed |T|."""
+    docstring.  A search node is (included, excluded, flow, pending,
+    terms, bound): bit p of included (excluded) says edge order[p] is
+    in (out), flow saturates the network without the excluded edges
+    once pending, the edge just excluded, has been rerouted around (-1:
+    nothing to reroute), and terms holds the count bound's term per
+    balance, whose side sums give bound.  A node branches on the first
+    undecided edge in order that its flow uses; when there is none,
+    the flow uses included edges only and no completion is smaller.
+    Every minimum support T is reached: the node that decides each
+    branching edge as T does allows T, so its count bound does not
+    exceed |T|."""
 
     def __init__(self, net: _Network):
         self.net = net
         self.order = sorted((e for e, c in enumerate(net.cap) if c), key=self._order_key)
-        # per balance: its total, and (position in order, upper) of its
+        self.split = len(net.outs)
+        # per position in order, the out- and in-balance holding its
+        # edge; per balance, its total and (position, upper) of its
         # edges in order, which is ascending upper
-        self.sides = []
-        for side, ends in ((net.outs, net.head), (net.ins, net.tail)):
-            members: list[list[tuple[int, int]]] = [[] for _ in side]
-            for p, e in enumerate(self.order):
-                members[ends[e]].append((p, net.cap[e]))
-            self.sides.append([(b.total, ms) for b, ms in zip(side, members)])
+        self.holders = [(net.head[e], self.split + net.tail[e]) for e in self.order]
+        self.balances = [(b.total, []) for b in net.outs + net.ins]
+        for p, (e, pair) in enumerate(zip(self.order, self.holders)):
+            for k in pair:
+                self.balances[k][1].append((p, net.cap[e]))
+        self.unmet = len(self.order) + 1  # a term above every support's size
         self.best = _INFEASIBLE
         self.found: set[tuple[int, ...]] = set()
         self.nodes = self.prunes = self.flows = 0
@@ -251,16 +262,15 @@ class _BranchAndBound:
         nodes; it takes up the set-aside nodes in the order it set them
         aside.  Each listed support's counts, and what the search did."""
         self._record(flow)
-        stack, aside, proved = [(0, 0, flow, -1)], [], False
+        terms = array("I", (self._term(k, 0, 0) for k in range(len(self.balances))))
+        stack, aside, proved = [(0, 0, flow, -1, terms, self._bound(terms))], [], False
         while stack or not proved:
             if not stack:
                 stack, proved = aside[::-1], True
                 continue
             if self.nodes == budget:
                 break
-            self.nodes += 1
-            included, excluded, flow, pending = node = stack.pop()
-            bound = self._count_bound(included, excluded)
+            included, excluded, flow, pending, terms, bound = node = self._pop(stack)
             if bound > self.best:
                 self.prunes += 1
                 continue
@@ -276,8 +286,8 @@ class _BranchAndBound:
             if branch < 0:
                 continue
             bit = 1 << branch
-            stack.append((included | bit, excluded, flow, -1))
-            stack.append((included, excluded | bit, flow, self.order[branch]))
+            stack.append(self._child(terms, branch, included | bit, excluded, flow, -1))
+            stack.append(self._child(terms, branch, included, excluded | bit, flow, self.order[branch]))
         all_listed = proved and not stack
         minima = self._counts()
         return minima, SearchStats(self.nodes, self.prunes, len(minima), proved, all_listed,
@@ -304,12 +314,29 @@ class _BranchAndBound:
         size = min(map(len, own))
         return [flow for support, flow in own.items() if len(support) == size]
 
+    def _pop(self, stack: list[tuple]) -> tuple:
+        """The next node off stack, counted."""
+        self.nodes += 1
+        return stack.pop()
+
+    def _child(self, terms: array, p: int, included: int, excluded: int, flow: list[int], pending: int) -> tuple:
+        """The node deciding edge order[p]: its parent's terms but those
+        of the two balances holding the edge."""
+        terms = array("I", terms)
+        for k in self.holders[p]:
+            terms[k] = self._term(k, included, excluded)
+        return included, excluded, flow, pending, terms, self._bound(terms)
+
+    def _bound(self, terms: array) -> int:
+        """The larger of the out-balances' and the in-balances' sums."""
+        return max(sum(terms[:self.split]), sum(terms[self.split:]))
+
     def _branch(self, decided: int, flow: list[int]) -> int:
         """Position of the first undecided edge that flow uses, or -1."""
         return next((p for p, e in enumerate(self.order) if flow[e] and not decided >> p & 1), -1)
 
     def _record(self, flow: list[int]) -> None:
-        support = tuple(e for e, v in enumerate(flow) if v)
+        support = tuple(compress(range(len(flow)), flow))
         if len(support) < self.best:
             self.best, self.found = len(support), set()
         if len(support) == self.best:
@@ -332,29 +359,24 @@ class _BranchAndBound:
         flow[e] = 0
         return flow if net.route(cap, flow, excess, deficit) is None else None
 
-    def _count_bound(self, included: int, excluded: int) -> float:
-        """Per balance, its included edges plus the fewest undecided
-        ones whose uppers cover what they leave of its total, summed
-        over one side (the out-balances partition the edges, and so
-        do the in-balances); the larger side's sum."""
-        bound = 0
-        for side in self.sides:
-            edges = 0
-            for total, members in side:
-                need, spare = total, []
-                for p, upper in members:
-                    if included >> p & 1:
-                        need -= upper
-                        edges += 1
-                    elif not excluded >> p & 1:
-                        spare.append(upper)
-                while need > 0:
-                    if not spare:
-                        return _INFEASIBLE
-                    need -= spare.pop()
-                    edges += 1
-            bound = max(bound, edges)
-        return bound
+    def _term(self, k: int, included: int, excluded: int) -> int:
+        """Balance k's count-bound term: its included edges plus the
+        fewest undecided ones whose uppers cover what they leave of its
+        total, or self.unmet when the undecided ones fall short."""
+        total, members = self.balances[k]
+        need, spare, edges = total, [], 0
+        for p, upper in members:
+            if included >> p & 1:
+                need -= upper
+                edges += 1
+            elif not excluded >> p & 1:
+                spare.append(upper)
+        while need > 0:
+            if not spare:
+                return self.unmet
+            need -= spare.pop()
+            edges += 1
+        return edges
 
 
 def minimum_models(

@@ -153,6 +153,34 @@ def brute_minimum_size(problem) -> int | None:
     return min((sum(1 for v in values if v) for values in brute_force_solutions(problem)), default=None)
 
 
+def count_bound(problem, order, included: int, excluded: int) -> float:
+    """A branch-and-bound node's count bound, from scratch: per
+    balance, its included edges plus the fewest undecided ones whose
+    uppers cover what they leave of its total, summed over each side;
+    the larger sum, or inf when some balance's undecided edges fall
+    short.  Bit p of included (excluded) decides edge order[p]; order
+    holds every edge with a nonzero upper."""
+    position = {e: p for p, e in enumerate(order)}
+    sums = {"out": 0, "in": 0}
+    for b in problem.balances:
+        need, spare = b.total, []
+        for v in b.vars:
+            if not problem.uppers[v]:
+                continue
+            if included >> position[v] & 1:
+                need -= problem.uppers[v]
+                sums[b.side] += 1
+            elif not excluded >> position[v] & 1:
+                spare.append(problem.uppers[v])
+        spare.sort()
+        while need > 0:
+            if not spare:
+                return math.inf
+            need -= spare.pop()
+            sums[b.side] += 1
+    return max(sums.values())
+
+
 def admits_single_zeroing(problem, solution) -> bool:
     """True if some feasible assignment uses a proper subset of the
     solution's non-zero edges: an edge could have been dropped without

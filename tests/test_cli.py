@@ -392,6 +392,11 @@ def test_mine_proves_the_k4_minimum_within_the_node_budget(k4_mined):
     summary = json.loads((k4_mined[1] / "summary.json").read_text())
     assert summary["best_size"] == 24
     assert summary["search"]["size_proved"] is True
+    # the walk itself: the listing pass ends at the budget, and solves
+    # are the window's one probe and the search's 6,001 max flows
+    search = summary["search"]
+    assert (search["nodes"], search["bound_prunes"], search["minima"]) == (20_000, 5_902, 1)
+    assert (summary["windows_tried"], summary["solves"]) == (1, 1 + 6_001)
 
 
 def test_exhaustive_eval_of_the_k4_model_completes_on_its_own_trace(k4_mined, capsys):

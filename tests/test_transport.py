@@ -2,6 +2,7 @@
 feasibility, brute force for the minima, and the problem's own sums
 for the infeasibility witness."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -27,7 +28,7 @@ from flowmine.extract import annotated_graph, prepare_annotation
 from flowmine.solver import Balance, ConstraintProblem
 from flowmine.transport import max_flow
 
-from helpers import brute_force_solutions, brute_minimum_size, random_problem
+from helpers import brute_force_solutions, brute_minimum_size, count_bound, random_problem
 
 
 def support(values) -> frozenset:
@@ -123,27 +124,31 @@ def test_search_finds_exactly_the_brute_force_minima(seed):
 
 
 def walked_nodes(p):
-    """minimum_models(p), and the (included, excluded) of each node its
-    search popped and of each it expanded, in order.  The count bound
-    runs once per pop; _branch runs once per expanded node, after that
-    node's count bound and before the next node's."""
+    """minimum_models(p); the (included, excluded) of each node its
+    search popped and of each it expanded, in order; and the search's
+    edge order with the bound each popped node carried.  _pop runs once
+    per pop; _branch runs once per expanded node, after that node's pop
+    and before the next."""
     cls = flowmine.transport._BranchAndBound
-    count_bound, branch = cls._count_bound, cls._branch
-    popped, expanded = [], []
+    pop, branch = cls._pop, cls._branch
+    popped, expanded, bounds, orders = [], [], [], []
 
-    def bound_and_record(self, included, excluded):
+    def pop_and_record(self, stack):
+        included, excluded, _, _, _, bound = node = pop(self, stack)
         popped.append((included, excluded))
-        return count_bound(self, included, excluded)
+        bounds.append(bound)
+        orders.append(self.order)
+        return node
 
     def branch_and_record(self, decided, flow):
         expanded.append(popped[-1])
         return branch(self, decided, flow)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cls, "_count_bound", bound_and_record)
+        mp.setattr(cls, "_pop", pop_and_record)
         mp.setattr(cls, "_branch", branch_and_record)
         found = minimum_models(p)
-    return found, popped, expanded
+    return found, popped, expanded, (orders[0] if orders else None, bounds)
 
 
 @pytest.mark.parametrize("trace, window, minima, set_aside", [
@@ -157,11 +162,24 @@ def walked_nodes(p):
 ])
 def test_search_expands_no_node_twice(data_dir, table, trace, window, minima, set_aside):
     t = parse_trace((data_dir / trace).read_text(), table)
-    (models, stats), popped, expanded = walked_nodes(build_constraints(annotated_graph([t], window, table=table)))
+    (models, stats), popped, expanded, _ = walked_nodes(build_constraints(annotated_graph([t], window, table=table)))
     assert (stats.size_proved, stats.all_listed, stats.minima) == (True, True, minima)
     assert (len(popped), expanded[0]) == (stats.nodes, (0, 0))
     assert len(set(expanded)) == len(expanded)
     assert len(popped) - len(set(popped)) == set_aside
+
+
+@pytest.mark.parametrize("trace, window, walk", [
+    ("mixed.trace", None, (47, 16, 4, 18)),
+    ("mixed.trace", 2, (16, 5, 1, 4)),
+    ("simul_start.trace", None, (47, 20, 2, 8)),
+])
+def test_search_walk_on_the_data_traces(data_dir, table, trace, window, walk):
+    # (nodes, bound_prunes, minima, flows) of the walk, which a faster
+    # bound or reroute must leave as it is
+    t = parse_trace((data_dir / trace).read_text(), table)
+    _, stats = minimum_models(build_constraints(annotated_graph([t], window, table=table)))
+    assert (stats.nodes, stats.bound_prunes, stats.minima, stats.flows) == walk
 
 
 def proof_problem(seed: int):
@@ -190,9 +208,38 @@ def test_proof_seeds_need_the_proof():
 @example(PROOF_SEEDS[2])
 @example(PROOF_SEEDS[3])
 def test_search_expands_no_node_twice_on_random_problems(seed):
-    (models, stats), popped, expanded = walked_nodes(proof_problem(seed))
+    (models, stats), popped, expanded, _ = walked_nodes(proof_problem(seed))
     assert stats.all_listed and len(popped) == stats.nodes
     assert len(set(expanded)) == len(expanded)
+
+
+def assert_carried_bounds_are_count_bounds(p):
+    """Each popped node's bound, updated from its parent's at the two
+    balances of the edge it decides, is the count bound from scratch;
+    where a balance cannot be met, it exceeds every support's size."""
+    found, popped, _, (order, bounds) = walked_nodes(p)
+    if isinstance(found, Shortfall):
+        return
+    assert len(bounds) == found[1].nodes
+    for (included, excluded), bound in zip(popped, bounds):
+        oracle = count_bound(p, order, included, excluded)
+        assert bound == oracle or oracle == math.inf and bound > len(order), (included, excluded)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10**6))
+def test_carried_bound_is_the_count_bound(seed):
+    assert_carried_bounds_are_count_bounds(random_problem(seed))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10**6))
+@example(PROOF_SEEDS[0])
+@example(PROOF_SEEDS[1])
+@example(PROOF_SEEDS[2])
+@example(PROOF_SEEDS[3])
+def test_carried_bound_is_the_count_bound_on_proof_problems(seed):
+    assert_carried_bounds_are_count_bounds(proof_problem(seed))
 
 
 def own_max_flow(p, values) -> tuple[int, ...]:
