@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from .causality import dump_graph
@@ -374,18 +376,31 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subparsers by name: only the named
-    command's, or all of them when command is None.  A subparser's help
-    and usage do not depend on which others are built."""
+def _add_flags(p: argparse.ArgumentParser, name: str) -> None:
+    p.add_argument("--config", help="JSON file with flag defaults")
+    COMMANDS[name][2](p)
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subparsers of every command by
+    name, for the full usage and the choice of commands."""
     parser = _Parser(prog="flowmine", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in COMMANDS if command is None else [command]:
-        _, help_text, add_flags = COMMANDS[name]
-        p = subs.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON file with flag defaults")
-        add_flags(p)
+    for name, (_, help_text, _) in COMMANDS.items():
+        _add_flags(subs.add_parser(name, help=help_text), name)
     return parser, subs.choices
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, alone: the same help, usage, namespace and
+    usage errors as its subparser in build_parser, with no top-level
+    parser around it.  The terminal is measured once, here, instead of
+    at each add_argument."""
+    width = shutil.get_terminal_size().columns - 2  # what HelpFormatter measures by default
+    p = _Parser(prog="flowmine " + name, formatter_class=partial(argparse.HelpFormatter, width=width))
+    p.set_defaults(command=name)
+    _add_flags(p, name)
+    return p
 
 
 def _read_config(path: str) -> dict:
@@ -436,18 +451,51 @@ def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
     return defaults
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.  Only the invoked
-    command's parser is built; --help, a missing or an unknown command
-    gets all of them, for the full usage and choices."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, by_name = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str], by_name: dict) -> argparse.Namespace:
+    """parser.parse_args(argv), with the values of the --config file as
+    flag defaults of the command, whose flags by_name[command] holds.
+
+    A required flag may come from the file.  When the first parse
+    fails, it is made again without the required check, to find the
+    file; without one, the first error stands.  Before the re-parse
+    with the file's values, the flags the file supplies are no longer
+    required, so argparse still names a flag missing from both.  An
+    explicit flag wins over the file, and a repeatable flag given on
+    the command line adds to the file's list."""
     try:
         args = parser.parse_args(argv)
-        if args.config:
-            sub = by_name[args.command]
-            sub.set_defaults(**_config_defaults(sub, _read_config(args.config)))
-            args = parser.parse_args(argv)
+    except ValueError:
+        required = [a for sub in by_name.values() for a in sub._actions if a.required]
+        for action in required:
+            action.required = False
+        args = parser.parse_args(argv)  # a usage error of another kind raises again
+        for action in required:
+            action.required = True
+        if not args.config:
+            raise
+    if args.config:
+        sub = by_name[args.command]
+        supplied = _config_defaults(sub, _read_config(args.config))
+        for action in sub._actions:
+            if action.dest in supplied:
+                action.required = False
+        sub.set_defaults(**supplied)
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  A known command gets
+    its own parser only; --help, a missing or an unknown command gets
+    the full tree, for the full usage and choices."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        if argv and argv[0] in COMMANDS:
+            parser = command_parser(argv[0])
+            args = _parse_args(parser, argv[1:], {argv[0]: parser})
+        else:
+            parser, by_name = build_parser()
+            args = _parse_args(parser, argv, by_name)
         return COMMANDS[args.command][0](args)
     except (ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

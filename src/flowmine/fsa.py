@@ -12,9 +12,10 @@ Every strategy replays the same sequence: trace order, with the
 messages of one event in canonical order (table index with a table,
 triple order without).  The sequence is built from the trace's
 per-event id tuples: each distinct event is put in canonical order
-once and the results are chained, since a trace repeats a small set
-of events; replay reads no per-instance column, and a rejection's
-event index is found from its position.  Which active instance
+once, since a trace repeats a small set of events, and replay reads
+no per-instance column.  The greedy replay walks the events and
+knows each rejection's event index; the exhaustive search walks the
+chained ids and finds it from the position.  Which active instance
 absorbs a message is ambiguous, so strategies differ: oldest-first
 and newest-first resolve greedily, exhaustive searches instance
 choices and rejections for the maximum number of accepted messages
@@ -144,14 +145,14 @@ def _rank_key(trace: Trace, distinct: Iterable[tuple[int, ...]], table: MessageT
     return None if sorted(ids, key=rank.__getitem__) == ids else rank.__getitem__
 
 
-def _canonical_ids(trace: Trace, table: MessageTable | None) -> list[int]:
-    """Message ids in trace order, each event's ids in canonical order.
+def _canonical_events(trace: Trace, table: MessageTable | None) -> Iterator[Iterable[int]]:
+    """Each event's message ids in canonical order, in trace order.
     Each distinct event is put in order once."""
     distinct = dict.fromkeys(trace.event_ids)
     key = _rank_key(trace, distinct, table)
     for event in distinct:
         distinct[event] = sorted(event, key=key) if len(event) > 1 else event
-    return list(chain.from_iterable(map(distinct.__getitem__, trace.event_ids)))
+    return map(distinct.__getitem__, trace.event_ids)
 
 
 def _rejections(trace: Trace, rejected: list[tuple[int, int]]) -> tuple[tuple[int, Message], ...]:
@@ -186,11 +187,22 @@ def _greedy(fsa: FSA, trace: Trace, newest: bool, table: MessageTable | None, na
     message, the smallest queue head is the oldest active instance
     that can take it and the largest queue tail the newest, so the
     pick is the one a scan of every active instance in spawn order
-    would make.  A fresh instance's spawn number is the largest yet
-    and is appended; an advanced one is inserted into its new queue.
-    Per message id, the queue a fresh instance joins and the (source
-    queue, target queue) pairs of its other transitions are resolved
-    once, before the replay.
+    would make.  Per message id, the queue a fresh instance joins and
+    the (source queue, target queue) pairs of its other transitions
+    are resolved once, before the replay.
+
+    The strategy is read once, as the queue end the replay takes
+    from: end is 0, the head, for oldest-first and -1, the tail, for
+    newest-first.  The loop walks each event's canonical tuple, so a
+    rejection carries its event index as it is recorded.  A message
+    with a transition from the initial state appends a fresh spawn
+    number, the largest yet, to the queue it joins.  Any other
+    message compares the ends of its candidate queues: spawn numbers
+    are distinct, so (queue[end] > pick) is newest keeps the newer
+    end for newest-first and the older for oldest-first.  The pick
+    is deleted from its queue's end and inserted into its target
+    queue; with no candidate, the message is rejected.  Accepted
+    messages are counted once, as all but the rejected ones.
     """
     opens, moves = _id_tables(fsa, trace)
     queues: dict[str, list[int]] = {s: [] for s in fsa.states}
@@ -198,31 +210,29 @@ def _greedy(fsa: FSA, trace: Trace, newest: bool, table: MessageTable | None, na
     queues[fsa.initial] = closed
     joins = [None if state is None else queues[state] for state in opens]
     steps = [tuple((queues[state], queues[target]) for state, target in by_state.items()) for by_state in moves]
+    end = -1 if newest else 0
     seq = 0
-    accepted = 0
-    rejected: list[tuple[int, int]] = []  # (position, message id)
-    for pos, mid in enumerate(_canonical_ids(trace, table)):
-        join = joins[mid]
-        if join is not None:
-            accepted += 1
-            if join is not closed:
-                join.append(seq)
-                seq += 1
-            continue
-        source = None
-        for queue, target in steps[mid]:
-            if queue:
-                spawn = queue[-1] if newest else queue[0]
-                if source is None or (spawn > pick if newest else spawn < pick):
-                    source, pick, nxt = queue, spawn, target
-        if source is None:
-            rejected.append((pos, mid))
-            continue
-        accepted += 1
-        source.pop(-1 if newest else 0)
-        if nxt is not closed:
-            insort(nxt, pick)
-    return AcceptanceReport(accepted, trace.msg_count, _rejections(trace, rejected), name)
+    rejected: list[tuple[int, Message]] = []  # (event index, message)
+    alphabet = trace.alphabet
+    for e_idx, event in enumerate(_canonical_events(trace, table)):
+        for mid in event:
+            join = joins[mid]
+            if join is not None:
+                if join is not closed:
+                    join.append(seq)
+                    seq += 1
+                continue
+            source = None
+            for queue, target in steps[mid]:
+                if queue and (source is None or (queue[end] > pick) is newest):
+                    source, pick, nxt = queue, queue[end], target
+            if source is None:
+                rejected.append((e_idx, alphabet[mid]))
+                continue
+            del source[end]
+            if nxt is not closed:
+                insort(nxt, pick)
+    return AcceptanceReport(trace.msg_count - len(rejected), trace.msg_count, tuple(rejected), name)
 
 
 def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None) -> AcceptanceReport:
@@ -246,7 +256,7 @@ def _exhaustive(fsa: FSA, trace: Trace, budget: int, table: MessageTable | None)
     oldest-first result is returned, marked as a fallback, and either
     way the report counts the nodes visited.
     """
-    ids = _canonical_ids(trace, table)
+    ids = list(chain.from_iterable(_canonical_events(trace, table)))
     opens, moves = _id_tables(fsa, trace)
     initial = fsa.initial
     total = len(ids)

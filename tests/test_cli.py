@@ -23,7 +23,8 @@ from flowmine import (
     shortfall,
 )
 import flowmine.cli
-from flowmine.cli import COMMANDS, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, build_parser, main
+from flowmine.cli import COMMANDS, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, build_parser, command_parser, main
+from flowmine.fsa import STRATEGIES
 
 from helpers import check_dot, check_smtlib
 
@@ -475,6 +476,56 @@ def test_mine_outputs_are_byte_identical(paths, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# sha256 of eval's stdout per strategy, for the model mined from the
+# MINED_DIGESTS trace scored on a held-out trace (gen --seed 8, the
+# same flags otherwise) and on each trace under tests/data
+EVAL_DIGESTS = {
+    "heldout.trace": (
+        "c6fa860237a41f2fc64d296b02cbfd4fab4bc8afd3fdc0283e41f48b97b2c224",
+        "a79bb3686c8617f718d6d3258c95a77c8749c351c82114658b59ec56fc4ddb80",
+        "6f985b416e359d96a96d3b2a03e1e247a110e745db993d8ed46385a6a3dbc25f",
+    ),
+    "hits.trace": (
+        "dbb6421ba4f4a9a173c9833b4395823a7ed0721510d7d0f0cd17ca0ab6033c23",
+        "37e46a0af6dff13f4c8d55152924c329f983688801a412a39614baafb100c8ce",
+        "74876f308508acea02e2eb5405f9f5bfa6d1fd61eaf7fbd717981428377d83f3",
+    ),
+    "mixed.trace": (
+        "4416eb112b7568a3d316b68a29b216958cbef57ba3b79f7338c27a860bce9813",
+        "fb1df3cdc3608584165c0aa6ca8774bc5355dc34b9d56828d9fa068a664c906f",
+        "d88635c23ba5e44b8c27402004e96d723a74d100264c3b6980015f0538d858b3",
+    ),
+    "pipelined.trace": (
+        "0bc26c9c4cc677a233d7c62d756643b7818bd5a032870af6f30b329a7047c70c",
+        "64f351ff176bb626d8d5b34dbef55809ccb17f3fb0b00f8d7e29aa559a8f8847",
+        "d88635c23ba5e44b8c27402004e96d723a74d100264c3b6980015f0538d858b3",
+    ),
+    "simul_start.trace": (
+        "f8f3f56968069c925e390197ba3de4687c965995e2aa22f0fc1bedf5ccc286c8",
+        "c6a97b8714f9827bbf0737f8622ba82df8399d11dd81e89471e6c5bf3afe49de",
+        "d88635c23ba5e44b8c27402004e96d723a74d100264c3b6980015f0538d858b3",
+    ),
+}
+
+
+def test_eval_outputs_are_byte_identical(paths, data_dir, tmp_path, capsys):
+    trace_file = mined_digests_trace(paths, tmp_path)
+    heldout = tmp_path / "heldout.trace"
+    assert main(["gen", "--spec", paths["spec"], "--table", paths["table"], "--instances", "200",
+                 "--seed", "8", "--simul", "0.2", "--tag", "pid", "--out", str(heldout)]) == EXIT_OK
+    assert main(["mine", "--trace", str(trace_file), "--table", paths["table"], "--out", str(tmp_path / "mined")]) == EXIT_OK
+    capsys.readouterr()
+    got = {}
+    for trace in [heldout, *sorted(data_dir.glob("*.trace"))]:
+        digests = []
+        for strategy in STRATEGIES:
+            assert main(["eval", "--model", str(tmp_path / "mined" / "model.json"), "--trace", str(trace),
+                         "--table", paths["table"], "--strategy", strategy]) == EXIT_OK
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        got[trace.name] = tuple(digests)
+    assert got == EVAL_DIGESTS
+
+
 def test_mine_at_the_window_auto_chose_writes_what_auto_wrote(paths, tmp_path, capsys, monkeypatch, routed):
     # every --window mode is one auto_window search: a length or off is
     # a search with one candidate, so mining at the window auto chose
@@ -818,6 +869,47 @@ def test_config_rejects_unknown_keys(paths, tmp_path, capsys):
     assert "not recognized" in capsys.readouterr().err
 
 
+def test_config_supplies_required_flags(paths, tmp_path, capsys):
+    flags = tmp_path / "flags"
+    assert main(["mine", "--trace", paths["mixed_trace"], "--table", paths["table"], "--out", str(flags)]) == EXIT_OK
+    cfg = tmp_path / "mine.json"
+    config = tmp_path / "config"
+    cfg.write_text(json.dumps({"trace": [paths["mixed_trace"]], "table": paths["table"], "out": str(config)}))
+    assert main(["mine", "--config", str(cfg)]) == EXIT_OK
+    assert (config / "model.json").read_bytes() == (flags / "model.json").read_bytes()
+    capsys.readouterr()
+
+
+def test_config_supplies_dot_model_and_gen_spec(paths, model_file, tmp_path, capsys):
+    assert main(["dot", "--model", model_file]) == EXIT_OK
+    dot = capsys.readouterr().out
+    cfg = tmp_path / "dot.json"
+    cfg.write_text(json.dumps({"model": model_file}))
+    assert main(["dot", "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == dot
+    assert main(["gen", "--spec", paths["spec"], "--table", paths["table"], "--seed", "3"]) == EXIT_OK
+    trace = capsys.readouterr().out
+    cfg.write_text(json.dumps({"spec": paths["spec"], "table": paths["table"]}))
+    assert main(["gen", "--config", str(cfg), "--seed", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == trace
+
+
+@pytest.mark.parametrize(
+    "config, error",
+    [
+        ({"table": "m.msg"}, "--trace, --out"),
+        ({"trace": ["t.trace"]}, "--out"),
+        ({"out": "d"}, "--trace"),
+    ],
+)
+def test_a_required_flag_missing_from_flags_and_config_is_named(tmp_path, capsys, config, error):
+    cfg = tmp_path / "mine.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["mine", "--config", str(cfg)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: the following arguments are required: %s\n" % error
+    assert not (tmp_path / "d").exists()
+
+
 # one argv per command that sets every flag it has but --config
 FULL_ARGVS = {
     "gen": ["gen", "--spec", "s.flow", "--table", "m.msg", "--instances", "a=2,b=1",
@@ -835,33 +927,66 @@ FULL_ARGVS = {
 def test_every_command_has_a_full_argv():
     assert list(FULL_ARGVS) == list(COMMANDS)
     for name, argv in FULL_ARGVS.items():
-        _, by_name = build_parser(name)
-        flags = {s for a in by_name[name]._actions for s in a.option_strings if s.startswith("--")}
+        flags = {s for a in command_parser(name)._actions for s in a.option_strings if s.startswith("--")}
         assert flags - set(argv) == {"--help", "--config"}
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_one_command_parser_matches_the_full_one(name):
-    parser, by_name = build_parser(name)
-    full, full_by_name = build_parser()
-    assert list(by_name) == [name]
-    assert list(full_by_name) == list(COMMANDS)
-    assert by_name[name].format_help() == full_by_name[name].format_help()
+def test_one_command_parser_matches_the_full_one(name, monkeypatch):
+    full, by_name = build_parser()
+    assert list(by_name) == list(COMMANDS)
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        one, sub = command_parser(name), build_parser()[1][name]
+        assert one.format_help() == sub.format_help()
+        assert one.format_usage() == sub.format_usage()
     argv = FULL_ARGVS[name]
-    assert parser.parse_args(argv) == full.parse_args(argv)
+    assert one.parse_args(argv[1:]) == full.parse_args(argv)
+
+
+# argv -> the usage error that main prints for it
+USAGE_ERRORS = {
+    ("gen",): "the following arguments are required: --spec",
+    ("slice", "--table", "m.msg"): "the following arguments are required: --trace, --slice, --out",
+    ("mine", "--trace", "t.trace"): "the following arguments are required: --out",
+    ("eval", "--model", "m.json"): "the following arguments are required: --trace",
+    ("export-smt", "--out", "o.smt2"): "the following arguments are required: --trace",
+    ("dot",): "the following arguments are required: --model",
+    ("mine", "--trace", "t.trace", "--out", "d", "--order", "index"): "unrecognized arguments: --order index",
+    ("dot", "--model", "m.json", "--model"): "argument --model: expected one argument",
+    ("mine", "--t", "t.trace", "--out", "d"): "ambiguous option: --t could match --trace, --table, --top",
+    ("eval", "--model", "m.json", "--trace", "t.trace", "--strategy", "hopeful"):
+        "argument --strategy: invalid choice: 'hopeful' (choose from 'oldest-first', 'newest-first', 'exhaustive')",
+    ("mine", "--trace", "t.trace", "--top", "two", "--out", "d"): "argument --top: invalid int value: 'two'",
+    ("gen", "--spec", "s.flow", "--simul", "half"): "argument --simul: invalid float value: 'half'",
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS))
+def test_one_command_parser_gives_the_full_ones_usage_errors(argv, capsys):
+    error = USAGE_ERRORS[argv]
+    assert main(list(argv)) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: %s\n" % error)
+    for parser, args in ((command_parser(argv[0]), argv[1:]), (build_parser()[0], argv)):
+        with pytest.raises(ValueError) as exc:
+            parser.parse_args(list(args))
+        assert str(exc.value) == error
 
 
 def test_main_builds_only_the_invoked_commands_parser(model_file, monkeypatch):
-    built = []
+    built, measured = [], []
 
     class Counted(flowmine.cli._Parser):
         def __init__(self, *args, **kwargs):
             built.append(kwargs.get("prog"))
             super().__init__(*args, **kwargs)
 
+    real = flowmine.cli.shutil.get_terminal_size
     monkeypatch.setattr(flowmine.cli, "_Parser", Counted)
+    monkeypatch.setattr(flowmine.cli.shutil, "get_terminal_size", lambda *a: measured.append(a) or real(*a))
     assert main(["dot", "--model", model_file]) == EXIT_OK
-    assert built == ["flowmine", "flowmine dot"]
+    assert built == ["flowmine dot"]
+    assert len(measured) == 1  # once for the parser, not at each add_argument
 
 
 def test_main_without_a_known_command_builds_every_parser(capsys):
