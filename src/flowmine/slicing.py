@@ -39,7 +39,7 @@ from .causality import (  # noqa: F401
     trace_shape,
     window_thresholds,
 )
-from .trace import Trace
+from .trace import Trace, _check_atom
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,7 @@ class SlicePolicy:
                 raise ValueError("block size must be a power of two, got %r" % (self.block,))
         if self.missing not in ("isolate", "drop"):
             raise ValueError("missing must be 'isolate' or 'drop', got %r" % (self.missing,))
+        _check_atom(self.attribute, "attribute name")
 
 
 def address_block(addr: int, line_size: int) -> int:
@@ -94,16 +95,14 @@ def slice_shapes(trace: Trace, policy: SlicePolicy) -> Counter:
     A shape is a slice's message ids in order, each one that starts an
     event of the slice written as its complement ~id (as
     causality.trace_shape writes a whole trace).  An isolated instance
-    is a slice of its own, so its shape is (~id,).
+    is a slice of its own, so its shape is (~id,).  Without a block,
+    instances are keyed by Trace.attr_keys, which on a tagged trace is
+    the attribute text and decodes nothing.  The instances without the
+    attribute are gathered under _UNKEYED like a slice, then taken out.
     """
-    isolate = policy.missing == "isolate"
+    keys = trace.attr_keys(policy.attribute, _UNKEYED) if policy.block is None else _slice_keys(trace, policy)
     shapes: dict[object, list[int]] = {}  # key -> [event of its last instance, *shape]
-    counts: Counter = Counter()
-    for key, event, mid in zip(_slice_keys(trace, policy), trace.event_of, trace.ids):
-        if key is _UNKEYED:
-            if isolate:
-                counts[(~mid,)] += 1
-            continue
+    for key, event, mid in zip(keys, trace.event_of, trace.ids):
         shape = shapes.get(key)
         if shape is None:
             shapes[key] = [event, ~mid]
@@ -112,7 +111,12 @@ def slice_shapes(trace: Trace, policy: SlicePolicy) -> Counter:
         else:
             shape[0] = event
             shape.append(~mid)
-    counts.update(tuple(shape[1:]) for shape in shapes.values())
+    unkeyed = shapes.pop(_UNKEYED, [None])[1:]
+    for shape in shapes.values():
+        del shape[0]
+    counts = Counter(map(tuple, shapes.values()))
+    if policy.missing == "isolate":
+        counts.update((i if i < 0 else ~i,) for i in unkeyed)
     return counts
 
 

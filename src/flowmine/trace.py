@@ -113,7 +113,9 @@ class Trace:
     mapping or None, is built on first read, and a text source decodes
     each distinct text once then; instances with equal text share one
     mapping.  attr_values reads one key once per distinct text and
-    decodes none, so a reader of neither pays for no decoding.  The
+    decodes none, so a reader of neither pays for no decoding.
+    attr_keys reads none when every text is that key alone with a
+    canonical decimal value, and keys by the texts themselves.  The
     mappings are read-only: flows.generate also gives all the messages
     of one instance one, so nothing may mutate one in place.  A trace
     is the only holder of attributes; trace_of(..., attrs=...) builds
@@ -162,8 +164,21 @@ class Trace:
         texts = self._texts()
         if texts is None:
             return [attrs[name] if attrs and name in attrs else default for attrs in self.attrs]
-        by_text = {text: _attr_value(text, name, default) for text in dict.fromkeys(texts)}
-        return list(map(by_text.__getitem__, texts))
+        return _values_of(texts, set(texts), name, default)
+
+    def attr_keys(self, name: str, default: object) -> Sequence[object]:
+        """Per instance a key for attribute name: two instances' keys
+        are equal exactly when their attr_values are.  When every
+        distinct text of a text source is the one pair name=<canonical
+        decimal>, distinct texts hold distinct values, so the keys are
+        the texts and nothing is read; otherwise they are attr_values."""
+        texts = self._texts()
+        if texts is None:
+            return self.attr_values(name, default)
+        distinct = set(texts)
+        if _decimal_pairs(distinct, name):
+            return texts
+        return _values_of(texts, distinct, name, default)
 
     def __len__(self) -> int:
         return len(self.event_ids)
@@ -317,6 +332,17 @@ def _parse_attr_value(text: str) -> object:
     return text
 
 
+def _decimal_pairs(texts: Iterable[str], name: str) -> bool:
+    """Whether there is a text and each is the one pair name=<value>,
+    the value a canonical ASCII decimal (0, or digits without a leading
+    zero): distinct such texts hold distinct _parse_attr_value values.
+    A name that is not an atom gives False, as no text holds it."""
+    if not _ATOM_RE.fullmatch(name):
+        return False
+    pair = re.escape(name) + "=(?:0|[1-9][0-9]*)"
+    return re.fullmatch("%s(?:\n%s)*" % (pair, pair), "\n".join(texts)) is not None
+
+
 def _decode_attrs(text: str) -> dict[str, object]:
     """The mapping of an attribute text that _parse_attrs accepts: its
     ';'-separated key=value pairs in order, a repeated key keeping its
@@ -340,6 +366,13 @@ def _attr_value(text: str, name: str, default: object) -> object:
                 raw = value
         return default if raw is None else _parse_attr_value(raw)
     return _parse_attr_value(raw) if raw and key == name else default
+
+
+def _values_of(texts: Sequence[str], distinct: Iterable[str], name: str, default: object) -> list[object]:
+    """Per text the value of attribute name, or default, each of the
+    distinct texts read once."""
+    by_text = {text: _attr_value(text, name, default) for text in distinct}
+    return list(map(by_text.__getitem__, texts))
 
 
 def _parse_attrs(text: str, lineno: int) -> dict[str, object]:

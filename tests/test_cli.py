@@ -657,14 +657,48 @@ def test_eval_decodes_no_attribute(paths, model_file, long_tagged_trace, table, 
 
 
 def test_sliced_mine_decodes_each_attribute_text_at_most_once(paths, long_tagged_trace, table, tmp_path, decoded):
+    # canonical pids are keyed by their text, so nothing is decoded
     text = serialize_trace(long_tagged_trace, table)
     trace_file = tmp_path / "long.trace"
     trace_file.write_text(text)
-    argv = ["mine", "--trace", str(trace_file), "--table", paths["table"], "--slice", "pid", "--out", str(tmp_path / "out")]
-    assert main(argv) == EXIT_OK
-    distinct = {token.partition(";")[2] for token in text.split()}
+    argv = ["mine", "--table", paths["table"], "--slice", "pid"]
+    assert main(argv + ["--trace", str(trace_file), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert decoded == []
+    # zero-padded pids are decoded, each distinct text at most once, and
+    # slice as the canonical ones do
+    padded = text.replace("pid=", "pid=0")
+    (tmp_path / "padded.trace").write_text(padded)
+    assert main(argv + ["--trace", str(tmp_path / "padded.trace"), "--out", str(tmp_path / "padded")]) == EXIT_OK
+    distinct = {token.partition(";")[2] for token in padded.split()}
     assert len(distinct) == 3300  # 1650 instances of each of two flows
-    assert sorted(decoded) == sorted(distinct)
+    assert decoded and len(decoded) == len(set(decoded)) and set(decoded) <= distinct
+    for name in ("model.json", "graph.json", "report.json"):
+        assert (tmp_path / "padded" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+
+def test_zero_padded_pids_mine_the_sliced_digests(paths, tmp_path):
+    padded = tmp_path / "padded.trace"
+    padded.write_text(mined_digests_trace(paths, tmp_path).read_text().replace("pid=", "pid=0"))
+    for flags, digests in MINED_DIGESTS.items():
+        if "--slice" in flags:
+            out_dir = tmp_path / ("mined%d" % len(flags))
+            assert main(["mine", "--trace", str(padded), "--table", paths["table"], *flags,
+                         "--out", str(out_dir)]) == EXIT_OK
+            got = tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                        for name in ("model.json", "graph.json", "report.json"))
+            assert got == digests[:3], flags
+
+
+@pytest.mark.parametrize("attribute", ["pid=3", "p d", "pid;x"])
+@pytest.mark.parametrize("command", ["mine", "slice"])
+def test_a_slice_attribute_no_trace_can_hold_is_an_input_error(paths, tmp_path, capsys, command, attribute):
+    # such a name would isolate every message, and mine would exit 2
+    out_dir = tmp_path / "out"
+    argv = [command, "--trace", paths["simul_trace"], "--table", paths["table"], "--slice", attribute,
+            "--out", str(out_dir)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: attribute name %r contains reserved characters\n" % attribute
+    assert not out_dir.exists()
 
 
 def test_eval_names_the_budget_fallback(paths, model_file, capsys):

@@ -12,6 +12,7 @@ from flowmine import (
     detect_entries_exits,
     generate,
     parse_policy,
+    parse_trace,
     slice_trace,
     trace_of,
     unique_messages,
@@ -50,6 +51,9 @@ def test_policy_validation():
         SlicePolicy("addr", block=3)
     with pytest.raises(ValueError):
         SlicePolicy("addr", missing="explode")
+    for name in ("pid=3", "p d", "pid;x", ""):  # names no attribute text can hold
+        with pytest.raises(ValueError, match="attribute name"):
+            SlicePolicy(name)
     SlicePolicy("addr", block=64, missing="drop")
 
 
@@ -305,3 +309,83 @@ def test_each_slice_shape_is_matched_once(monkeypatch, table):
     assert [e for e in g.edges if set(e) <= {first, second}] == [(first, second)]
     assert g.edges[(first, second)] == 5
     assert calls == [([0], [1], [0, 1])]  # once for the edge, not once per slice
+
+
+# Spellings of a pid in trace text, each of a small int.  All but the
+# first are decoded to compare them: padded, hex, negative and
+# Arabic-Indic digits read as the int, a string as itself, a repeated
+# pid as its last value; an extra pair or a missing pid keys nothing
+# new.
+PID_SPELLINGS = {
+    "canonical": "pid=%d".__mod__,
+    "padded": "pid=0%d".__mod__,
+    "hex": "pid=0x%x".__mod__,
+    "negative": "pid=-%d".__mod__,
+    "arabic-indic": lambda n: "pid=" + str(n).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    "string": "pid=p%d".__mod__,
+    "repeated": "pid=9;pid=%d".__mod__,
+    "extra": "a=1;pid=%d".__mod__,
+    "none": lambda n: "",
+}
+
+
+@st.composite
+def tagged_texts(draw):
+    """Trace text whose pids are written in a drawn set of spellings,
+    often canonical alone, sometimes after a comment that holds
+    attribute text."""
+    spellings = st.lists(st.sampled_from(sorted(PID_SPELLINGS)), min_size=1, max_size=3, unique=True)
+    kinds = draw(st.just(["canonical"]) | spellings)
+    token = st.builds(
+        lambda triple, kind, n: triple + (";" + PID_SPELLINGS[kind](n) if kind != "none" else ""),
+        st.sampled_from(["a:b:x", "b:c:y", "c:a:x"]),
+        st.sampled_from(kinds),
+        st.sampled_from([0, 1, 2, 64, 65]),
+    )
+    lines = draw(st.lists(st.lists(token, min_size=1, max_size=3).map(" ".join), min_size=1, max_size=10))
+    comment = ["# a:b:x;pid=5"] if draw(st.booleans()) else []
+    return "\n".join(comment + lines) + "\n"
+
+
+def naive_shape(part, index):
+    """A naive slice's shape in its parent's message ids, index."""
+    shape, last = [], None
+    for e_idx, _, m in part.flattened():
+        shape.append(index[m] if e_idx == last else ~index[m])
+        last = e_idx
+    return tuple(shape)
+
+
+@settings(deadline=None, max_examples=300)
+@given(tagged_texts(), st.sampled_from(["isolate", "drop"]), st.none() | st.sampled_from([1, 64]))
+# one value in a canonical and a second spelling that a looser test of
+# canonical text would also take
+@example("a:b:x;pid=7\nb:c:y;pid=07\n", "isolate", None)
+@example("a:b:x;pid=0\nb:c:y;pid=00\n", "drop", None)
+@example("a:b:x;pid=17\nb:c:y;pid=1٧\n", "isolate", None)
+@example("a:b:x;pid=0\nb:c:y;pid=-0\n", "isolate", None)
+def test_parsed_text_slices_match_naive_slices(text, missing, block):
+    # canonical pids are keyed by their text, any other spelling by its
+    # decoded value; both must slice as the decoded values do
+    trace = parse_trace(text)
+    policy = SlicePolicy("pid", block=block, missing=missing)
+    values = [attrs["pid"] for attrs in trace.attrs if attrs and "pid" in attrs]
+    if block is not None and any(isinstance(v, str) for v in values):
+        with pytest.raises(ValueError):
+            slice_shapes(trace, policy)
+        return
+    parts = naive_slices(trace, "pid", missing, block)
+    index = {m: mid for mid, m in enumerate(trace.alphabet)}
+    assert slice_shapes(trace, policy) == Counter(naive_shape(part, index) for part in parts)
+    graph = build_graph(unique_messages([trace]), set(), set())
+    got = Counter()
+    for positions, count in slice_units(graph, trace, policy):
+        got[frozen(positions)] += count
+    assert got == Counter(frozen(naive_positions(part, graph.ordinal)) for part in parts)
+
+
+def test_spellings_of_one_pid_form_one_slice():
+    trace = parse_trace("a:b:x;pid=07\nb:c:y;pid=0x7\na:b:x;pid=7\nb:c:y;pid=٧\n")
+    a, b = (trace.alphabet.index(Message(*t)) for t in (("a", "b", "x"), ("b", "c", "y")))
+    assert slice_shapes(trace, SlicePolicy("pid")) == Counter({(~a, ~b, ~a, ~b): 1})
+    assert [(label, part.msg_count) for label, part in labeled_slices(trace, SlicePolicy("pid"))] == [("7", 4)]
