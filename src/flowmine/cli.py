@@ -65,10 +65,11 @@ def _read(path: str) -> str:
         raise ValueError("%s: %s" % (path, exc)) from None
 
 
-def _parse_file(path: str, parse, *args):
-    """parse(text of path, *args), naming the file in a parse error."""
+def _parse_file(path: str, parse, *args, **kwargs):
+    """parse(text of path, *args, **kwargs), naming the file in a parse
+    error."""
     try:
-        return parse(_read(path), *args)
+        return parse(_read(path), *args, **kwargs)
     except ParseError as exc:
         raise ParseError("%s: %s" % (path, exc)) from None
 
@@ -77,8 +78,10 @@ def _load_table(path: str | None) -> MessageTable | None:
     return _parse_file(path, parse_message_table) if path else None
 
 
-def _load_traces(paths: list[str], table: MessageTable | None) -> list[Trace]:
-    return [_parse_file(path, parse_trace, table) for path in paths]
+def _load_traces(paths: list[str], table: MessageTable | None, attr_texts: bool) -> list[Trace]:
+    """The traces of paths; attr_texts says whether the command reads
+    attributes (see parse_trace)."""
+    return [_parse_file(path, parse_trace, table, attr_texts=attr_texts) for path in paths]
 
 
 def _parse_window(text: str) -> tuple[str, int | None]:
@@ -153,7 +156,7 @@ def _slice_file_names(labels: list[str]) -> list[str]:
 def cmd_slice(args) -> int:
     policy = parse_policy(args.slice)
     table = _load_table(args.table)
-    trace = _load_traces([args.trace], table)[0]
+    trace = _load_traces([args.trace], table, attr_texts=True)[0]
     slices = labeled_slices(trace, policy)
     names = _slice_file_names([label for label, _ in slices])
     out_dir = Path(args.out)
@@ -217,7 +220,7 @@ def cmd_mine(args) -> int:
     mode, fixed = _parse_window(args.window)
     parsing = time.perf_counter()
     table = _load_table(args.table)
-    traces = _load_traces(args.trace, table)
+    traces = _load_traces(args.trace, table, attr_texts=policy is not None)
     window_desc = {"mode": mode, "value": fixed}
     started = time.perf_counter()
     if args.max_window is not None:
@@ -271,7 +274,7 @@ def cmd_eval(args) -> int:
         raise ValueError("budget must be non-negative")
     fsa = fsa_from_json(_read(args.model))
     table = _load_table(args.table)
-    trace = _load_traces([args.trace], table)[0]
+    trace = _load_traces([args.trace], table, attr_texts=False)[0]
     report = acceptance_ratio(fsa, trace, strategy=args.strategy, budget=args.budget, table=table)
     obj = {
         "accepted": report.accepted,
@@ -293,7 +296,7 @@ def cmd_export_smt(args) -> int:
     if mode == "auto":
         raise ValueError("export-smt needs a concrete window: 'off' or an integer")
     table = _load_table(args.table)
-    traces = _load_traces(args.trace, table)
+    traces = _load_traces(args.trace, table, attr_texts=False)
     width = fixed if mode == "fixed" else None
     graph = annotated_graph(traces, window=width, table=table)
     _emit(export_smtlib(build_constraints(graph)), args.out)

@@ -281,7 +281,7 @@ def _trace(schedule: _Schedule, tag: str | None) -> Trace:
     else:
         mappings = [{tag: i} for i in range(len(schedule.picks))]
         attrs = tuple(map(mappings.__getitem__, schedule.owner))
-    return Trace(schedule.alphabet, tuple(schedule.events), attrs)
+    return Trace.of_events(schedule.alphabet, schedule.events, attrs)
 
 
 def generate(spec: FlowSpec, cfg: GenConfig = GenConfig()) -> Trace:

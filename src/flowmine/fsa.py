@@ -11,9 +11,10 @@ over all messages, says how much of the trace the model explains.
 Every strategy replays the same sequence: trace order, with the
 messages of one event in canonical order (table index with a table,
 triple order without).  The sequence is built from the trace's
-per-event id tuples: each distinct event is put in canonical order
-once, since a trace repeats a small set of events, and replay reads
-no per-instance column.  The greedy replay walks the events and
+distinct event rows: each row is put in canonical order once, since a
+trace repeats a small set of events, and each event's order is read
+through its row number, so replay hashes no event and reads no
+per-instance column.  The greedy replay walks the events and
 knows each rejection's event index; the exhaustive search walks the
 chained ids and finds it from the position.  Which active instance
 absorbs a message is ambiguous, so strategies differ: oldest-first
@@ -129,14 +130,14 @@ class AcceptanceReport:
         return self.accepted / self.total
 
 
-def _rank_key(trace: Trace, distinct: Iterable[tuple[int, ...]], table: MessageTable | None):
+def _rank_key(trace: Trace, table: MessageTable | None):
     """The sort key that puts the message ids of an event in canonical
     order: table index with a table (a used message outside the table,
     the first in order of first use, raises ValueError), triple order
     without; None when that is the order of the ids themselves, as it
     is for a trace parsed with the table."""
     alphabet = trace.alphabet
-    used = dict.fromkeys(chain.from_iterable(distinct))
+    used = dict.fromkeys(chain.from_iterable(trace.rows))
     if table is not None:
         rank = {mid: table.index_of(alphabet[mid]) for mid in used}
     else:
@@ -145,14 +146,12 @@ def _rank_key(trace: Trace, distinct: Iterable[tuple[int, ...]], table: MessageT
     return None if sorted(ids, key=rank.__getitem__) == ids else rank.__getitem__
 
 
-def _canonical_events(trace: Trace, table: MessageTable | None) -> Iterator[Iterable[int]]:
+def _canonical_events(trace: Trace, table: MessageTable | None) -> Iterator[list[int]]:
     """Each event's message ids in canonical order, in trace order.
-    Each distinct event is put in order once."""
-    distinct = dict.fromkeys(trace.event_ids)
-    key = _rank_key(trace, distinct, table)
-    for event in distinct:
-        distinct[event] = sorted(event, key=key) if len(event) > 1 else event
-    return map(distinct.__getitem__, trace.event_ids)
+    Each distinct row is put in order once."""
+    key = _rank_key(trace, table)
+    ordered = [sorted(row, key=key) for row in trace.rows]
+    return map(ordered.__getitem__, trace.row_of)
 
 
 def _rejections(trace: Trace, rejected: list[tuple[int, int]]) -> tuple[tuple[int, Message], ...]:

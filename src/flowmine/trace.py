@@ -7,20 +7,23 @@ destination, command) triple.  The attribute pairs of an instance
 (address, packet id, ...) are runtime payload: the trace holds them
 beside the instance, and they take no part in identity.
 
-A Trace is held as one tuple of message ids per event, plus each
-instance's attributes.  The ids index the trace's alphabet of distinct
-messages, so parsing builds one Message per distinct triple, not one
-per instance, and detection, slicing, annotation and replay work on
-ints.  SoC traces repeat a small set of event lines over and over
-(in the generated cache workloads, 88-89% of the lines repeat an
-earlier line once attributes are cut), so parsing reads each distinct
-line once, equal lines share one tuple, and replay puts each distinct
-event in canonical order once.  The per-instance columns
-(event index, message id) are derived from the tuples on first read.
-Parsing checks the attributes but decodes none: a parsed trace keeps
-each instance's attribute text, and decodes each distinct text once,
-when first read.  The event views give plain messages read from the
-alphabet; attributes are read from Trace.attrs.
+A Trace is held as its distinct event rows, each a tuple of message
+ids, plus one row number per event, and each instance's attributes.
+The ids index the trace's alphabet of distinct messages, so parsing
+builds one Message per distinct triple, not one per instance, and
+detection, slicing, annotation and replay work on ints.  SoC traces
+repeat a small set of event lines over and over (in the generated
+cache workloads, 88-89% of the lines repeat an earlier line once
+attributes are cut), so parsing reads each distinct line once and
+numbers it, and replay puts each distinct row in canonical order once
+and reads the order of an event through its number.  The per-event
+tuples and the per-instance columns (event index, message id) are
+derived from the rows on first read.  Parsing checks the attributes
+but decodes none: a parsed trace keeps each instance's attribute text,
+or finds the texts again in the trace text when first read, as the
+caller asks; it decodes each distinct text once, when first read.  The
+event views give plain messages read from the alphabet; attributes are
+read from Trace.attrs.
 
 Text formats
 ------------
@@ -95,17 +98,20 @@ class Message:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """A trace held as one tuple of message ids per event, in trace order.
+    """A trace held as its distinct event rows and one row number per
+    event, in trace order.
 
-    alphabet holds messages, each once; a message id indexes it.
-    event_ids holds, per event, the ids of its instances (never
-    empty); equal events may share one tuple, as parse_trace gives
-    them.  The alphabet may list messages that no instance uses
-    (the rest of a message table, or the parent's messages in a
-    slice).  Instances are numbered in trace order, event by event.
+    alphabet holds messages, each once; a message id indexes it.  rows
+    holds each distinct event once, as the tuple of its instances' ids
+    (never empty), and row_of holds per event the number of its row.
+    Trace.of_events numbers a sequence of per-event tuples so.  The
+    alphabet may list messages that no instance uses (the rest of a
+    message table, or the parent's messages in a slice).  Instances are
+    numbered in trace order, event by event.
 
-    ids, event_of and msg_count are the per-instance view (message id,
-    event index) and its length, built from event_ids on first read.
+    event_ids is the per-event view, the row of each event; ids,
+    event_of and msg_count are the per-instance view (message id, event
+    index) and its length.  Each is built from the rows on first read.
 
     attr_source gives the attributes: per instance its mapping or
     None, or a callable that returns per instance its attribute text
@@ -129,8 +135,26 @@ class Trace:
     """
 
     alphabet: tuple[Message, ...]
-    event_ids: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    row_of: tuple[int, ...]
     attr_source: Sequence[Mapping[str, object] | None] | Callable[[], Sequence[str]] = field(repr=False)
+
+    @classmethod
+    def of_events(
+        cls,
+        alphabet: tuple[Message, ...],
+        events: Iterable[tuple[int, ...]],
+        attr_source: Sequence[Mapping[str, object] | None] | Callable[[], Sequence[str]],
+    ) -> "Trace":
+        """The trace of per-event id tuples, in trace order: each
+        distinct tuple is a row, numbered in order of first appearance."""
+        number: dict[tuple[int, ...], int] = {}
+        row_of = tuple([number.setdefault(event, len(number)) for event in events])
+        return cls(alphabet, tuple(number), row_of, attr_source)
+
+    @cached_property
+    def event_ids(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.rows.__getitem__, self.row_of))
 
     @cached_property
     def ids(self) -> tuple[int, ...]:
@@ -142,7 +166,7 @@ class Trace:
 
     @cached_property
     def msg_count(self) -> int:
-        return sum(map(len, self.event_ids))
+        return _instance_count(self.rows, self.row_of)
 
     def _texts(self) -> Sequence[str] | None:
         """Per instance its attribute text, from a text source."""
@@ -181,12 +205,13 @@ class Trace:
         return _values_of(texts, distinct, name, default)
 
     def __len__(self) -> int:
-        return len(self.event_ids)
+        return len(self.row_of)
 
     @cached_property
     def events(self) -> tuple[tuple[Message, ...], ...]:
         alphabet = self.alphabet
-        return tuple([tuple(map(alphabet.__getitem__, row)) for row in self.event_ids])
+        rows = [tuple(map(alphabet.__getitem__, row)) for row in self.rows]
+        return tuple(map(rows.__getitem__, self.row_of))
 
     def __iter__(self) -> Iterator[tuple[Message, ...]]:
         return iter(self.events)
@@ -206,11 +231,17 @@ class Trace:
         (trace order for a slice), with its events renumbered from 0.
         It shares this trace's alphabet."""
         ids, runs = self.ids, groupby(members, self.event_of.__getitem__)
-        return Trace(
+        return Trace.of_events(
             self.alphabet,
-            tuple(tuple(list(map(ids.__getitem__, run))) for _, run in runs),
+            (tuple(list(map(ids.__getitem__, run))) for _, run in runs),
             tuple(map(self.attrs.__getitem__, members)),
         )
+
+
+def _instance_count(rows: Iterable[tuple[int, ...]], row_of: Iterable[int]) -> int:
+    """The number of instances in the events of the given row numbers."""
+    lengths = list(map(len, rows))
+    return sum(map(lengths.__getitem__, row_of))
 
 
 def trace_of(
@@ -237,7 +268,7 @@ def trace_of(
             if not isinstance(key, str):
                 raise ValueError("attribute name %r is not a string" % (key,))
             _check_atom(key, "attribute name")
-    return Trace(tuple(index), tuple(rows), mappings)
+    return Trace.of_events(tuple(index), rows, mappings)
 
 
 class MessageTable:
@@ -409,6 +440,7 @@ _GROUPING = str.maketrans("{},", "   ")
 # runs to the next ';' or whitespace.  \s is what str.split splits on.
 _BAD_PAIR = re.compile(r";(?![^\s:;,={}()#]+=[^\s;])")
 _ATTR_TEXT = re.compile(r";(\S*)")  # a token's attribute text, after its first ';'
+_ATTR_CUT = re.compile(r";\S*")  # the same, not kept; a split joined by ';' cuts faster than a sub
 
 
 def _cut_attr_texts(text: str) -> tuple[str, list[str]]:
@@ -448,7 +480,7 @@ def _instance_texts(text: str, blanked: str) -> list[str]:
     return [token.partition(";")[2] for _, tokens in _event_lines(text, blanked) for token in tokens]
 
 
-def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
+def parse_trace(text: str, table: MessageTable | None = None, *, attr_texts: bool = True) -> Trace:
     """Parse trace text; one event per non-blank, non-comment line.
 
     Attributes are checked here but decoded only when read.  With the
@@ -457,17 +489,22 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
     Only then are the lines checked in order, token by token, its index
     or triple before its attributes, and the first fault is raised;
     nothing is raised when every such ';' is in a comment.  One regex
-    split then cuts each token's attribute text down to its first ';'
-    and keeps the texts for the trace (see Trace).  Each distinct cut
-    line is split into tokens once, so each token is an index, a triple,
-    or a triple and ';', and each distinct token is parsed and checked
-    once; a repeated line takes the ids tuple of its first occurrence,
-    unsplit.  Only a line with no token or whose first token starts with
-    '#' is looked at again, to tell a blank line, a comment and a line
-    of bare grouping apart.  With a table the alphabet starts with the
-    table's messages, so message ids follow table order (id = index - 1)
-    and an inline triple from the table gets its index's id; other
-    triples get the next ids in order of first appearance.
+    pass then cuts each token's attribute text down to its first ';'.
+    attr_texts says whether the caller will read attributes: if so, the
+    pass is a split that keeps the texts for the trace; if not, it keeps
+    none, and the trace finds them again in the text if they are read
+    after all (see Trace).  Either way the trace
+    gives the same attributes.  Each distinct cut line is split into
+    tokens once, so each token is an index, a triple, or a triple and
+    ';', and each distinct token is parsed and checked once; each
+    distinct line's ids become a row, and a repeated line takes the row
+    number of its first occurrence, unsplit.  Only a line with no token
+    or whose first token starts with '#' is looked at again, to tell a
+    blank line, a comment and a line of bare grouping apart.  With a
+    table the alphabet starts with the table's messages, so message ids
+    follow table order (id = index - 1) and an inline triple from the
+    table gets its index's id; other triples get the next ids in order
+    of first appearance.
     """
     alphabet: list[Message] = []
     by_triple: dict[tuple[str, str, str], int] = {}
@@ -476,8 +513,9 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
         by_triple.update((m.triple(), mid) for mid, m in enumerate(alphabet))
     known: dict[str, int] = {}  # token cut at its first ';' -> message id
     heads: dict[str, int] = {}  # triple text, bare or before an attributed token's ';'
-    rows: dict[str, tuple[int, ...]] = {}  # cut event line -> its ids
-    events: list[tuple[int, ...]] = []
+    numbers: dict[str, int] = {}  # cut event line -> its row number
+    rows: dict[tuple[int, ...], int] = {}  # event row -> its number
+    row_of: list[int] = []
     commented = False  # whether a comment holds an attribute text
     raw_lines: list[str] | None = None
 
@@ -507,16 +545,19 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
                 if sep:
                     _parse_attrs(rest, lineno)
     lookup = known.__getitem__
-    cut, texts = _cut_attr_texts(blanked)
-    for lineno, row in enumerate(cut.splitlines(), start=1):
-        event = rows.get(row)
-        if event is None:
-            tokens = row.split()
+    if attr_texts:
+        cut, texts = _cut_attr_texts(blanked)
+    else:
+        cut, texts = ";".join(_ATTR_CUT.split(blanked)), None
+    for lineno, line in enumerate(cut.splitlines(), start=1):
+        number = numbers.get(line)
+        if number is None:
+            tokens = line.split()
             if not tokens or tokens[0][0] == "#":
                 if raw_lines is None:
                     raw_lines = text.splitlines()
                 if not _is_event(raw_lines[lineno - 1], tokens, lineno):
-                    commented = commented or ";" in row
+                    commented = commented or ";" in line
                     continue
             # tuple(list(...)): a tuple grown from an iterator is resized,
             # and the interpreter's per-size tuple free lists then keep
@@ -528,18 +569,17 @@ def parse_trace(text: str, table: MessageTable | None = None) -> Trace:
                     if token not in known:
                         known[token] = resolve(token, lineno)
                 event = tuple(list(map(lookup, tokens)))
-            rows[row] = event
-        events.append(event)
-    if not events:
+            number = numbers[line] = rows.setdefault(event, len(rows))
+        row_of.append(number)
+    if not row_of:
         raise ParseError("trace has no events")
-    instances = sum(map(len, events))
-    if not texts:
-        source = (None,) * instances
-    elif len(texts) == instances and not commented:  # one text per instance, in order
-        source = texts.copy
-    else:  # some instance has no text, or a comment has one
+    if ";" not in text:
+        source = (None,) * _instance_count(rows, row_of)
+    elif texts is not None and not commented and len(texts) == _instance_count(rows, row_of):
+        source = texts.copy  # one text per instance, in order
+    else:  # the texts were not kept, some instance has no text, or a comment has one
         source = partial(_instance_texts, text, blanked)
-    return Trace(tuple(alphabet), tuple(events), source)
+    return Trace(tuple(alphabet), tuple(rows), tuple(row_of), source)
 
 
 _UNWRITABLE = re.compile(r"[\s;,{}]")  # a value holding one would not read back as written

@@ -510,7 +510,7 @@ def reference_simulate(spec, cfg: GenConfig) -> SimResult:
     instances = tuple(
         InstanceTrace(inst.instance_id, inst.flow, inst.branch, tuple(inst.emitted), tuple(inst.stamps)) for inst in live
     )
-    return SimResult(Trace(tuple(alphabet), tuple(events), tuple(attrs)), instances)
+    return SimResult(Trace.of_events(tuple(alphabet), events, tuple(attrs)), instances)
 
 
 _DOT_EDGE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*->\s*"((?:[^"\\]|\\.)*)"\s*\[label="((?:[^"\\]|\\.)*)"\];$')

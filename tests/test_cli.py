@@ -676,6 +676,24 @@ def test_sliced_mine_decodes_each_attribute_text_at_most_once(paths, long_tagged
         assert (tmp_path / "padded" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
+def test_only_commands_that_read_attributes_keep_their_texts(paths, model_file, long_tagged_trace, table, tmp_path,
+                                                           capsys, monkeypatch):
+    cuts = []
+    real = flowmine.trace._cut_attr_texts
+    monkeypatch.setattr(flowmine.trace, "_cut_attr_texts", lambda text: cuts.append(text) or real(text))
+    trace_file = tmp_path / "long.trace"
+    trace_file.write_text(serialize_trace(long_tagged_trace, table))
+    trace, tab = ["--trace", str(trace_file)], ["--table", paths["table"]]
+    for strategy in STRATEGIES:
+        assert main(["eval", "--model", model_file, *trace, *tab, "--strategy", strategy, "--budget", "10"]) == EXIT_OK
+    assert main(["export-smt", *trace, *tab, "--window", "off", "--out", str(tmp_path / "long.smt2")]) == EXIT_OK
+    assert main(["mine", *trace, *tab, "--out", str(tmp_path / "plain")]) == EXIT_OK
+    assert cuts == []
+    # a sliced mine keeps the texts, one split per trace
+    assert main(["mine", *trace, *trace, *tab, "--slice", "pid", "--out", str(tmp_path / "sliced")]) == EXIT_OK
+    assert len(cuts) == 2
+
+
 def test_zero_padded_pids_mine_the_sliced_digests(paths, tmp_path):
     padded = tmp_path / "padded.trace"
     padded.write_text(mined_digests_trace(paths, tmp_path).read_text().replace("pid=", "pid=0"))

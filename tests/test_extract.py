@@ -2,7 +2,7 @@ import logging
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import flowmine.extract
 from flowmine import (
@@ -16,9 +16,13 @@ from flowmine import (
     check_solution,
     dump_graph,
     enumerate_solutions,
+    derive_fsa,
+    fsa_to_json,
     generate,
     model_extract,
+    parse_trace,
     reduce_model,
+    serialize_trace,
     shortfall,
     solve,
     trace_of,
@@ -308,3 +312,25 @@ def test_node_supports_count_ids(traces, sliced):
         for node, found in positions[0].items():
             expected[at[node]] += len(found)
     assert {m: stats.support for m, stats in graph.nodes.items()} == expected
+
+
+def _mined(trace, table):
+    """What mine writes of a trace at the auto window: the window, the
+    graph report, the model and the listed minima."""
+    try:
+        window, graph, result = auto_window([trace], table=table, window="auto")
+    except NoFeasibleWindowError as exc:
+        return str(exc)
+    return window, dump_graph(graph), fsa_to_json(derive_fsa(result.best, graph)), [sol.items() for sol in result.pool]
+
+
+@pytest.mark.xfail(strict=True, reason="mine reads the order of the messages inside an event (a known defect)")
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 6), st.integers(0, 10**6), st.sampled_from([0.2, 0.5]))
+@example(2, 0, 0.5)  # the window moves from 5 to 6
+def test_mine_ignores_the_order_inside_an_event(flowspec, table, instances, seed, simul):
+    # an event has no order inside: writing each event's messages in
+    # reverse must mine the same window, graph and models
+    text = serialize_trace(generate(flowspec, GenConfig(instances=instances, seed=seed, simul_prob=simul)), table)
+    reversed_text = "".join(" ".join(reversed(line.split())) + "\n" for line in text.splitlines())
+    assert _mined(parse_trace(reversed_text, table), table) == _mined(parse_trace(text, table), table)

@@ -1,13 +1,17 @@
 import re
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import flowmine.flows
+import flowmine.fsa
 import flowmine.trace
 from flowmine import (
+    GenConfig,
     Message,
     MessageTable,
     ParseError,
+    generate,
     parse_message_table,
     parse_trace,
     serialize_message_table,
@@ -199,6 +203,7 @@ TRACE_TEXTS = st.builds(
 )
 
 
+@pytest.mark.parametrize("attr_texts", [True, False])  # texts kept, or found again in the text when read
 @settings(deadline=None, max_examples=400)
 @given(TRACE_TEXTS, st.booleans())
 @example("1 a:b:c;pid=1\nb:c:a 2\n", True)  # index and inline name the same message
@@ -223,16 +228,16 @@ TRACE_TEXTS = st.builds(
 @example("a:b:c;p=1\n{,}\nb:c:a;q\n", False)  # bare grouping before a malformed pair
 @example("1 2\n7 a:b:c;p=1\nb:c:a;p=\n", True)  # a bad index before a malformed pair
 @example("a:b:c b:c:a;p=1\nb:c:a;p=2 a:b:c\n", False)  # a bare token next to an attributed one
-def test_columnar_parse_matches_reference(text, with_table):
+def test_columnar_parse_matches_reference(attr_texts, text, with_table):
     table = SMALL_TABLE if with_table else None
     try:
         want = reference_parse_trace(text, table)
     except ParseError as exc:
         with pytest.raises(ParseError) as err:
-            parse_trace(text, table)
+            parse_trace(text, table, attr_texts=attr_texts)
         assert (str(err.value), err.value.line) == (str(exc), exc.line)
         return
-    got = parse_trace(text, table)
+    got = parse_trace(text, table, attr_texts=attr_texts)
     flat = [pair for event in want for pair in event]
     assert got.attrs == tuple(a for _, a in flat)
     attrs = iter(got.attrs)
@@ -244,13 +249,14 @@ def test_columnar_parse_matches_reference(text, with_table):
         if m not in alphabet:
             alphabet.append(m)
     assert got.alphabet == tuple(alphabet)  # table order, then first appearance
+    assert got.event_ids == tuple(tuple(alphabet.index(m) for m, _ in event) for event in want)
     assert got.ids == tuple(alphabet.index(m) for m, _ in flat)
     assert got.event_of == tuple(e for e, event in enumerate(want) for _ in event)
-    # equal event lines share one ids tuple
+    # equal event lines share one row
     lines = [line for line in text.splitlines() if line.strip() and not line.strip().startswith("#")]
-    first: dict[str, tuple[int, ...]] = {}
-    for line, event in zip(lines, got.event_ids, strict=True):
-        assert first.setdefault(line, event) is event
+    first: dict[str, int] = {}
+    for line, number in zip(lines, got.row_of, strict=True):
+        assert first.setdefault(line, number) == number
 
 
 # Attribute texts over the characters that decide a pair: reserved
@@ -393,3 +399,79 @@ def test_trace_text_roundtrip(events):
 def test_msg_count_matches_event_sizes(events):
     t = trace_of(*events)
     assert t.msg_count == sum(len(e) for e in events)
+
+
+MESSAGE_POOL = [Message(*label.split(":")) for label in ("a:b:c", "b:c:a", "c:a:b", "a:b:x")]
+
+
+def _grouped(base, members):
+    """Per event of base that holds some of members, in the order given,
+    the ids of those members: the events of base.select(members)."""
+    events, last = [], None
+    for pos in members:
+        if base.event_of[pos] != last:
+            events.append(())
+            last = base.event_of[pos]
+        events[-1] += (base.ids[pos],)
+    return tuple(events)
+
+
+@st.composite
+def row_traces(draw, flowspec, flow_table):
+    """(trace, its events as id tuples worked out apart from it, the
+    table its messages may be ranked by, its event lines or None), from
+    parse_trace, trace_of, generate or Trace.select."""
+    source = draw(st.sampled_from(["parse", "trace_of", "generate", "select"]))
+    if source == "parse":
+        text, with_table = draw(TRACE_TEXTS), draw(st.booleans())
+        table = SMALL_TABLE if with_table else None
+        try:
+            want = reference_parse_trace(text, table)
+        except ParseError:
+            assume(False)
+        trace = parse_trace(text, table, attr_texts=draw(st.booleans()))
+        events = tuple(tuple(trace.alphabet.index(m) for m, _ in event) for event in want)
+        lines = [line for line in text.splitlines() if line.strip() and not line.strip().startswith("#")]
+        return trace, events, table, lines
+    if source == "trace_of" or draw(st.booleans()):
+        messages = draw(st.lists(st.lists(st.sampled_from(MESSAGE_POOL), min_size=1, max_size=4), min_size=1, max_size=10))
+        trace, table = trace_of(*messages), None
+        events = tuple(tuple(trace.alphabet.index(m) for m in event) for event in messages)
+    else:
+        cfg = GenConfig(
+            instances=draw(st.integers(1, 6)),
+            seed=draw(st.integers(0, 10**6)),
+            simul_prob=draw(st.sampled_from([0.0, 0.2, 0.9])),
+            tag=draw(st.sampled_from([None, "pid"])),
+        )
+        trace, table = generate(flowspec, cfg), flow_table
+        events = tuple(flowmine.flows._interleave(flowspec, cfg).events)
+    if source != "select":
+        return trace, events, table, None
+    members = sorted(draw(st.sets(st.integers(0, trace.msg_count - 1), min_size=1)))
+    return trace.select(members), _grouped(trace, members), table, None
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_a_trace_is_distinct_rows_and_a_row_number_per_event(flowspec, table, data):
+    trace, events, rank_table, lines = data.draw(row_traces(flowspec, table))
+    assert trace.event_ids == events
+    assert len(trace) == len(events)
+    assert trace.msg_count == sum(map(len, events))
+    # each distinct event is one row, numbered in order of first appearance
+    assert len(set(trace.rows)) == len(trace.rows) and all(trace.rows)
+    assert list(dict.fromkeys(trace.row_of)) == list(range(len(trace.rows)))
+    if lines is not None:  # equal parsed lines share one row number
+        first: dict[str, int] = {}
+        for line, number in zip(lines, trace.row_of, strict=True):
+            assert first.setdefault(line, number) == number
+    # replay order: each event sorted by table index, when the table
+    # holds every message, and by triple
+    used = {trace.alphabet[mid] for row in trace.rows for mid in row}
+    if rank_table is None or not used <= set(rank_table.messages):
+        rank_table = None
+    for by in {None, rank_table}:
+        rank = by.index_of if by is not None else Message.triple
+        want = [sorted(event, key=lambda mid: rank(trace.alphabet[mid])) for event in events]
+        assert list(flowmine.fsa._canonical_events(trace, by)) == want
