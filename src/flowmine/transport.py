@@ -25,15 +25,20 @@ as it is, so the first dive is a greedy drop pass.  One lower bound
 prunes, the count bound: per balance, the included edges plus the
 fewest others whose uppers reach its total, summed over the
 out-balances, which partition the edges, and likewise over the
-in-balances.  A node keeps each balance's term, so a child costs
-two terms, not a pass over every edge: it recomputes only those of
-the out- and in-balance holding the edge it decides.  A node whose
-bound exceeds the best size is cut; until that size is proved, one
-whose bound equals it is set aside.  When the stack empties no
-smaller support exists, and the walk takes up the set-aside nodes,
-keeping ties, so it lists every minimum and expands no node twice.
-It stops after SEARCH_NODE_BUDGET nodes and then returns the
-smallest models found so far, named as a fallback.
+in-balances.  A node keeps each balance's term and both side sums,
+so a child costs two terms, not a pass over every edge: it recomputes
+only those of the out- and in-balance holding the edge it decides and
+swaps them into its parent's sums.  The included child keeps its
+parent's flow, whose support is already recorded, and branches on the
+next edge that flow uses after the one decided; only the excluded
+child, whose flow is rerouted, records a support and reads its flow
+for the edges it uses.  A node whose bound exceeds the best size is
+cut; until that size is proved, one whose bound equals it is set
+aside.  When the stack empties no smaller support exists, and the
+walk takes up the set-aside nodes, keeping ties, so it lists every
+minimum and expands no node twice.  It stops after
+SEARCH_NODE_BUDGET nodes, counted over both parts of the walk, and
+then returns the smallest models found so far, named as a fallback.
 
 The search keeps supports, not flows: a model's counts are one max
 flow over just its edges, so they depend on the model alone, not on
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 
@@ -122,18 +126,22 @@ class _Network:
         out-balances still reachable from the excess left over, which
         is the out side of a minimum cut."""
         head, tail, out_vars, in_vars = self.head, self.tail, self.out_vars, self.in_vars
+        outs, ins = range(len(excess)), len(deficit)
         while True:
-            via_out = {k: -1 for k, x in enumerate(excess) if x}
-            if not via_out:
+            queue = list(compress(outs, excess))
+            if not queue:
                 return None
-            via_in: dict[int, int] = {}
-            queue = deque(via_out)
+            # the edge the search reached each out-balance by (-1: it
+            # has excess, -2: not reached) and each in-balance by (-1:
+            # not reached); queue lists the out-balances reached
+            via_out, via_in = [-2] * len(outs), [-1] * ins
+            for k in queue:
+                via_out[k] = -1
             end = -1
-            while queue and end < 0:
-                k = queue.popleft()
+            for k in queue:
                 for e in out_vars[k]:
                     j = tail[e]
-                    if j in via_in or flow[e] >= cap[e]:
+                    if via_in[j] >= 0 or flow[e] >= cap[e]:
                         continue
                     via_in[j] = e
                     if deficit[j]:
@@ -141,20 +149,26 @@ class _Network:
                         break
                     for back in in_vars[j]:
                         k2 = head[back]
-                        if flow[back] and k2 not in via_out:
+                        if flow[back] and via_out[k2] == -2:
                             via_out[k2] = back
                             queue.append(k2)
+                if end >= 0:
+                    break
             if end < 0:
-                return list(via_out)
+                return queue
             amount, j = deficit[end], end
             while True:
                 e = via_in[j]
-                amount = min(amount, cap[e] - flow[e])
-                back = via_out[head[e]]
+                if cap[e] - flow[e] < amount:
+                    amount = cap[e] - flow[e]
+                k = head[e]
+                back = via_out[k]
                 if back < 0:
-                    amount = min(amount, excess[head[e]])
+                    if excess[k] < amount:
+                        amount = excess[k]
                     break
-                amount = min(amount, flow[back])
+                if flow[back] < amount:
+                    amount = flow[back]
                 j = tail[back]
             deficit[end] -= amount
             j = end
@@ -212,42 +226,57 @@ class SearchStats:
     nodes: int  # branch-and-bound nodes visited, a set-aside node again when the listing takes it up
     bound_prunes: int  # nodes cut off for good by the count bound
     minima: int  # smallest supports found
-    size_proved: bool  # the walk emptied its stack: no smaller support exists
+    proof_nodes: int | None  # nodes visited when the walk emptied its stack, None if it never did
     all_listed: bool  # it walked the set-aside ties too: these are all the minima
     fallback: str | None  # "node-budget" when the walk stopped early
-    flows: int  # max flows run: reroutes, one per listed support (its counts), and the root's if run here
+    flows: int  # max flows run: reroutes, one or more per listed support (its counts), and the root's if run here
+
+    @property
+    def size_proved(self) -> bool:
+        """The walk emptied its stack: no smaller support exists."""
+        return self.proof_nodes is not None
 
     def to_json(self) -> dict:
         return {"nodes": self.nodes, "bound_prunes": self.bound_prunes, "minima": self.minima,
-                "size_proved": self.size_proved, "all_listed": self.all_listed, "fallback": self.fallback}
+                "size_proved": self.size_proved, "proof_nodes": self.proof_nodes, "all_listed": self.all_listed,
+                "fallback": self.fallback}
 
 
 class _BranchAndBound:
     """Every smallest support of one feasible network; see the module
     docstring.  A search node is (included, excluded, flow, pending,
-    terms, bound): bit p of included (excluded) says edge order[p] is
-    in (out), flow saturates the network without the excluded edges
-    once pending, the edge just excluded, has been rerouted around (-1:
-    nothing to reroute), and terms holds the count bound's term per
-    balance, whose side sums give bound.  A node branches on the first
-    undecided edge in order that its flow uses; when there is none,
-    the flow uses included edges only and no completion is smaller.
-    Every minimum support T is reached: the node that decides each
-    branching edge as T does allows T, so its count bound does not
-    exceed |T|."""
+    free, terms, outs, ins, bound): bit p of included (excluded) says
+    edge order[p] is in (out); flow saturates the network without the
+    excluded edges once pending, the edge just excluded, has been
+    rerouted around (-1: the flow is its parent's, already recorded);
+    free has bit p set when flow uses order[p] and leaves it
+    undecided (a node with an edge pending sets it once it has
+    rerouted); terms holds the count
+    bound's term per balance, outs and ins their sums over the out-
+    and the in-balances, and bound the larger sum.  A node branches on
+    the first undecided edge in order that its flow uses; when there
+    is none, the flow uses included edges only and no completion is
+    smaller.  Its included child keeps the flow, so the edges it may
+    branch on are its parent's but the one decided; its excluded child
+    reroutes, and finds them from the new flow.  Every minimum support
+    T is reached: the node that decides each branching edge as T does
+    allows T, so its count bound does not exceed |T|."""
 
     def __init__(self, net: _Network):
         self.net = net
         self.order = sorted((e for e, c in enumerate(net.cap) if c), key=self._order_key)
         self.split = len(net.outs)
-        # per position in order, the out- and in-balance holding its
-        # edge; per balance, its total and (position, upper) of its
-        # edges in order, which is ascending upper
+        # per edge, the bit of its position in order (0 for an edge of
+        # upper 0, which has none); per position in order, the out- and
+        # in-balance holding its edge; per balance, its total and (bit,
+        # upper) of its edges in order, which is ascending upper
+        self.bits = [0] * len(net.cap)
         self.holders = [(net.head[e], self.split + net.tail[e]) for e in self.order]
         self.balances = [(b.total, []) for b in net.outs + net.ins]
         for p, (e, pair) in enumerate(zip(self.order, self.holders)):
+            self.bits[e] = 1 << p
             for k in pair:
-                self.balances[k][1].append((p, net.cap[e]))
+                self.balances[k][1].append((1 << p, net.cap[e]))
         self.unmet = len(self.order) + 1  # a term above every support's size
         self.best = _INFEASIBLE
         self.found: set[tuple[int, ...]] = set()
@@ -260,37 +289,50 @@ class _BranchAndBound:
     def run(self, flow: list[int], budget: int) -> tuple[list[list[int]], SearchStats]:
         """The walk of the module docstring from flow, within budget
         nodes; it takes up the set-aside nodes in the order it set them
-        aside.  Each listed support's counts, and what the search did."""
-        self._record(flow)
-        terms = array("I", (self._term(k, 0, 0) for k in range(len(self.balances))))
-        stack, aside, proved = [(0, 0, flow, -1, terms, self._bound(terms))], [], False
-        while stack or not proved:
+        aside.  Each listed support's counts, and what the search did.
+        A child costs two terms, swapped into its parent's side sums;
+        only an excluded child, whose flow is new, pays a reroute and a
+        pass over its flow."""
+        holders, order, term = self.holders, self.order, self._term
+        free = self._record(flow)
+        terms = array("I", (term(k, 0, 0) for k in range(len(self.balances))))
+        outs, ins = sum(terms[:self.split]), sum(terms[self.split:])
+        stack, aside, proof_nodes = [(0, 0, flow, -1, free, terms, outs, ins, max(outs, ins))], [], None
+        while stack or proof_nodes is None:
             if not stack:
-                stack, proved = aside[::-1], True
+                stack, proof_nodes = aside[::-1], self.nodes
                 continue
             if self.nodes == budget:
                 break
-            included, excluded, flow, pending, terms, bound = node = self._pop(stack)
+            included, excluded, flow, pending, free, terms, outs, ins, bound = node = self._pop(stack)
             if bound > self.best:
                 self.prunes += 1
                 continue
-            if bound == self.best and not proved:
+            if bound == self.best and proof_nodes is None:
                 aside.append(node)
                 continue
             if pending >= 0:
-                flow = self._without(flow, pending, self._caps(excluded))
+                flow = self._without(flow, pending, excluded)
                 if flow is None:
                     continue
-            self._record(flow)
-            branch = self._branch(included | excluded, flow)
-            if branch < 0:
+                free = self._record(flow) & ~included
+            bit = self._branch(free)
+            if not bit:
                 continue
-            bit = 1 << branch
-            stack.append(self._child(terms, branch, included | bit, excluded, flow, -1))
-            stack.append(self._child(terms, branch, included, excluded | bit, flow, self.order[branch]))
-        all_listed = proved and not stack
+            p = bit.bit_length() - 1
+            k_out, k_in = holders[p]
+            was_out, was_in = terms[k_out], terms[k_in]
+            for child_in, child_ex, child_pending in ((included | bit, excluded, -1),
+                                                      (included, excluded | bit, order[p])):
+                now_out, now_in = term(k_out, child_in, child_ex), term(k_in, child_in, child_ex)
+                child = array("I", terms)
+                child[k_out], child[k_in] = now_out, now_in
+                child_outs, child_ins = outs - was_out + now_out, ins - was_in + now_in
+                stack.append((child_in, child_ex, flow, child_pending, free ^ bit, child,
+                              child_outs, child_ins, child_outs if child_outs > child_ins else child_ins))
+        all_listed = proof_nodes is not None and not stack
         minima = self._counts()
-        return minima, SearchStats(self.nodes, self.prunes, len(minima), proved, all_listed,
+        return minima, SearchStats(self.nodes, self.prunes, len(minima), proof_nodes, all_listed,
                                    None if all_listed else "node-budget", self.flows)
 
     def _counts(self) -> list[list[int]]:
@@ -319,40 +361,32 @@ class _BranchAndBound:
         self.nodes += 1
         return stack.pop()
 
-    def _child(self, terms: array, p: int, included: int, excluded: int, flow: list[int], pending: int) -> tuple:
-        """The node deciding edge order[p]: its parent's terms but those
-        of the two balances holding the edge."""
-        terms = array("I", terms)
-        for k in self.holders[p]:
-            terms[k] = self._term(k, included, excluded)
-        return included, excluded, flow, pending, terms, self._bound(terms)
+    @staticmethod
+    def _branch(free: int) -> int:
+        """The bit of the first position in free, or 0: the edge an
+        expanded node branches on."""
+        return free & -free
 
-    def _bound(self, terms: array) -> int:
-        """The larger of the out-balances' and the in-balances' sums."""
-        return max(sum(terms[:self.split]), sum(terms[self.split:]))
-
-    def _branch(self, decided: int, flow: list[int]) -> int:
-        """Position of the first undecided edge that flow uses, or -1."""
-        return next((p for p, e in enumerate(self.order) if flow[e] and not decided >> p & 1), -1)
-
-    def _record(self, flow: list[int]) -> None:
+    def _record(self, flow: list[int]) -> int:
+        """Keep flow's support if no larger support has been kept; the
+        bits of the positions in order of the edges flow uses."""
         support = tuple(compress(range(len(flow)), flow))
         if len(support) < self.best:
             self.best, self.found = len(support), set()
         if len(support) == self.best:
             self.found.add(support)
+        return sum(compress(self.bits, flow))
 
-    def _caps(self, excluded: int) -> list[int]:
-        cap = list(self.net.cap)
-        for p, e in enumerate(self.order):
-            if excluded >> p & 1:
-                cap[e] = 0
-        return cap
-
-    def _without(self, flow: list[int], e: int, cap: list[int]) -> list[int] | None:
-        """flow rerouted around edge e, whose capacity in cap is 0."""
+    def _without(self, flow: list[int], e: int, excluded: int) -> list[int] | None:
+        """flow rerouted around edge e, one of the excluded edges, each
+        of which gets capacity 0."""
         self.flows += 1
         net = self.net
+        cap = list(net.cap)
+        # bin's digits after "0b", reversed, are excluded's bits 0, 1, ...
+        for edge, out in zip(self.order, bin(excluded)[:1:-1]):
+            if out == "1":
+                cap[edge] = 0
         flow = list(flow)
         excess, deficit = [0] * len(net.outs), [0] * len(net.ins)
         excess[net.head[e]] = deficit[net.tail[e]] = flow[e]
@@ -365,11 +399,11 @@ class _BranchAndBound:
         total, or self.unmet when the undecided ones fall short."""
         total, members = self.balances[k]
         need, spare, edges = total, [], 0
-        for p, upper in members:
-            if included >> p & 1:
+        for bit, upper in members:
+            if included & bit:
                 need -= upper
                 edges += 1
-            elif not excluded >> p & 1:
+            elif not excluded & bit:
                 spare.append(upper)
         while need > 0:
             if not spare:

@@ -1,9 +1,12 @@
 """Independent oracles used by the tests.
 
 Everything here is deliberately written from the definitions, not by
-calling the production code, so agreement is meaningful.  The one
-exception is simulate, which records the generator's own schedule per
-instance, so that tests can check a generated trace against it.
+calling the production code, so agreement is meaningful.  The
+exceptions are simulate, which records the generator's own schedule per
+instance, so that tests can check a generated trace against it, and
+reference_minimum_models, which takes the network's shape from
+transport._Network and ranks with Solution.rank_key, so that only the
+walk is compared.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import math
 import random
 import re
 import sys
-from collections import Counter
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -33,6 +37,8 @@ from flowmine import (
 )
 from flowmine.extract import annotated_graph
 from flowmine.flows import _interleave, _trace
+from flowmine.solver import Solution
+from flowmine.transport import SearchStats, _Network
 
 
 @contextlib.contextmanager
@@ -179,6 +185,201 @@ def count_bound(problem, order, included: int, excluded: int) -> float:
             need -= spare.pop()
             sums[b.side] += 1
     return max(sums.values())
+
+
+def reference_route(net, cap: list[int], flow: list[int], excess: list[int], deficit: list[int]) -> list[int] | None:
+    """_Network.route as first written, with dicts of the balances
+    reached and a deque for the search: the same shortest residual
+    paths, in the same order, so the same flows."""
+    head, tail, out_vars, in_vars = net.head, net.tail, net.out_vars, net.in_vars
+    while True:
+        via_out = {k: -1 for k, x in enumerate(excess) if x}
+        if not via_out:
+            return None
+        via_in: dict[int, int] = {}
+        queue = deque(via_out)
+        end = -1
+        while queue and end < 0:
+            k = queue.popleft()
+            for e in out_vars[k]:
+                j = tail[e]
+                if j in via_in or flow[e] >= cap[e]:
+                    continue
+                via_in[j] = e
+                if deficit[j]:
+                    end = j
+                    break
+                for back in in_vars[j]:
+                    k2 = head[back]
+                    if flow[back] and k2 not in via_out:
+                        via_out[k2] = back
+                        queue.append(k2)
+        if end < 0:
+            return list(via_out)
+        amount, j = deficit[end], end
+        while True:
+            e = via_in[j]
+            amount = min(amount, cap[e] - flow[e])
+            back = via_out[head[e]]
+            if back < 0:
+                amount = min(amount, excess[head[e]])
+                break
+            amount = min(amount, flow[back])
+            j = tail[back]
+        deficit[end] -= amount
+        j = end
+        while True:
+            e = via_in[j]
+            flow[e] += amount
+            back = via_out[head[e]]
+            if back < 0:
+                excess[head[e]] -= amount
+                break
+            flow[back] -= amount
+            j = tail[back]
+
+
+def _reference_max_flow(net, cap: list[int]) -> list[int] | None:
+    supply, demand = [b.total for b in net.outs], [b.total for b in net.ins]
+    flow = [0] * len(cap)
+    return flow if sum(supply) == sum(demand) and reference_route(net, cap, flow, supply, demand) is None else None
+
+
+class _ReferenceWalk:
+    """transport._BranchAndBound's walk as first written, where every
+    node pays for every edge: a child copies its parent's terms and sums
+    both sides again, every expanded node records its flow and scans
+    the edge order from the start, and every reroute builds its
+    capacities by a pass over the order.  A node is (included,
+    excluded, flow, pending, terms, bound), as in that class."""
+
+    def __init__(self, net):
+        self.net = net
+        self.order = sorted((e for e, c in enumerate(net.cap) if c), key=lambda e: (net.cap[e], e))
+        self.split = len(net.outs)
+        self.holders = [(net.head[e], self.split + net.tail[e]) for e in self.order]
+        self.balances = [(b.total, []) for b in net.outs + net.ins]
+        for p, (e, pair) in enumerate(zip(self.order, self.holders)):
+            for k in pair:
+                self.balances[k][1].append((p, net.cap[e]))
+        self.unmet = len(self.order) + 1
+        self.best = math.inf
+        self.found: set[tuple[int, ...]] = set()
+        self.nodes = self.prunes = self.flows = 0
+
+    def run(self, flow: list[int], budget: int):
+        self._record(flow)
+        terms = array("I", (self._term(k, 0, 0) for k in range(len(self.balances))))
+        stack, aside, proof_nodes = [(0, 0, flow, -1, terms, self._bound(terms))], [], None
+        while stack or proof_nodes is None:
+            if not stack:
+                stack, proof_nodes = aside[::-1], self.nodes
+                continue
+            if self.nodes == budget:
+                break
+            self.nodes += 1
+            included, excluded, flow, pending, terms, bound = node = stack.pop()
+            if bound > self.best:
+                self.prunes += 1
+                continue
+            if bound == self.best and proof_nodes is None:
+                aside.append(node)
+                continue
+            if pending >= 0:
+                flow = self._without(flow, pending, self._caps(excluded))
+                if flow is None:
+                    continue
+            self._record(flow)
+            branch = self._branch(included | excluded, flow)
+            if branch < 0:
+                continue
+            bit = 1 << branch
+            stack.append(self._child(terms, branch, included | bit, excluded, flow, -1))
+            stack.append(self._child(terms, branch, included, excluded | bit, flow, self.order[branch]))
+        all_listed = proof_nodes is not None and not stack
+        minima = self._counts()
+        return minima, SearchStats(self.nodes, self.prunes, len(minima), proof_nodes, all_listed,
+                                   None if all_listed else "node-budget", self.flows)
+
+    def _counts(self) -> list[list[int]]:
+        own = {}
+        for support in self.found:
+            used = set(support)
+            while True:
+                self.flows += 1
+                flow = _reference_max_flow(self.net, [c if e in used else 0 for e, c in enumerate(self.net.cap)])
+                if all(flow[e] for e in used):
+                    break
+                used = {e for e in used if flow[e]}
+            own[tuple(e for e, v in enumerate(flow) if v)] = flow
+        size = min(map(len, own))
+        return [flow for support, flow in own.items() if len(support) == size]
+
+    def _child(self, terms: array, p: int, included: int, excluded: int, flow: list[int], pending: int) -> tuple:
+        terms = array("I", terms)
+        for k in self.holders[p]:
+            terms[k] = self._term(k, included, excluded)
+        return included, excluded, flow, pending, terms, self._bound(terms)
+
+    def _bound(self, terms: array) -> int:
+        return max(sum(terms[:self.split]), sum(terms[self.split:]))
+
+    def _branch(self, decided: int, flow: list[int]) -> int:
+        return next((p for p, e in enumerate(self.order) if flow[e] and not decided >> p & 1), -1)
+
+    def _record(self, flow: list[int]) -> None:
+        support = tuple(e for e, v in enumerate(flow) if v)
+        if len(support) < self.best:
+            self.best, self.found = len(support), set()
+        if len(support) == self.best:
+            self.found.add(support)
+
+    def _caps(self, excluded: int) -> list[int]:
+        cap = list(self.net.cap)
+        for p, e in enumerate(self.order):
+            if excluded >> p & 1:
+                cap[e] = 0
+        return cap
+
+    def _without(self, flow: list[int], e: int, cap: list[int]) -> list[int] | None:
+        self.flows += 1
+        net = self.net
+        flow = list(flow)
+        excess, deficit = [0] * len(net.outs), [0] * len(net.ins)
+        excess[net.head[e]] = deficit[net.tail[e]] = flow[e]
+        flow[e] = 0
+        return flow if reference_route(net, cap, flow, excess, deficit) is None else None
+
+    def _term(self, k: int, included: int, excluded: int) -> int:
+        total, members = self.balances[k]
+        need, spare, edges = total, [], 0
+        for p, upper in members:
+            if included >> p & 1:
+                need -= upper
+                edges += 1
+            elif not excluded >> p & 1:
+                spare.append(upper)
+        while need > 0:
+            if not spare:
+                return self.unmet
+            need -= spare.pop()
+            edges += 1
+        return edges
+
+
+def reference_minimum_models(problem, budget: int):
+    """minimum_models(problem) with a node budget of budget, by the
+    walk as first written: the ranked minima's values and the
+    SearchStats, or None when the problem is infeasible."""
+    net = _Network(problem)
+    walk = _ReferenceWalk(net)
+    walk.flows += 1
+    flow = _reference_max_flow(net, list(net.cap))
+    if flow is None:
+        return None
+    minima, stats = walk.run(flow, budget)
+    ranked = sorted((Solution(problem, tuple(values)) for values in minima), key=Solution.rank_key)
+    return [m.values for m in ranked], stats
 
 
 def admits_single_zeroing(problem, solution) -> bool:

@@ -163,7 +163,8 @@ def test_mine_auto_window(paths, tmp_path, capsys):
     # reroutes, and one max flow for the one minimum's counts
     assert summary["solves"] == 6
     assert summary["search"] == {
-        "nodes": 16, "bound_prunes": 5, "minima": 1, "size_proved": True, "all_listed": True, "fallback": None,
+        "nodes": 16, "bound_prunes": 5, "minima": 1, "size_proved": True, "proof_nodes": 9, "all_listed": True,
+        "fallback": None,
     }
     assert summary["candidates"] == len(report) == 1  # the windowed problem has one solution
     assert summary["infeasible"] is None
@@ -190,7 +191,8 @@ def test_mine_window_off(paths, tmp_path, capsys):
     # one max flow per minimum for its counts
     assert summary["solves"] == 1 + 13 + 4
     assert summary["search"] == {
-        "nodes": 47, "bound_prunes": 16, "minima": 4, "size_proved": True, "all_listed": True, "fallback": None,
+        "nodes": 47, "bound_prunes": 16, "minima": 4, "size_proved": True, "proof_nodes": 5, "all_listed": True,
+        "fallback": None,
     }
     assert summary["best_size"] == 4
     # every minimum is reported, ranked, with its own max flow's counts
@@ -236,7 +238,7 @@ def test_mine_names_a_search_that_proves_the_size_but_lists_no_more(paths, tmp_p
     assert "(fallback: node-budget)" in capsys.readouterr().out
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["search"] == {
-        "nodes": 5, "bound_prunes": 1, "minima": 1, "size_proved": True, "all_listed": False,
+        "nodes": 5, "bound_prunes": 1, "minima": 1, "size_proved": True, "proof_nodes": 5, "all_listed": False,
         "fallback": "node-budget",
     }
     assert summary["best_size"] == 4
@@ -393,10 +395,12 @@ def test_mine_proves_the_k4_minimum_within_the_node_budget(k4_mined):
     summary = json.loads((k4_mined[1] / "summary.json").read_text())
     assert summary["best_size"] == 24
     assert summary["search"]["size_proved"] is True
-    # the walk itself: the listing pass ends at the budget, and solves
-    # are the window's one probe and the search's 6,001 max flows
+    # the walk itself: the listing pass gets the 3,789 nodes the proof
+    # left and ends at the budget, and solves are the window's one
+    # probe and the search's 6,001 max flows
     search = summary["search"]
     assert (search["nodes"], search["bound_prunes"], search["minima"]) == (20_000, 5_902, 1)
+    assert search["proof_nodes"] == 16_211
     assert (summary["windows_tried"], summary["solves"]) == (1, 1 + 6_001)
 
 

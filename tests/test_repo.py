@@ -1,7 +1,7 @@
 """Checks on files outside the package that run against it, and on the
 package's sources: the benchmark's tracer probes, the imports kept for
 them and its fallback counter, the one JSON writer, and the README's
-Python example and stated budgets and bounds."""
+Python example, stated budgets and bounds, and summary keys."""
 
 import ast
 import contextlib
@@ -103,6 +103,15 @@ def test_readme_states_the_search_node_budget():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     stated = re.findall(r"`flowmine\.transport\.SEARCH_NODE_BUDGET`,\s+([\d,]+)\s+nodes", text)
     assert [int(n.replace(",", "")) for n in stated] == [flowmine.transport.SEARCH_NODE_BUDGET]
+
+
+def test_readme_lists_the_search_keys():
+    # summary.json's search object is SearchStats.to_json(); the README
+    # names each of its keys as "`key`:", inside "`search` (...)"
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"`search` \((`nodes`:.*?)\),\n", text, re.S).group(1)
+    stats = flowmine.transport.SearchStats(1, 0, 1, 1, True, None, 1)
+    assert re.findall(r"`(\w+)`:", listed) == list(stats.to_json())
 
 
 def test_readme_states_the_eval_budget_default():

@@ -24,11 +24,11 @@ from flowmine import (
     solve,
     trace_of,
 )
-from flowmine.extract import annotated_graph, prepare_annotation
+from flowmine.extract import NoFeasibleWindowError, annotated_graph, prepare_annotation
 from flowmine.solver import Balance, ConstraintProblem
 from flowmine.transport import max_flow
 
-from helpers import brute_force_solutions, brute_minimum_size, count_bound, random_problem
+from helpers import brute_force_solutions, brute_minimum_size, count_bound, random_problem, reference_minimum_models
 
 
 def support(values) -> frozenset:
@@ -134,15 +134,15 @@ def walked_nodes(p):
     popped, expanded, bounds, orders = [], [], [], []
 
     def pop_and_record(self, stack):
-        included, excluded, _, _, _, bound = node = pop(self, stack)
+        included, excluded, *_, bound = node = pop(self, stack)
         popped.append((included, excluded))
         bounds.append(bound)
         orders.append(self.order)
         return node
 
-    def branch_and_record(self, decided, flow):
+    def branch_and_record(self, free):
         expanded.append(popped[-1])
-        return branch(self, decided, flow)
+        return branch(free)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cls, "_pop", pop_and_record)
@@ -240,6 +240,46 @@ def test_carried_bound_is_the_count_bound(seed):
 @example(PROOF_SEEDS[3])
 def test_carried_bound_is_the_count_bound_on_proof_problems(seed):
     assert_carried_bounds_are_count_bounds(proof_problem(seed))
+
+
+def generated_problem(spec, seed: int, instances: int, window):
+    """The problem mine searches on a generated trace at window ("auto"
+    or None for no window), or, where no window admits a model, the
+    infeasible problem at the last one probed."""
+    traces = [generate(spec, GenConfig(instances=instances, seed=seed, simul_prob=0.2))]
+    try:
+        return auto_window(traces, window=window)[2].best.problem
+    except NoFeasibleWindowError as exc:
+        return exc.problem
+
+
+@pytest.mark.parametrize("source", ["random", "proof", "cache_read", "multi_agent_k1", "multi_agent_k2"])
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_search_walks_as_the_reference(data_dir, table, source, seed, data):
+    # the walk as first written, where every node paid for every edge,
+    # is the oracle: the same minima and every SearchStats field, the
+    # budget cutting the walk off while it proves the size and while it
+    # lists the minima
+    if source == "random":
+        p = random_problem(seed)
+    elif source == "proof":
+        p = proof_problem(seed)
+    else:
+        spec = parse_flowspec((data_dir / (source + ".flow")).read_text(), table if source == "cache_read" else None)
+        instances = data.draw(st.integers(1, 3 if source == "multi_agent_k2" else 8), label="instances")
+        p = generated_problem(spec, seed, instances, data.draw(st.sampled_from(["auto", None]), label="window"))
+    full = reference_minimum_models(p, flowmine.transport.SEARCH_NODE_BUDGET)
+    if full is None:
+        assert isinstance(minimum_models(p), Shortfall)
+        return
+    walked = full[1]
+    budget = data.draw(st.integers(0, walked.nodes + 3) | st.integers(0, walked.proof_nodes or walked.nodes),
+                       label="budget")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flowmine.transport, "SEARCH_NODE_BUDGET", budget)
+        models, stats = minimum_models(p)
+    assert ([m.values for m in models], stats) == reference_minimum_models(p, budget)
 
 
 def own_max_flow(p, values) -> tuple[int, ...]:
