@@ -37,7 +37,8 @@ import logging
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .trace import Message, MessageTable, Trace
 
@@ -52,7 +53,7 @@ def causal(m1: Message, m2: Message) -> bool:
 
 
 def detect_entries_exits(traces: Sequence[Trace]) -> tuple[set[Message], set[Message]]:
-    """Flow entry and exit points, (initials, terminals), in one scan.
+    """Flow entry and exit points, (initials, terminals).
 
     A message is initial when no strictly earlier event than its
     first instance sends to its source, and terminal when no strictly
@@ -61,13 +62,14 @@ def detect_entries_exits(traces: Sequence[Trace]) -> tuple[set[Message], set[Mes
     Per trace, the first and last event of each message id decide
     both tests: a component's first event as a destination is the
     earliest first event of a message sent to it, and its last event
-    as a source the latest last event of a message it sends.
+    as a source the latest last event of a message it sends.  Those
+    events come from Trace.extents, which walks the events in from
+    each end and stops once every message is found.
     """
     initial: dict[Message, bool] = {}
     terminal: dict[Message, bool] = {}
     for trace in traces:
-        last = dict(zip(trace.ids, trace.event_of))
-        first = dict(zip(reversed(trace.ids), reversed(trace.event_of)))
+        first, last = trace.extents
         first_dest: dict[str, int] = {}
         last_src: dict[str, int] = {}
         for mid, e_idx in first.items():
@@ -169,14 +171,18 @@ def node_numbers(graph: CausalityGraph, trace: Trace) -> list[int | None]:
     return [graph._ordinals.get(m) for m in trace.alphabet]
 
 
+def marked_ids(trace: Trace) -> Iterator[int]:
+    """Per instance in trace order its message id, or its complement
+    ~id where it starts an event.  Each distinct row's piece is built
+    once, and row_of chains the pieces."""
+    pieces = [(~row[0], *row[1:]) for row in trace.rows]
+    return chain.from_iterable(map(pieces.__getitem__, trace.row_of))
+
+
 def trace_shape(trace: Trace) -> Shape:
     """The shape of a whole trace: its message ids in order, each one
     that starts an event written as its complement ~id."""
-    shape, last = [], -1
-    for event, mid in zip(trace.event_of, trace.ids):
-        shape.append(mid if event == last else ~mid)
-        last = event
-    return tuple(shape)
+    return tuple(marked_ids(trace))
 
 
 def positions_of(trace: Trace, numbers: list[int | None], shape: Shape) -> Positions:
@@ -211,14 +217,19 @@ def instance_positions(graph: CausalityGraph, trace: Trace) -> Positions:
     return positions_of(trace, node_numbers(graph, trace), trace_shape(trace))
 
 
-def node_supports(graph: CausalityGraph, trace: Trace) -> Counter:
-    """Per graph node, its instances in trace, counted by message id."""
+def unit_supports(graph: CausalityGraph, units: Iterable[tuple[Positions, int]]) -> Counter:
+    """Per graph node, its instances over units, a unit's counted as
+    often as its count says: the node supports of the traces when the
+    units hold each instance once, as slicing.slice_units' do."""
+    by_ordinal: Counter = Counter()
+    for (positions, _), count in units:
+        for node, found in positions.items():
+            by_ordinal[node] += count * len(found)
     supports: Counter = Counter()
-    for mid, n in Counter(trace.ids).items():
-        m = trace.alphabet[mid]
-        if m not in graph.nodes:
-            raise ValueError("message %s is not a graph node" % m.label())
-        supports[m] += n
+    for m in graph.nodes:
+        n = by_ordinal[graph.ordinal(m)]
+        if n:
+            supports[m] = n
     return supports
 
 
@@ -313,8 +324,8 @@ def support_deltas(
     graph: CausalityGraph, trace: Trace, window: int | None = None
 ) -> tuple[Counter, Counter]:
     """Per-node and per-edge support contributions of one trace."""
-    edge_delta = supports_at(window_thresholds(graph, [(instance_positions(graph, trace), 1)]), window)
-    return node_supports(graph, trace), edge_delta
+    units = [(instance_positions(graph, trace), 1)]
+    return unit_supports(graph, units), supports_at(window_thresholds(graph, units), window)
 
 
 def annotate(graph: CausalityGraph, trace: Trace, window: int | None = None) -> CausalityGraph:

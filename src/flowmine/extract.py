@@ -44,8 +44,8 @@ from .causality import (  # noqa: F401
     detect_entries_exits,
     detect_initials,
     detect_terminals,
-    node_supports,
     supports_at,
+    unit_supports,
     window_thresholds,
 )
 from .slicing import SlicePolicy, annotate_sliced, slice_units  # noqa: F401
@@ -171,19 +171,19 @@ def prepare_annotation(
 
     Entry/exit detection and node supports always come from the full,
     unsliced traces; the slicing policy shapes only the pair matching.
-    Everything per instance works on message ids: each trace's ids
-    map to graph nodes through one list of its alphabet's length, and
-    a node's support is the count of its ids.  The matching units
-    are slicing.slice_units: the whole trace, or one per distinct
-    slice shape with its count.
+    Detection and the node order read each trace's Trace.extents, one
+    walk in from each end.  Everything per instance works on message
+    ids: each trace's ids map to graph nodes through one list of its
+    alphabet's length.  The matching units are slicing.slice_units:
+    the whole trace, or one per distinct slice shape with its count.
+    Together they hold every instance once, so a node's support is the
+    sum over units of count times its positions (unit_supports).
     """
     initials, terminals = detect_entries_exits(traces)
     graph = build_graph(unique_messages(traces), initials, terminals, table)
-    units = []
-    for t in traces:
-        for m, n in node_supports(graph, t).items():
-            graph.nodes[m].support += n
-        units.extend(slice_units(graph, t, slice_policy))
+    units = [unit for t in traces for unit in slice_units(graph, t, slice_policy)]
+    for m, n in unit_supports(graph, units).items():
+        graph.nodes[m].support = n
     return PreparedAnnotation(graph, window_thresholds(graph, units))
 
 

@@ -5,12 +5,16 @@ attribute (packet id, context id, or a shared cache-line address).
 Restricting the pair matching to messages with equal keys removes
 cross-transaction pairings that a window can only approximate.
 
-Node supports keep coming from the whole trace; only edge supports
-are computed inside slices and summed.
+Node supports keep counting every instance of the trace; only edge
+supports are computed inside slices and summed.  An instance without
+the attribute is a slice of its own under either missing policy, so
+the slices hold every instance, and a lone instance pairs with
+nothing.
 
-Mining never builds a slice.  One pass over the trace's columns keys
-each instance to its slice and records the slice's shape: its message
-ids in order, with a mark where each of its events starts.  The
+Mining never builds a slice.  One walk over the trace's instances,
+read from its distinct rows (causality.marked_ids), keys each instance
+to its slice and records the slice's shape: its message ids in order,
+with a mark where each of its events starts.  The
 matching reads nothing else, because positions count from 0 inside a
 slice and its events are renumbered from 0, so slices of equal shape
 pair their tails at equal thresholds.  Equal shapes are counted, and
@@ -31,12 +35,13 @@ from .causality import (  # noqa: F401
     Positions,
     Shape,
     apply_deltas,
+    marked_ids,
     node_numbers,
-    node_supports,
     positions_of,
     support_deltas,
     supports_at,
     trace_shape,
+    unit_supports,
     window_thresholds,
 )
 from .trace import Trace, _check_atom
@@ -49,10 +54,11 @@ class SlicePolicy:
     attribute: attribute name holding the key.
     block: when set, keys are integer addresses mapped to blocks of
         this size (a power of two, the modeled line size).
-    missing: what to do with messages lacking the attribute;
-        "isolate" puts each into a slice of its own so it still counts
-        for node support but supports no pairing, "drop" removes it
-        from every slice.
+    missing: what the slice command does with messages lacking the
+        attribute; "isolate" writes each as a slice of its own, "drop"
+        leaves it out of every slice.  Mining is the same under both:
+        it counts every instance for node support, and a message
+        without the attribute pairs with nothing.
     """
 
     attribute: str
@@ -90,21 +96,31 @@ def _slice_keys(trace: Trace, policy: SlicePolicy) -> list[object]:
 
 
 def slice_shapes(trace: Trace, policy: SlicePolicy) -> Counter:
-    """The number of slices of each shape, in one pass over the trace.
+    """The number of slices of each shape, in one walk over the
+    instances as causality.marked_ids gives them.
 
     A shape is a slice's message ids in order, each one that starts an
     event of the slice written as its complement ~id (as
-    causality.trace_shape writes a whole trace).  An isolated instance
-    is a slice of its own, so its shape is (~id,).  Without a block,
-    instances are keyed by Trace.attr_keys, which on a tagged trace is
-    the attribute text and decodes nothing.  The instances without the
-    attribute are gathered under _UNKEYED like a slice, then taken out.
+    causality.trace_shape writes a whole trace).  An instance without
+    the attribute is a slice of its own, whatever policy.missing says,
+    so its shape is (~id,).  Without a block, instances are keyed by
+    Trace.attr_keys, which on a tagged trace is the attribute text and
+    decodes nothing.  The instances without the attribute are gathered
+    under _UNKEYED like a slice, then taken out.
     """
     keys = trace.attr_keys(policy.attribute, _UNKEYED) if policy.block is None else _slice_keys(trace, policy)
     shapes: dict[object, list[int]] = {}  # key -> [event of its last instance, *shape]
-    for key, event, mid in zip(keys, trace.event_of, trace.ids):
+    event = 0  # the number of events begun so far
+    for key, mid in zip(keys, marked_ids(trace)):
         shape = shapes.get(key)
-        if shape is None:
+        if mid < 0:  # the instance starts an event, and so an event of its slice
+            event += 1
+            if shape is None:
+                shapes[key] = [event, mid]
+            else:
+                shape[0] = event
+                shape.append(mid)
+        elif shape is None:
             shapes[key] = [event, ~mid]
         elif shape[0] == event:
             shape.append(mid)
@@ -115,8 +131,7 @@ def slice_shapes(trace: Trace, policy: SlicePolicy) -> Counter:
     for shape in shapes.values():
         del shape[0]
     counts = Counter(map(tuple, shapes.values()))
-    if policy.missing == "isolate":
-        counts.update((i if i < 0 else ~i,) for i in unkeyed)
+    counts.update((i if i < 0 else ~i,) for i in unkeyed)
     return counts
 
 
@@ -181,7 +196,8 @@ def slice_units(graph: CausalityGraph, trace: Trace, policy: SlicePolicy | None)
     (positions, count) per distinct slice shape, or the whole trace
     once without a policy.  positions is positions_of's pair of flat
     columns, instance positions per node and event starts, both
-    counted within the shape."""
+    counted within the shape.  The units hold every instance of the
+    trace once, so causality.unit_supports counts its node supports."""
     shapes: Counter[Shape] = Counter([trace_shape(trace)]) if policy is None else slice_shapes(trace, policy)
     numbers = node_numbers(graph, trace)
     return [(positions_of(trace, numbers, shape), count) for shape, count in shapes.items()]
@@ -191,9 +207,9 @@ def annotate_sliced(
     graph: CausalityGraph, trace: Trace, policy: SlicePolicy, window: int | None = None
 ) -> CausalityGraph:
     """Accumulate one trace's supports, pairing only inside slices:
-    node supports count the whole trace, and edge supports are matched
-    over slice_units, the units prepare_annotation matches."""
-    node_delta = node_supports(graph, trace)
-    edge_delta = supports_at(window_thresholds(graph, slice_units(graph, trace, policy)), window)
-    apply_deltas(graph, node_delta, edge_delta)
+    node and edge supports are summed over slice_units, the units
+    prepare_annotation matches, which hold every instance once."""
+    units = slice_units(graph, trace, policy)
+    edge_delta = supports_at(window_thresholds(graph, units), window)
+    apply_deltas(graph, unit_supports(graph, units), edge_delta)
     return graph

@@ -16,9 +16,12 @@ repeat a small set of event lines over and over (in the generated
 cache workloads, 88-89% of the lines repeat an earlier line once
 attributes are cut), so parsing reads each distinct line once and
 numbers it, and replay puts each distinct row in canonical order once
-and reads the order of an event through its number.  The per-event
-tuples and the per-instance columns (event index, message id) are
-derived from the rows on first read.  Parsing checks the attributes
+and reads the order of an event through its number.  Detection and
+first-appearance order walk the events in from each end, reading each
+distinct row once, and stop once every message is found (see
+Trace.extents).  The per-event tuples and the per-instance columns
+(event index, message id) are derived from the rows on first read;
+neither mining nor replay reads them.  Parsing checks the attributes
 but decodes none: a parsed trace keeps each instance's attribute text,
 or finds the texts again in the trace text when first read, as the
 caller asks; it decodes each distinct text once, when first read.  The
@@ -112,6 +115,8 @@ class Trace:
     event_ids is the per-event view, the row of each event; ids,
     event_of and msg_count are the per-instance view (message id, event
     index) and its length.  Each is built from the rows on first read.
+    extents gives per message id its first and last event, walking in
+    from each end and reading each distinct row once.
 
     attr_source gives the attributes: per instance its mapping or
     None, or a callable that returns per instance its attribute text
@@ -167,6 +172,24 @@ class Trace:
     @cached_property
     def msg_count(self) -> int:
         return _instance_count(self.rows, self.row_of)
+
+    @cached_property
+    def extents(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(first, last): per message id of an instance, the index of
+        its first event, in order of first appearance, and of its last
+        event.  Each walk reads the events in from one end, each
+        distinct row once, and stops once it has found every message
+        of the rows: at worst one pass over the events.  Those messages
+        are counted row by row until they are the whole alphabet."""
+        messages: set[int] = set()
+        for row in self.rows:
+            messages.update(row)
+            if len(messages) == len(self.alphabet):
+                break
+        used, count = len(messages), len(self.row_of)
+        first = _first_events(self.rows, enumerate(self.row_of), used)
+        last = _first_events(self.rows, zip(range(count - 1, -1, -1), reversed(self.row_of)), used)
+        return first, last
 
     def _texts(self) -> Sequence[str] | None:
         """Per instance its attribute text, from a text source."""
@@ -236,6 +259,23 @@ class Trace:
             (tuple(list(map(ids.__getitem__, run))) for _, run in runs),
             tuple(map(self.attrs.__getitem__, members)),
         )
+
+
+def _first_events(rows: Sequence[tuple[int, ...]], events: Iterable[tuple[int, int]], used: int) -> dict[int, int]:
+    """Per message id, the first of the (event index, row number)
+    pairs whose row holds it, in the order found; the walk stops once
+    used ids are found.  A row is read the first time it comes up."""
+    found: dict[int, int] = {}
+    seen: set[int] = set()
+    for e_idx, number in events:
+        if number in seen:
+            continue
+        seen.add(number)
+        for mid in rows[number]:
+            found.setdefault(mid, e_idx)
+        if len(found) == used:
+            break
+    return found
 
 
 def _instance_count(rows: Iterable[tuple[int, ...]], row_of: Iterable[int]) -> int:
@@ -632,6 +672,7 @@ def unique_messages(traces: Iterable[Trace]) -> list[Message]:
     """Distinct triples across traces, in first-appearance order."""
     seen: dict[Message, None] = {}
     for trace in traces:
-        for mid in dict.fromkeys(trace.ids):
-            seen.setdefault(trace.alphabet[mid])
+        alphabet = trace.alphabet
+        for mid in trace.extents[0]:
+            seen.setdefault(alphabet[mid])
     return list(seen)

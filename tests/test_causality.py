@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 from flowmine import (
     Message,
     MessageTable,
+    Trace,
     annotate,
     build_graph,
     causal,
+    detect_entries_exits,
     detect_initials,
     detect_terminals,
     dump_graph,
@@ -192,11 +194,66 @@ def test_cycle_groups_match_mutual_reachability(data):
     assert dump_graph(graph)["cycles"] == [[order[i].label() for i in group] for group in expected]
 
 
-@settings(deadline=None)
-@given(RAND_TRACES)
-def test_detection_matches_naive_oracle(trace):
-    assert detect_initials([trace]) == naive_initials([trace])
-    assert detect_terminals([trace]) == naive_terminals([trace])
+A, B, C = Message("a", "b", "x"), Message("b", "c", "y"), Message("c", "a", "z")
+
+
+def _naive_detection(traces):
+    return naive_initials(traces), naive_terminals(traces)
+
+
+def test_detection_of_a_message_only_in_the_last_event():
+    # the walk in from the end finds C at once, the walk from the front
+    # only at its last step
+    trace = trace_of([A], [B], [A, B], [B], [C])
+    assert detect_entries_exits([trace]) == _naive_detection([trace])
+    assert C not in detect_initials([trace]) and C in detect_terminals([trace])
+    assert unique_messages([trace]) == [A, B, C]
+
+
+def test_detection_of_a_message_only_in_the_first_event():
+    trace = trace_of([C, A], [B], [A, B], [A])
+    assert detect_entries_exits([trace]) == _naive_detection([trace])
+    assert C in detect_initials([trace]) and C not in detect_terminals([trace])
+    assert unique_messages([trace]) == [C, A, B]
+
+
+def test_detection_of_a_message_only_in_a_repeated_row():
+    # B is only in the row (A, B), at events 0 and 3: its first event
+    # comes before any A, its last after every C
+    trace = trace_of([A, B], [C], [A], [A, B])
+    assert len(trace.rows) == 3 and trace.row_of == (0, 1, 2, 0)
+    assert detect_entries_exits([trace]) == _naive_detection([trace])
+    assert B in detect_initials([trace]) and B in detect_terminals([trace])
+
+
+def test_detection_does_not_rely_on_row_numbers():
+    # rows numbered against their order of first appearance
+    trace = Trace((A, B, C), ((2,), (0, 1), (1,)), (2, 1, 0, 1, 2), (None,) * 7)
+    assert trace.event_ids == ((1,), (0, 1), (2,), (0, 1), (1,))
+    assert detect_entries_exits([trace]) == _naive_detection([trace])
+    assert unique_messages([trace]) == [B, A, C]
+
+
+DETECTION_TRACES = st.lists(
+    st.lists(RAND_MESSAGES, min_size=1, max_size=4), min_size=1, max_size=12
+).map(lambda evs: trace_of(*evs))
+
+
+@st.composite
+def detection_traces(draw):
+    """A trace, or a slice of one (Trace.select), which keeps its
+    parent's alphabet, used or not."""
+    trace = draw(DETECTION_TRACES)
+    if draw(st.booleans()):
+        trace = trace.select(sorted(draw(st.sets(st.integers(0, trace.msg_count - 1), min_size=1))))
+    return trace
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(detection_traces(), min_size=1, max_size=2))
+def test_detection_matches_naive_oracle(traces):
+    assert detect_entries_exits(traces) == _naive_detection(traces)
+    assert unique_messages(traces) == list(dict.fromkeys(m for t in traces for _, _, m in t.flattened()))
 
 
 @settings(deadline=None)

@@ -596,6 +596,33 @@ def test_mine_sliced_trace(paths, tmp_path):
     assert summary["slice"] == "pid"
 
 
+INLINE_LINES = [
+    "# cpu0:cache:rd_req;pid=9 is a comment, and so is x;bad",
+    "cpu0:cache:rd_req;pid=1",
+    "cache:cpu0:rd_resp;pid=1 3",
+    "4 cpu1:cache:rd_req;pid=2",
+    "cache:mem:fetch_req;pid=2",
+    "mem:cache:fetch_resp;pid=2",
+    "cache:cpu1:rd_resp;pid=2",
+]
+
+
+@pytest.mark.parametrize("window", ["auto", "off"])
+def test_missing_policy_shapes_no_mined_file(paths, tmp_path, window):
+    # the bare tokens 3 and 4 (cpu1:cache:rd_req, cache:cpu1:rd_resp)
+    # count for node support and pair with nothing, isolated or dropped
+    trace_file = tmp_path / "inline.trace"
+    trace_file.write_text("\n".join(INLINE_LINES) + "\n")
+    outs = [tmp_path / "isolate", tmp_path / "drop"]
+    for spec, out_dir in zip(("pid", "pid:missing=drop"), outs):
+        assert main(["mine", "--trace", str(trace_file), "--table", paths["table"], "--slice", spec,
+                     "--window", window, "--out", str(out_dir)]) == EXIT_OK
+    supports = {n["message"]: n["support"] for n in json.loads((outs[0] / "graph.json").read_text())["nodes"]}
+    assert supports["cpu1:cache:rd_req"] == supports["cache:cpu1:rd_resp"] == 2  # one bare, one keyed
+    for name in ("model.json", "graph.json", "report.json", "model.dot"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_mine_usage_errors(paths, tmp_path, capsys):
     base = ["mine", "--trace", paths["mixed_trace"], "--table", paths["table"]]
     # bad window spec

@@ -29,6 +29,7 @@ from flowmine import (
 )
 from flowmine.causality import instance_positions
 from flowmine.extract import annotated_graph, prepare_annotation, window_floor
+from flowmine.slicing import parse_policy
 
 from helpers import (
     admits_single_zeroing,
@@ -299,8 +300,8 @@ def test_prepared_annotation_matches_naive_at_every_window(traces, sliced):
 @settings(deadline=None, max_examples=60)
 @given(st.lists(ATTRIBUTED_TRACES, min_size=1, max_size=2), st.booleans())
 def test_node_supports_count_ids(traces, sliced):
-    # supports are counted from message ids, sliced or not, and agree
-    # with the instance positions they replaced, which match the
+    # supports are summed over the matching units, sliced or not, and
+    # agree with the whole-trace instance positions, which match the
     # flattened trace
     prepared = prepare_annotation(traces, SlicePolicy("pid") if sliced else None)
     graph = prepared.graph
@@ -312,6 +313,26 @@ def test_node_supports_count_ids(traces, sliced):
         for node, found in positions[0].items():
             expected[at[node]] += len(found)
     assert {m: stats.support for m, stats in graph.nodes.items()} == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(ATTRIBUTED_TRACES, min_size=1, max_size=2), st.none() | st.sampled_from([1, 2]))
+def test_missing_policy_leaves_the_annotation_alone(traces, block):
+    # a message without the pid counts for its node and pairs with
+    # nothing, whether it is isolated or dropped
+    isolated = prepare_annotation(traces, SlicePolicy("pid", block=block))
+    dropped = prepare_annotation(traces, SlicePolicy("pid", block=block, missing="drop"))
+    assert dump_graph(isolated.graph) == dump_graph(dropped.graph)
+    assert isolated.thresholds == dropped.thresholds
+
+
+@pytest.mark.parametrize("spec", [None, "pid", "pid:block=2"])
+def test_mining_builds_no_per_instance_column(flowspec, table, spec):
+    # mining reads each trace through its distinct rows and row numbers
+    text = serialize_trace(generate(flowspec, GenConfig(instances=20, seed=7, simul_prob=0.2, tag="pid")), table)
+    trace = parse_trace(text, table, attr_texts=spec is not None)
+    auto_window([trace], parse_policy(spec) if spec else None, table)
+    assert "ids" not in vars(trace) and "event_of" not in vars(trace)
 
 
 def _mined(trace, table):

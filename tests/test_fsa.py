@@ -19,6 +19,8 @@ from flowmine import (
     fsa_to_json,
     generate,
     ground_truth_fsa,
+    parse_trace,
+    serialize_trace,
     solve,
     to_dot,
     trace_of,
@@ -139,6 +141,16 @@ def test_sequential_trace_accepted_by_all_strategies(flowspec, pipelined_trace, 
     for strategy in ("oldest-first", "newest-first", "exhaustive"):
         report = acceptance_ratio(fsa, pipelined_trace, strategy=strategy, table=table)
         assert (report.accepted, report.total) == (12, 12), strategy
+
+
+@pytest.mark.parametrize("strategy", ["oldest-first", "newest-first", "exhaustive"])
+def test_replay_builds_no_per_instance_column(flowspec, table, strategy):
+    # replay reads each trace through its distinct rows and row numbers
+    text = serialize_trace(generate(flowspec, GenConfig(instances=20, seed=7, simul_prob=0.2, tag="pid")), table)
+    trace = parse_trace(text, table, attr_texts=False)
+    report = acceptance_ratio(ground_truth_fsa(flowspec), trace, strategy=strategy, table=table)
+    assert report.total == trace.msg_count
+    assert "ids" not in vars(trace) and "event_of" not in vars(trace)
 
 
 def test_same_event_order_follows_table(flowspec, table):

@@ -237,13 +237,14 @@ def frozen(unit_positions):
     st.none() | st.sampled_from([1, 64]),
 )
 def test_slice_positions_match_naive_slices(trace, missing, block):
-    # one unit per distinct slice, counted as often as it occurs
+    # one unit per distinct slice, counted as often as it occurs; an
+    # unkeyed message is a unit of its own under either missing policy
     graph = build_graph(unique_messages([trace]), set(), set())
     policy = SlicePolicy("pid", block=block, missing=missing)
     got = Counter()
     for positions, count in slice_units(graph, trace, policy):
         got[frozen(positions)] += count
-    parts = naive_slices(trace, "pid", missing, block)
+    parts = naive_slices(trace, "pid", "isolate", block)
     want = Counter(frozen(naive_positions(part, graph.ordinal)) for part in parts)
     assert got == want
     assert len(slice_units(graph, trace, policy)) == len(slice_shapes(trace, policy)) == len(want)
@@ -374,7 +375,7 @@ def test_parsed_text_slices_match_naive_slices(text, missing, block):
         with pytest.raises(ValueError):
             slice_shapes(trace, policy)
         return
-    parts = naive_slices(trace, "pid", missing, block)
+    parts = naive_slices(trace, "pid", "isolate", block)  # mining isolates under either policy
     index = {m: mid for mid, m in enumerate(trace.alphabet)}
     assert slice_shapes(trace, policy) == Counter(naive_shape(part, index) for part in parts)
     graph = build_graph(unique_messages([trace]), set(), set())
